@@ -3,8 +3,9 @@
 Run:  python3 demos/03_augmentation_preprocessing.py
 
 All transforms compose into a single 4x4 homogeneous matrix and one trilinear
-resampling pass.  Coordinates are snapped to the grid at 1e-6, which makes
-quarter turns and integer shifts bitwise-exact index permutations.
+resampling pass (scipy.ndimage order 1, grid-constant fill).  Entries of the
+inverse matrix and offset within 1e-6 of an integer are snapped to it, which
+makes quarter turns and integer shifts bitwise-exact index permutations.
 """
 
 import numpy as np

@@ -1,0 +1,133 @@
+"""Run alternating base/change pairs of one benchmark workload and summarise them.
+
+Run from the repository root:
+
+    python3 scripts/bench_pairs.py --base HEAD --workload train-aug-fusion --pairs 10 --seed0 600
+
+The base revision is exported with ``git archive`` into a temporary
+directory; the change is the working tree, uncommitted edits included.
+Pair ``i`` runs ``perfbench/run.py`` with seed ``seed0 + i`` on both sides,
+the base first on even pairs and the change first on odd ones, for the
+``run_seconds`` that ``BENCHMARK.json`` fixes.  Each run prints one JSON
+line when it ends.  The summary gives, for every end-to-end metric, each
+side's quartiles, the change's win share over all pairs (ties count for
+neither side), the base's quartile spread and the ratio of the medians.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def quartiles(values) -> tuple[float, float, float]:
+    """(q1, median, q3) with the inclusive method; one value is its own quartiles."""
+    values = list(values)
+    if len(values) == 1:
+        return (values[0],) * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs, better: dict[str, str]) -> dict[str, dict]:
+    """Per-metric summary of ``pairs``, a list of (base, change) metric dicts.
+
+    ``better`` maps each metric to "higher" or "lower".  A metric missing
+    from any run is left out.
+    """
+    rows = {}
+    for name, direction in better.items():
+        if not pairs or not all(name in b and name in c for b, c in pairs):
+            continue
+        base = [b[name] for b, _ in pairs]
+        change = [c[name] for _, c in pairs]
+        sign = 1.0 if direction == "higher" else -1.0
+        wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+        bq, cq = quartiles(base), quartiles(change)
+        rows[name] = {
+            "base": bq,
+            "change": cq,
+            "win_share": wins / len(pairs),
+            "base_spread": bq[2] - bq[0],
+            "ratio": cq[1] / bq[1] if bq[1] else None,
+        }
+    return rows
+
+
+def format_summary(rows: dict[str, dict]) -> str:
+    lines = [f"{'metric':<20} {'base q1/med/q3':>28} {'change q1/med/q3':>28} "
+             f"{'win':>5} {'base IQR':>9} {'ratio':>7}"]
+    for name, r in rows.items():
+        base = "/".join(f"{v:.4g}" for v in r["base"])
+        change = "/".join(f"{v:.4g}" for v in r["change"])
+        ratio = "-" if r["ratio"] is None else f"{r['ratio']:.3f}"
+        lines.append(f"{name:<20} {base:>28} {change:>28} "
+                     f"{r['win_share']:>5.2f} {r['base_spread']:>9.4g} {ratio:>7}")
+    return "\n".join(lines)
+
+
+def export_revision(rev: str, dest: str) -> None:
+    archive = subprocess.Popen(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                               stdout=subprocess.PIPE)
+    untar = subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=False)
+    archive.stdout.close()
+    if archive.wait() != 0 or untar.returncode != 0:
+        raise SystemExit(f"could not export revision {rev!r}")
+
+
+def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in ``root``; returns its last JSON line."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=root, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"run in {root} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", required=True, help="git revision to compare against")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", required=True, type=int)
+    ap.add_argument("--seed0", required=True, type=int)
+    args = ap.parse_args(argv)
+    if args.pairs < 1 or args.seed0 < 0:
+        ap.error("--pairs must be >= 1 and --seed0 >= 0")
+
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as base_root:
+        export_revision(args.base, base_root)
+        sides = {"base": base_root, "change": ROOT}
+        for i in range(args.pairs):
+            seed = args.seed0 + i
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            results = {}
+            for side in order:
+                result = run_side(sides[side], args.workload, seed, bench["run_seconds"])
+                results[side] = {k: m["value"] for k, m in result["metrics"].items()}
+                print(json.dumps({"pair": i, "side": side, "seed": seed,
+                                  "failed": result["failed"], "attempted": result["attempted"],
+                                  "metrics": results[side]}), flush=True)
+            pairs.append((results["base"], results["change"]))
+
+    print(f"{args.workload}: {args.pairs} pairs, base {args.base} against the working tree")
+    print(format_summary(summarize(pairs, better)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,22 +1,27 @@
 """Random 3D augmentations over a homogeneous-affine resampling primitive.
 
 All transforms act about the geometric volume center and keep the input
-shape.  Interpolation is trilinear with a constant fill value; sampled
-coordinates that land within 1e-6 of a grid point are snapped to it, so
-90-degree rotations and integer shifts are exact index operations.
+shape.  Resampling is ``scipy.ndimage.affine_transform`` at order 1
+(trilinear) in ``grid-constant`` mode: samples near the border blend with
+the fill value as if the grid continued with constant voxels.  Entries of
+the inverse matrix and offset that lie within 1e-6 of an integer are snapped
+to it, so 90-degree rotations and integer shifts are exact index operations.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import InputError
 from .rng import substream
 
 _SNAP = 1e-6
+_NUMERIC_FIELDS = ("max_rotation_deg", "zoom_min", "zoom_max", "max_shift_frac", "fill_value")
 
 
 @dataclass
@@ -31,6 +36,12 @@ class AugmentConfig:
     fill_value: float = 0.0
 
     def __post_init__(self):
+        for name in _NUMERIC_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InputError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value}")
         if self.max_rotation_deg < 0:
             raise InputError("max_rotation_deg must be >= 0")
         if not 0.0 < self.zoom_min <= self.zoom_max:
@@ -49,6 +60,8 @@ class AugmentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AugmentConfig":
+        if not isinstance(d, dict):
+            raise InputError(f"augmentation config must be a JSON object, got {type(d).__name__}")
         known = {k: d[k] for k in cls.__dataclass_fields__ if k in d}
         return cls(**known)
 
@@ -79,57 +92,46 @@ def shift_affine(sx: float, sy: float, sz: float) -> np.ndarray:
     return m
 
 
+def _snap(a: np.ndarray) -> np.ndarray:
+    nearest = np.round(a)
+    return np.where(np.abs(a - nearest) < _SNAP, nearest, a)
+
+
 def affine_resample(vol: np.ndarray, matrix: np.ndarray, fill: float = 0.0) -> np.ndarray:
     """Resample a volume under a homogeneous affine map.
 
     ``matrix`` maps centered source coordinates to centered output
     coordinates; each output voxel is sampled at the inverse-mapped source
-    position with trilinear interpolation.  Out-of-bounds samples take
-    ``fill``.  Channels are transformed identically.
+    position with trilinear interpolation.  A sample less than one voxel
+    outside the grid blends the edge voxels with ``fill``; farther out it is
+    ``fill``.  Channels are transformed identically; the output has the
+    input's shape and dtype.
     """
     vol = np.asarray(vol)
     matrix = np.asarray(matrix, dtype=np.float64)
+    if vol.ndim != 4:
+        raise InputError(f"volume must be 4-D (x, y, z, channels), got shape {vol.shape}")
     if matrix.shape != (4, 4):
         raise InputError(f"affine matrix must be 4x4, got {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise InputError("affine matrix has non-finite entries")
+    if not math.isfinite(fill):
+        raise InputError(f"fill must be finite, got {fill}")
     if abs(np.linalg.det(matrix)) < 1e-12:
         raise InputError("affine matrix is singular")
     inv = np.linalg.inv(matrix)
 
-    nx, ny, nz, _ = vol.shape
-    center = (np.array([nx, ny, nz], dtype=np.float64) - 1.0) / 2.0
+    center = (np.array(vol.shape[:3], dtype=np.float64) - 1.0) / 2.0
+    a = _snap(inv[:3, :3])
+    offset = _snap(center - a @ center + inv[:3, 3])
 
-    gx, gy, gz = np.meshgrid(
-        np.arange(nx, dtype=np.float64) - center[0],
-        np.arange(ny, dtype=np.float64) - center[1],
-        np.arange(nz, dtype=np.float64) - center[2],
-        indexing="ij",
-    )
-    coords = np.stack([gx, gy, gz], axis=-1) @ inv[:3, :3].T + inv[:3, 3]
-    coords += center
-
-    snapped = np.round(coords)
-    coords = np.where(np.abs(coords - snapped) < _SNAP, snapped, coords)
-
-    lo = np.floor(coords).astype(np.int64)
-    frac = coords - lo
-
-    out = np.zeros_like(vol)
-    acc = np.zeros(vol.shape, dtype=np.float64)
-    weight_inb = np.zeros(vol.shape[:3], dtype=np.float64)
-    dims = np.array([nx, ny, nz])
-    for corner in range(8):
-        off = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
-        idx = lo + off
-        w = np.prod(np.where(off == 1, frac, 1.0 - frac), axis=-1)
-        inb = np.all((idx >= 0) & (idx < dims), axis=-1)
-        idx_c = np.clip(idx, 0, dims - 1)
-        vals = vol[idx_c[..., 0], idx_c[..., 1], idx_c[..., 2], :]
-        w_eff = np.where(inb, w, 0.0)
-        acc += w_eff[..., None] * vals
-        weight_inb += w_eff
-    acc += (1.0 - weight_inb)[..., None] * fill
-    out[...] = acc.astype(vol.dtype)
-    return out
+    # ndimage has no float16 kernels; such volumes resample through float32.
+    work = vol.astype(np.float32) if vol.dtype == np.float16 else vol
+    out = np.empty_like(work)
+    for ch in range(vol.shape[3]):
+        ndimage.affine_transform(work[..., ch], a, offset=offset, output=out[..., ch], order=1,
+                                 mode="grid-constant", cval=fill, prefilter=False)
+    return out.astype(vol.dtype, copy=False)
 
 
 def _draw_rotation(rng, max_deg: float):
@@ -138,22 +140,13 @@ def _draw_rotation(rng, max_deg: float):
     return axis, angle
 
 
-def random_rotation(vol, max_deg: float, rng) -> np.ndarray:
-    if max_deg < 0:
-        raise InputError("max_deg must be >= 0")
-    if max_deg == 0:
-        return vol
-    axis, angle = _draw_rotation(rng, max_deg)
-    return affine_resample(vol, rotation_affine(axis, angle))
-
-
-def random_zoom(vol, zmin: float, zmax: float, rng) -> np.ndarray:
-    if not 0.0 < zmin <= zmax:
-        raise InputError("zoom bounds must satisfy 0 < min <= max")
-    if zmin == zmax == 1.0:
-        return vol
-    z = float(rng.uniform(zmin, zmax))
-    return affine_resample(vol, zoom_affine(z, z, z))
+def _draw_shift(rng, max_frac: float, shape) -> list[float]:
+    """A uniform shift along one random axis, bounded by ``max_frac`` of its extent."""
+    axis = int(rng.integers(0, 3))
+    limit = max_frac * shape[axis]
+    shift = [0.0, 0.0, 0.0]
+    shift[axis] = float(rng.uniform(-limit, limit))
+    return shift
 
 
 def random_flip(vol, axes, rng) -> np.ndarray:
@@ -170,12 +163,7 @@ def random_shift(vol, max_frac: float, rng, fill: float = 0.0) -> np.ndarray:
         raise InputError("max_frac must be in [0, 1)")
     if max_frac == 0:
         return vol
-    axis = int(rng.integers(0, 3))
-    limit = max_frac * vol.shape[axis]
-    d = float(rng.uniform(-limit, limit))
-    shift = [0.0, 0.0, 0.0]
-    shift[axis] = d
-    return affine_resample(vol, shift_affine(*shift), fill)
+    return affine_resample(vol, shift_affine(*_draw_shift(rng, max_frac, vol.shape)), fill)
 
 
 def augment(vol: np.ndarray, config: AugmentConfig, sample_seed: int) -> np.ndarray:
@@ -200,11 +188,7 @@ def augment(vol: np.ndarray, config: AugmentConfig, sample_seed: int) -> np.ndar
         m = zoom_affine(z, z, z) @ m
         resample = True
     if config.max_shift_frac > 0:
-        axis = int(rng.integers(0, 3))
-        limit = config.max_shift_frac * vol.shape[axis]
-        shift = [0.0, 0.0, 0.0]
-        shift[axis] = float(rng.uniform(-limit, limit))
-        m = shift_affine(*shift) @ m
+        m = shift_affine(*_draw_shift(rng, config.max_shift_frac, vol.shape)) @ m
         resample = True
     if resample:
         out = affine_resample(out, m, config.fill_value)

@@ -182,17 +182,22 @@ def adam_step(state: AdamState, params: list[ParamTensor], lr: float):
         p.values -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.values.dtype)
 
 
+def loss(model, x, y_onehot, mode="train", rng=None, l2_lambda=None):
+    """Forward only: returns (loss, probs), the loss including the L2 penalty."""
+    probs = model.forward(x, mode, rng)
+    return cross_entropy(y_onehot, probs) + l2_penalty(model, l2_lambda), probs
+
+
 def loss_and_grads(model, x, y_onehot, mode="train", rng=None, l2_lambda=None):
     """Forward + backward; leaves per-parameter grads on the model.
 
-    Returns (loss, probs).  Loss includes the L2 penalty and grads include
-    its contribution.
+    Returns (loss, probs) as :func:`loss` does; grads include the L2 penalty's
+    contribution.
     """
-    probs = model.forward(x, mode, rng)
-    loss = cross_entropy(y_onehot, probs) + l2_penalty(model, l2_lambda)
+    value, probs = loss(model, x, y_onehot, mode, rng, l2_lambda)
     model.backward(cross_entropy_grad(y_onehot, probs))
     add_l2_grads(model, l2_lambda)
-    return loss, probs
+    return value, probs
 
 
 def _evaluate(model, x, y_onehot, batch_size=32):

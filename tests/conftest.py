@@ -1,10 +1,10 @@
 """Shared test helpers: finite-difference gradient checking and tiny datasets.
 
 The gradient checker snapshots every analytic gradient (as copies) at the
-base point *before* any parameter is perturbed — each loss evaluation
-overwrites ``ParamTensor.grad`` in place, so reading grads lazily inside the
-perturbation loop would compare finite differences against gradients taken
-at a perturbed point.
+base point *before* any parameter is perturbed, so the finite differences
+are always compared against gradients taken at the unperturbed point.  The
+perturbed loss evaluations run forward only: their gradients would be
+thrown away.
 """
 
 import numpy as np
@@ -15,8 +15,8 @@ from voxcnn.rng import substream
 
 
 def loss_fn(model, x, y_onehot, seed=11):
-    """Deterministic train-mode loss (fresh dropout stream per call)."""
-    return T.loss_and_grads(model, x, y_onehot, "train", substream(seed, "drop"))[0]
+    """Deterministic train-mode loss (fresh dropout stream per call), forward only."""
+    return T.loss(model, x, y_onehot, "train", substream(seed, "drop"))[0]
 
 
 def fd_gradient_check(model, x, y_onehot, h=1e-6, rtol=1e-4, atol=1e-7, seed=11):
@@ -27,7 +27,7 @@ def fd_gradient_check(model, x, y_onehot, h=1e-6, rtol=1e-4, atol=1e-7, seed=11)
     keep the evaluation on one smooth piece of the relu/max-pool loss
     surface.
     """
-    loss_fn(model, x, y_onehot, seed)
+    T.loss_and_grads(model, x, y_onehot, "train", substream(seed, "drop"))
     analytic = {p.name: p.grad.copy() for p in model.params()}
 
     checked = 0

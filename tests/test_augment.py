@@ -13,6 +13,43 @@ def random_volume(dims=(7, 7, 7, 2), seed=0):
     return np.random.default_rng(seed).standard_normal(dims)
 
 
+def reference_resample(vol, matrix, fill=0.0):
+    """Explicit 8-corner trilinear gather with float64 accumulation.
+
+    Test-only oracle for ``affine_resample``: out-of-bounds corners take
+    ``fill`` with their interpolation weight, and coordinates within 1e-6 of
+    a grid point are snapped to it.
+    """
+    inv = np.linalg.inv(np.asarray(matrix, dtype=np.float64))
+    nx, ny, nz, _ = vol.shape
+    center = (np.array([nx, ny, nz], dtype=np.float64) - 1.0) / 2.0
+    gx, gy, gz = np.meshgrid(
+        np.arange(nx, dtype=np.float64) - center[0],
+        np.arange(ny, dtype=np.float64) - center[1],
+        np.arange(nz, dtype=np.float64) - center[2],
+        indexing="ij",
+    )
+    coords = np.stack([gx, gy, gz], axis=-1) @ inv[:3, :3].T + inv[:3, 3] + center
+    snapped = np.round(coords)
+    coords = np.where(np.abs(coords - snapped) < 1e-6, snapped, coords)
+    lo = np.floor(coords).astype(np.int64)
+    frac = coords - lo
+    acc = np.zeros(vol.shape, dtype=np.float64)
+    weight_inb = np.zeros(vol.shape[:3], dtype=np.float64)
+    dims = np.array([nx, ny, nz])
+    for corner in range(8):
+        off = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
+        idx = lo + off
+        w = np.prod(np.where(off == 1, frac, 1.0 - frac), axis=-1)
+        inb = np.all((idx >= 0) & (idx < dims), axis=-1)
+        idx_c = np.clip(idx, 0, dims - 1)
+        w_eff = np.where(inb, w, 0.0)
+        acc += w_eff[..., None] * vol[idx_c[..., 0], idx_c[..., 1], idx_c[..., 2], :]
+        weight_inb += w_eff
+    acc += (1.0 - weight_inb)[..., None] * fill
+    return acc.astype(vol.dtype)
+
+
 # ---------------------------------------------------------------------------
 # Identity and determinism
 
@@ -206,6 +243,89 @@ def test_augment_order_is_one_resample():
     want = np.roll(np.rot90(vol, k=1, axes=(0, 1)), (1, 0, 0), axis=(0, 1, 2))
     want[:1] = 0.0
     assert np.array_equal(out, want)
+
+
+ORACLE_MATRICES = {
+    "rot_x": A.rotation_affine(0, 17.0),
+    "rot_y": A.rotation_affine(1, -23.5),
+    "rot_z": A.rotation_affine(2, 41.0),
+    "zoom": A.zoom_affine(0.83, 0.83, 0.83),
+    "zoom_aniso": A.zoom_affine(1.2, 0.9, 1.05),
+    "frac_shift": A.shift_affine(0.3, -1.7, 2.25),
+    "rot_zoom_shift": A.shift_affine(-0.6, 0.4, 1.3) @ A.zoom_affine(1.1, 1.1, 1.1)
+    @ A.rotation_affine(1, 12.0),
+    "two_rotations": A.rotation_affine(0, 8.0) @ A.rotation_affine(2, -31.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MATRICES))
+@pytest.mark.parametrize("fill", [0.0, -0.5])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_resample_matches_corner_gather_oracle(name, fill, dtype, channels):
+    vol = random_volume((7, 9, 6, channels), seed=channels).astype(dtype)
+    before = vol.copy()
+    out = A.affine_resample(vol, ORACLE_MATRICES[name], fill=fill)
+    assert out.dtype == vol.dtype and out.shape == vol.shape
+    assert np.array_equal(vol, before)
+    np.testing.assert_allclose(out, reference_resample(vol, ORACLE_MATRICES[name], fill),
+                               rtol=0, atol=1e-5)
+
+
+def test_float16_volume_keeps_its_dtype():
+    vol = random_volume((7, 9, 6, 2), seed=13).astype(np.float16)
+    m = ORACLE_MATRICES["rot_zoom_shift"]
+    out = A.affine_resample(vol, m, fill=-0.5)
+    assert out.dtype == np.float16 and out.shape == vol.shape
+    np.testing.assert_allclose(out.astype(np.float64),
+                               reference_resample(vol, m, -0.5).astype(np.float64),
+                               rtol=0, atol=4e-3)
+
+
+def test_half_voxel_shift_blends_fill_into_edge_slab():
+    """Samples half a voxel outside the grid blend the edge voxel with the fill."""
+    vol = random_volume((6, 5, 4, 2), seed=12)
+    fill = -0.5
+    out = A.affine_resample(vol, A.shift_affine(0.5, 0, 0), fill=fill)
+    np.testing.assert_allclose(out[0], 0.5 * vol[0] + 0.5 * fill, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out[1:], 0.5 * vol[:-1] + 0.5 * vol[1:], rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Typed errors
+
+
+def test_resample_rejects_volume_that_is_not_4d():
+    with pytest.raises(InputError, match="4-D"):
+        A.affine_resample(np.zeros((6, 6, 6)), A.identity_affine())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_resample_rejects_non_finite_matrix(bad):
+    m = A.rotation_affine(2, 10.0)
+    m[0, 1] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        A.affine_resample(random_volume(), m)
+
+
+def test_resample_rejects_non_finite_fill():
+    with pytest.raises(InputError, match="fill"):
+        A.affine_resample(random_volume(), A.rotation_affine(2, 10.0), fill=np.nan)
+
+
+@pytest.mark.parametrize("field", ["max_rotation_deg", "zoom_min", "zoom_max",
+                                   "max_shift_frac", "fill_value"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "10", None, True])
+def test_config_rejects_non_numeric_and_non_finite(field, value):
+    with pytest.raises(InputError, match=field):
+        A.AugmentConfig(**{field: value})
+    with pytest.raises(InputError, match=field):
+        A.AugmentConfig.from_dict({field: value})
+
+
+def test_config_from_dict_requires_an_object():
+    with pytest.raises(InputError):
+        A.AugmentConfig.from_dict([10.0])
 
 
 def test_config_validation():

@@ -1,0 +1,38 @@
+"""The paired-run summary of scripts/bench_pairs.py on fixed numbers."""
+
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), "..", "scripts", "bench_pairs.py")
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def test_quartiles_inclusive_and_single_value():
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert bench_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_summary_win_share_spread_and_ratio():
+    base = [100.0, 110.0, 90.0, 105.0, 95.0]
+    change = [150.0, 110.0, 80.0, 160.0, 140.0]  # one tie, one loss
+    lat_base = [2.0, 2.0, 2.0, 2.0, 2.0]
+    lat_change = [1.0, 3.0, 1.0, 1.0, 2.0]  # lower is better; one tie, one loss
+    pairs = [({"tput": b, "lat": lb}, {"tput": c, "lat": lc})
+             for b, c, lb, lc in zip(base, change, lat_base, lat_change)]
+    rows = bench_pairs.summarize(pairs, {"tput": "higher", "lat": "lower", "absent": "lower"})
+    assert set(rows) == {"tput", "lat"}
+    t = rows["tput"]
+    assert t["base"] == (95.0, 100.0, 105.0)
+    assert t["change"] == (110.0, 140.0, 150.0)
+    assert t["win_share"] == pytest.approx(3 / 5)
+    assert t["base_spread"] == 10.0
+    assert t["ratio"] == pytest.approx(1.4)
+    lat = rows["lat"]
+    assert lat["win_share"] == pytest.approx(3 / 5)
+    assert lat["base_spread"] == 0.0
+    assert lat["ratio"] == pytest.approx(0.5)
+    assert "tput" in bench_pairs.format_summary(rows)

@@ -209,6 +209,15 @@ def test_bad_hyper_file_exits_1(capsys, cli_data, tmp_path):
     assert code == 1 and err != ""
 
 
+def test_non_numeric_augment_value_exits_1(capsys, cli_data, tmp_path):
+    hyper = tmp_path / "hyper.json"
+    hyper.write_text(json.dumps({"epochs": 1, "augment": {"max_rotation_deg": "10"}}))
+    code, _, err = run(capsys, "train", "--arch", fixture_path("pet_8_mini"),
+                       "--hyper", str(hyper), "--data", str(cli_data),
+                       "--out-dir", str(tmp_path / "o"))
+    assert code == 1 and "max_rotation_deg" in err
+
+
 def test_numeric_failure_exits_3(capsys, cli_data, tmp_path):
     hyper = tmp_path / "hyper.json"
     hyper.write_text(json.dumps({"lr0": 1e30, "epochs": 3, "batch_size": 6, "seed": 0}))
