@@ -12,6 +12,13 @@ the base first on even pairs and the change first on odd ones, for the
 line when it ends.  The summary gives, for every end-to-end metric, each
 side's quartiles, the change's win share over all pairs (ties count for
 neither side), the base's quartile spread and the ratio of the medians.
+
+Two derived figures show host trouble, which a 2-vCPU guest often has:
+``train_cores`` (``train_samples_per_s * cpu_ms_per_sample / 1000``, the
+cores busy while training) and each run's share of host CPU time stolen by
+the hypervisor, from ``/proc/stat`` read before and after the run.  Both are
+printed per pair; a pair whose cores fall or whose steal rises on one side
+only measured the host, not the change.
 """
 
 from __future__ import annotations
@@ -36,25 +43,28 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs, better: dict[str, str]) -> dict[str, dict]:
+def summarize(pairs, better: dict[str, str | None]) -> dict[str, dict]:
     """Per-metric summary of ``pairs``, a list of (base, change) metric dicts.
 
-    ``better`` maps each metric to "higher" or "lower".  A metric missing
-    from any run is left out.
+    ``better`` maps each metric to "higher" or "lower", or to None for a
+    diagnostic that has no win share.  A metric missing or None in any run is
+    left out.
     """
     rows = {}
     for name, direction in better.items():
-        if not pairs or not all(name in b and name in c for b, c in pairs):
+        if not pairs or any(b.get(name) is None or c.get(name) is None for b, c in pairs):
             continue
         base = [b[name] for b, _ in pairs]
         change = [c[name] for _, c in pairs]
-        sign = 1.0 if direction == "higher" else -1.0
-        wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+        win_share = None
+        if direction is not None:
+            sign = 1.0 if direction == "higher" else -1.0
+            win_share = sum(sign * (c - b) > 0 for b, c in zip(base, change)) / len(pairs)
         bq, cq = quartiles(base), quartiles(change)
         rows[name] = {
             "base": bq,
             "change": cq,
-            "win_share": wins / len(pairs),
+            "win_share": win_share,
             "base_spread": bq[2] - bq[0],
             "ratio": cq[1] / bq[1] if bq[1] else None,
         }
@@ -68,8 +78,60 @@ def format_summary(rows: dict[str, dict]) -> str:
         base = "/".join(f"{v:.4g}" for v in r["base"])
         change = "/".join(f"{v:.4g}" for v in r["change"])
         ratio = "-" if r["ratio"] is None else f"{r['ratio']:.3f}"
+        win = "-" if r["win_share"] is None else f"{r['win_share']:.2f}"
         lines.append(f"{name:<20} {base:>28} {change:>28} "
-                     f"{r['win_share']:>5.2f} {r['base_spread']:>9.4g} {ratio:>7}")
+                     f"{win:>5} {r['base_spread']:>9.4g} {ratio:>7}")
+    return "\n".join(lines)
+
+
+def train_cores(metrics: dict) -> float | None:
+    """Cores busy while training, or None when a run lacks either metric."""
+    if "train_samples_per_s" not in metrics or "cpu_ms_per_sample" not in metrics:
+        return None
+    return metrics["train_samples_per_s"] * metrics["cpu_ms_per_sample"] / 1000.0
+
+
+def steal_share(before: str, after: str) -> float | None:
+    """Share of all CPU time stolen between two ``/proc/stat`` texts.
+
+    The aggregate ``cpu`` line counts user, nice, system, idle, iowait, irq,
+    softirq and steal time (guest time is already inside user and nice).
+    Returns None when no time passed.
+    """
+    def times(text):
+        for line in text.splitlines():
+            fields = line.split()
+            if fields and fields[0] == "cpu":
+                ticks = [int(v) for v in fields[1:9]]
+                return ticks[7], sum(ticks)
+        raise ValueError("no aggregate cpu line")
+
+    (steal0, total0), (steal1, total1) = times(before), times(after)
+    if total1 <= total0:
+        return None
+    return (steal1 - steal0) / (total1 - total0)
+
+
+def read_proc_stat() -> str:
+    """The host's CPU counters; empty where ``/proc/stat`` does not exist."""
+    try:
+        with open("/proc/stat", encoding="ascii") as fh:
+            return fh.read()
+    except OSError:
+        return ""
+
+
+def format_pairs(pairs, seeds) -> str:
+    """One line per pair: throughput, cores busy and steal share on each side."""
+    def side(m):
+        cores = "-" if m.get("train_cores") is None else f"{m['train_cores']:.2f}"
+        steal = "-" if m.get("steal_share") is None else f"{m['steal_share']:.3f}"
+        return f"{m.get('train_samples_per_s', float('nan')):>9.1f} {cores:>6} {steal:>6}"
+
+    lines = [f"{'pair':>4} {'seed':>5}   {'base tput':>9} {'cores':>6} {'steal':>6}   "
+             f"{'chg tput':>9} {'cores':>6} {'steal':>6}"]
+    for i, ((b, c), seed) in enumerate(zip(pairs, seeds)):
+        lines.append(f"{i:>4} {seed:>5}   {side(b)}   {side(c)}")
     return "\n".join(lines)
 
 
@@ -117,14 +179,21 @@ def main(argv=None) -> int:
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             results = {}
             for side in order:
+                stat_before = read_proc_stat()
                 result = run_side(sides[side], args.workload, seed, bench["run_seconds"])
+                stat_after = read_proc_stat()
                 results[side] = {k: m["value"] for k, m in result["metrics"].items()}
+                results[side]["train_cores"] = train_cores(results[side])
+                results[side]["steal_share"] = (steal_share(stat_before, stat_after)
+                                                if stat_before and stat_after else None)
                 print(json.dumps({"pair": i, "side": side, "seed": seed,
                                   "failed": result["failed"], "attempted": result["attempted"],
                                   "metrics": results[side]}), flush=True)
             pairs.append((results["base"], results["change"]))
 
     print(f"{args.workload}: {args.pairs} pairs, base {args.base} against the working tree")
+    print(format_pairs(pairs, [args.seed0 + i for i in range(args.pairs)]))
+    better["train_cores"] = None
     print(format_summary(summarize(pairs, better)))
     return 0
 

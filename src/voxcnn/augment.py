@@ -22,6 +22,7 @@ from .rng import substream
 
 _SNAP = 1e-6
 _NUMERIC_FIELDS = ("max_rotation_deg", "zoom_min", "zoom_max", "max_shift_frac", "fill_value")
+_FLAG_FIELDS = ("flip_x", "flip_y", "flip_z")
 
 
 @dataclass
@@ -42,6 +43,10 @@ class AugmentConfig:
                 raise InputError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise InputError(f"{name} must be finite, got {value}")
+        for name in _FLAG_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise InputError(f"{name} must be true or false, got {value!r}")
         if self.max_rotation_deg < 0:
             raise InputError("max_rotation_deg must be >= 0")
         if not 0.0 < self.zoom_min <= self.zoom_max:

@@ -1,14 +1,17 @@
 """Model checkpoints: spec + parameter manifest + CRC-checked payloads.
 
 Layout (little-endian): magic "AVC1" | version u16 | header_len u32 |
-header JSON | per parameter: payload bytes, crc32 u32.  The header carries
-the model spec, and for each parameter its name, shape, dtype, trainable
-flag, and batch-norm pinning/moving statistics.
+header JSON | crc32 u32 of the header | per parameter: payload bytes,
+crc32 u32.  The header carries the model spec, and for each parameter its
+name, shape, dtype, trainable flag, and batch-norm pinning/moving
+statistics.  Loading raises a :class:`StorageError` subclass for every
+malformed file.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -17,11 +20,13 @@ import zlib
 import numpy as np
 
 from . import graph
-from .errors import ChecksumError, FormatError, StorageError, TruncationError, VersionError
+from .errors import ChecksumError, FormatError, ShapeError, SpecError, StorageError, VersionError
 from .layers import BatchNorm
+from .records import _Reader
 
 MAGIC = b"AVC1"
-VERSION = 1
+VERSION = 2
+_HEADER_KEYS = ("spec", "params", "bn")
 
 
 def _walk_bn(model):
@@ -64,7 +69,8 @@ def save_checkpoint(model, path):
     header = json.dumps(
         {"spec": model.spec.to_dict(), "params": entries, "bn": bn_state}
     ).encode("utf-8")
-    parts = [MAGIC, struct.pack("<HI", VERSION, len(header)), header]
+    parts = [MAGIC, struct.pack("<HI", VERSION, len(header)), header,
+             struct.pack("<I", zlib.crc32(header))]
     for payload in payloads:
         parts.append(payload)
         parts.append(struct.pack("<I", zlib.crc32(payload)))
@@ -80,50 +86,88 @@ def save_checkpoint(model, path):
         raise StorageError(f"cannot write {path}: {exc}") from exc
 
 
+def _parse_header(raw: bytes, path) -> dict:
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: header is not UTF-8 JSON: {exc}") from exc
+    if not (isinstance(header, dict) and all(k in header for k in _HEADER_KEYS)
+            and isinstance(header["params"], list) and isinstance(header["bn"], list)):
+        raise FormatError(f"{path}: header lacks its spec, params or bn entries")
+    return header
+
+
+def _entry_layout(entry, path):
+    """(shape, dtype, payload bytes) of one header entry."""
+    try:
+        shape = tuple(entry["shape"])
+        dtype = np.dtype(entry["dtype"])
+        flags_ok = isinstance(entry["trainable"], bool) and isinstance(entry.get("l2", 0.0), (int, float))
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: malformed parameter entry: {exc}") from exc
+    if not (flags_ok and dtype.kind == "f" and all(isinstance(d, int) and d >= 0 for d in shape)):
+        raise FormatError(f"{path}: malformed parameter entry {entry.get('name')!r}")
+    return shape, dtype, math.prod(shape) * dtype.itemsize
+
+
 def load_checkpoint(path):
-    """Rebuild a model from a checkpoint, restoring flags and BN state."""
+    """Rebuild a model from a checkpoint, restoring flags and BN state.
+
+    A short file raises :class:`TruncationError`; a foreign, malformed or
+    over-long one :class:`FormatError`; a damaged header or payload
+    :class:`ChecksumError`.
+    """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise StorageError(f"cannot read {path}: {exc}") from exc
-    if data[:4] != MAGIC:
+    r = _Reader(data, path)
+    if r.take(4) != MAGIC:
         raise FormatError(f"{path}: bad magic bytes")
-    version, header_len = struct.unpack("<HI", data[4:10])
+    version, header_len = r.unpack("<HI")
     if version != VERSION:
         raise VersionError(f"{path}: unsupported checkpoint version {version}")
-    header = json.loads(data[10 : 10 + header_len].decode("utf-8"))
-    pos = 10 + header_len
+    raw_header = r.take(header_len)
+    (crc,) = r.unpack("<I")
+    if zlib.crc32(raw_header) != crc:
+        raise ChecksumError(f"{path}: CRC mismatch for the header")
+    header = _parse_header(raw_header, path)
 
-    spec = graph.spec_from_dict(header["spec"])
-    model = graph.build(spec, seed=0)
+    try:
+        model = graph.build(graph.spec_from_dict(header["spec"]), seed=0)
+    except (SpecError, ShapeError) as exc:
+        raise FormatError(f"{path}: bad model spec: {exc}") from exc
 
     arrays = []
     for entry in header["params"]:
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        nbytes = count * np.dtype(entry["dtype"]).itemsize
-        if pos + nbytes + 4 > len(data):
-            raise TruncationError(f"{path}: truncated parameter {entry['name']}")
-        payload = data[pos : pos + nbytes]
-        (crc,) = struct.unpack("<I", data[pos + nbytes : pos + nbytes + 4])
+        shape, dtype, nbytes = _entry_layout(entry, path)
+        payload = r.take(nbytes)
+        (crc,) = r.unpack("<I")
         if zlib.crc32(payload) != crc:
-            raise ChecksumError(f"{path}: CRC mismatch for {entry['name']}")
-        arrays.append(np.frombuffer(payload, dtype=entry["dtype"]).reshape(entry["shape"]).copy())
-        pos += nbytes + 4
+            raise ChecksumError(f"{path}: CRC mismatch for {entry.get('name')!r}")
+        arrays.append(np.frombuffer(payload, dtype=dtype).reshape(shape).copy())
+    if r.pos != len(data):
+        raise FormatError(f"{path}: {len(data) - r.pos} trailing bytes")
 
     params = model.params()
     n_params = len(params)
-    if len([e for e in header["params"] if e["role"] != "bn_state"]) != n_params:
+    if len([e for e in header["params"] if e.get("role") != "bn_state"]) != n_params:
         raise FormatError(f"{path}: parameter count does not match spec")
     for p, entry, arr in zip(params, header["params"][:n_params], arrays[:n_params]):
-        if list(p.values.shape) != entry["shape"]:
-            raise FormatError(f"{path}: shape mismatch for {entry['name']}")
+        if p.values.shape != arr.shape:
+            raise FormatError(f"{path}: shape mismatch for {entry.get('name')!r}")
         p.values = arr
         p.trainable = entry["trainable"]
         p.l2 = entry.get("l2", 0.0)
 
     bn_layers = _walk_bn(model)
     state_arrays = arrays[n_params:]
+    stat_shapes = [bn.moving_mean.shape for bn in bn_layers for _ in ("mean", "var")]
+    if not ([a.shape for a in state_arrays] == stat_shapes and len(header["bn"]) == len(bn_layers)
+            and all(isinstance(b, dict) and isinstance(b.get("pinned"), bool) for b in header["bn"])):
+        raise FormatError(f"{path}: batch-norm entries do not match the model's "
+                          f"{len(bn_layers)} batch-norm layers")
     for i, bn in enumerate(bn_layers):
         bn.moving_mean = state_arrays[2 * i]
         bn.moving_var = state_arrays[2 * i + 1]

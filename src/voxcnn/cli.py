@@ -130,9 +130,10 @@ def cmd_rkfold(args) -> int:
         for r in report.mean_curve
     ])
     curve.write_csv(os.path.join(args.out_dir, "mean_curve.csv"))
-    print(f"{args.reps}x{args.k}-fold: {len(report.runs)} runs, "
+    failed = sum(r.failed for r in report.runs)
+    print(f"{args.reps}x{args.k}-fold: {len(report.runs)} runs, {failed} failed, "
           f"mean accuracy {report.mean_accuracy:.4f} "
-          f"(std {report.std_accuracy:.4f})")
+          f"(std {report.std_accuracy:.4f}) over the runs that did not fail")
     print(f"wrote {os.path.join(args.out_dir, 'report.json')}")
     return 0
 

@@ -413,6 +413,19 @@ def _make_layer(lspec: LayerSpec, in_shape, rng, name, dtype):
     raise SpecError(f"unknown layer kind {kind!r}")
 
 
+def _first_trainable(layers) -> int:
+    """Index of the first layer with a trainable parameter; ``len(layers)`` if none."""
+    return next((i for i, lyr in enumerate(layers) if any(p.trainable for p in lyr.params)),
+                len(layers))
+
+
+def _backprop(layers, grad, stop):
+    """Run ``backward`` from the last layer down to ``layers[stop]``; returns its input gradient."""
+    for lyr in reversed(layers[stop:]):
+        grad = lyr.backward(grad)
+    return grad
+
+
 class Model:
     """A materialized sequential model."""
 
@@ -432,15 +445,20 @@ class Model:
         expected = tuple(self.spec.input_dims)
         if h.ndim != 5 or h.shape[1:] != expected:
             raise SpecError(f"batch shape {h.shape} does not match input dims {expected}")
+        params = self.params()
+        if params:  # a float32 model computes in float32 whatever its input's dtype
+            h = h.astype(params[0].values.dtype, copy=False)
         for lyr in self.layers:
             h = lyr.forward(h, mode, rng)
         return h
 
     def backward(self, grad):
-        g = grad
-        for lyr in reversed(self.layers):
-            g = lyr.backward(g)
-        return g
+        """Leave parameter gradients on the layers from the first trainable one on.
+
+        The layers in front of it are frozen, and their input gradients would
+        feed nothing, so they are not run.
+        """
+        _backprop(self.layers, grad, _first_trainable(self.layers))
 
     def freeze_all(self):
         for p in self.params():
@@ -482,12 +500,16 @@ class TwoBranchModel:
         return h
 
     def backward(self, grad):
-        g = grad
-        for lyr in reversed(self.head):
-            g = lyr.backward(g)
-        ga = self.branch_a.backward(g[:, : self._split])
-        gb = self.branch_b.backward(g[:, self._split :])
-        return ga, gb
+        """Back-propagate through the head, then through each branch that trains.
+
+        A branch with no trainable parameter is skipped; when neither branch
+        trains, the head stops at its own first trainable layer.
+        """
+        branches = ((self.branch_a, slice(None, self._split)), (self.branch_b, slice(self._split, None)))
+        trained = [(m, cols) for m, cols in branches if any(p.trainable for p in m.params())]
+        g = _backprop(self.head, grad, 0 if trained else _first_trainable(self.head))
+        for m, cols in trained:
+            m.backward(g[:, cols])
 
     def _walk_layers(self):
         yield from self.branch_a._walk_layers()

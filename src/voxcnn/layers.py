@@ -4,6 +4,11 @@ Every layer caches what its backward pass needs during ``forward``; a model
 therefore belongs to one worker at a time.  Parameters live in
 :class:`ParamTensor` records so the optimizer, the freeze logic, and the L2
 penalty can address them uniformly.
+
+Backward runs in the dtype of its incoming gradient, which the loss gives in
+the model's dtype: a float32 model trains in float32.  A model's backward
+stops at its first layer with a trainable parameter (see ``graph.Model``), so
+the layers of a frozen prefix never run ``backward``.
 """
 
 from __future__ import annotations
@@ -220,7 +225,7 @@ class BatchNorm(Layer):
         g_xhat = grad * self.gamma.values
         if not self._batch_stats:
             return g_xhat * self._inv_std
-        m = np.prod([self._x.shape[a] for a in axes])
+        m = self._x.size // self._x.shape[-1]  # a Python int keeps grad's dtype
         return (
             self._inv_std
             / m

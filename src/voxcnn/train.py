@@ -85,12 +85,13 @@ def cross_entropy(y_onehot: np.ndarray, probs: np.ndarray) -> float:
 
 
 def cross_entropy_grad(y_onehot: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """d(mean CE)/d(probs); zero where the clamp is active."""
+    """d(mean CE)/d(probs) in the dtype of ``probs``; zero where the clamp is active."""
     p = np.asarray(probs)
+    y = np.asarray(y_onehot, dtype=p.dtype)
     inside = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
     pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     n = p.shape[0]
-    return np.where(inside, -y_onehot / pc, 0.0) / n
+    return np.where(inside, -y / pc, 0.0) / n
 
 
 def one_hot(labels: np.ndarray, classes: int = 3) -> np.ndarray:
@@ -158,7 +159,11 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: list[ParamTensor], lr: float):
-    """One bias-corrected Adam update; frozen parameters are untouched."""
+    """One bias-corrected Adam update; frozen parameters are untouched.
+
+    A gradient must have its parameter's shape and dtype: the update is done
+    in place and would otherwise be cast or broadcast without a word.
+    """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**state.t
@@ -169,6 +174,11 @@ def adam_step(state: AdamState, params: list[ParamTensor], lr: float):
         g = p.grad
         if g is None:
             continue
+        if g.dtype != p.values.dtype or g.shape != p.values.shape:
+            raise NumericError(
+                f"gradient for {p.name} is {g.dtype}{list(g.shape)}, "
+                f"parameter is {p.values.dtype}{list(p.values.shape)}"
+            )
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for {p.name}")
         m = state.m[id(p)]
@@ -179,7 +189,7 @@ def adam_step(state: AdamState, params: list[ParamTensor], lr: float):
         v += (1 - b2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        p.values -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.values.dtype)
+        p.values -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 def loss(model, x, y_onehot, mode="train", rng=None, l2_lambda=None):

@@ -20,19 +20,20 @@ def loss_fn(model, x, y_onehot, seed=11):
 
 
 def fd_gradient_check(model, x, y_onehot, h=1e-6, rtol=1e-4, atol=1e-7, seed=11):
-    """Compare every parameter's analytic gradient with central differences.
+    """Compare every trainable parameter's analytic gradient with central differences.
 
     Returns (checked, worst_rel).  Raises AssertionError on the first
     parameter entry outside tolerance.  64-bit parameters and a small step
     keep the evaluation on one smooth piece of the relu/max-pool loss
-    surface.
+    surface.  Frozen parameters get no gradient and are not checked.
     """
     T.loss_and_grads(model, x, y_onehot, "train", substream(seed, "drop"))
-    analytic = {p.name: p.grad.copy() for p in model.params()}
+    trained = [p for p in model.params() if p.trainable]
+    analytic = {p.name: p.grad.copy() for p in trained}
 
     checked = 0
     worst = 0.0
-    for p in model.params():
+    for p in trained:
         flat = p.values.reshape(-1)
         an = analytic[p.name].reshape(-1)
         for i in range(flat.size):

@@ -323,6 +323,15 @@ def test_config_rejects_non_numeric_and_non_finite(field, value):
         A.AugmentConfig.from_dict({field: value})
 
 
+@pytest.mark.parametrize("field", ["flip_x", "flip_y", "flip_z"])
+@pytest.mark.parametrize("value", ["no", "false", 1, 0, None, 1.0])
+def test_config_rejects_non_boolean_flip_flags(field, value):
+    with pytest.raises(InputError, match=field):
+        A.AugmentConfig(**{field: value})
+    with pytest.raises(InputError, match=field):
+        A.AugmentConfig.from_dict({field: value})
+
+
 def test_config_from_dict_requires_an_object():
     with pytest.raises(InputError):
         A.AugmentConfig.from_dict([10.0])

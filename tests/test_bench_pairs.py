@@ -36,3 +36,32 @@ def test_summary_win_share_spread_and_ratio():
     assert lat["base_spread"] == 0.0
     assert lat["ratio"] == pytest.approx(0.5)
     assert "tput" in bench_pairs.format_summary(rows)
+
+
+def test_diagnostic_row_has_no_win_share():
+    pairs = [({"cores": 1.8}, {"cores": 1.2}), ({"cores": 1.7}, {"cores": None})]
+    assert bench_pairs.summarize(pairs, {"cores": None}) == {}
+    rows = bench_pairs.summarize(pairs[:1], {"cores": None})
+    assert rows["cores"]["win_share"] is None
+    assert " - " in bench_pairs.format_summary(rows)
+
+
+def test_train_cores_is_throughput_times_cpu_time():
+    assert bench_pairs.train_cores({"train_samples_per_s": 500.0, "cpu_ms_per_sample": 3.6}) == \
+        pytest.approx(1.8)
+    assert bench_pairs.train_cores({"train_samples_per_s": 500.0}) is None
+
+
+def _stat(user, idle, steal):
+    # user nice system idle iowait irq softirq steal guest guest_nice
+    return (f"cpu  {user} 0 10 {idle} 0 0 0 {steal} 7 0\n"
+            f"cpu0 {user} 0 10 {idle} 0 0 0 {steal} 7 0\nintr 1 2 3\n")
+
+
+def test_steal_share_from_two_proc_stat_readings():
+    before, after = _stat(100, 800, 50), _stat(160, 910, 80)
+    # 60 user + 110 idle + 30 steal ticks passed; guest ticks are inside user.
+    assert bench_pairs.steal_share(before, after) == pytest.approx(30 / 200)
+    assert bench_pairs.steal_share(before, before) is None
+    with pytest.raises(ValueError):
+        bench_pairs.steal_share("intr 1 2 3\n", after)

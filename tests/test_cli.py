@@ -218,6 +218,38 @@ def test_non_numeric_augment_value_exits_1(capsys, cli_data, tmp_path):
     assert code == 1 and "max_rotation_deg" in err
 
 
+def test_non_boolean_flip_flag_exits_1(capsys, cli_data, tmp_path):
+    hyper = tmp_path / "hyper.json"
+    hyper.write_text(json.dumps({"epochs": 1, "augment": {"flip_x": "no"}}))
+    code, _, err = run(capsys, "train", "--arch", fixture_path("pet_8_mini"),
+                       "--hyper", str(hyper), "--data", str(cli_data),
+                       "--out-dir", str(tmp_path / "o"))
+    assert code == 1 and "flip_x" in err
+
+
+def test_truncated_checkpoint_exits_2(capsys, cli_data, tmp_path):
+    ckpt = tmp_path / "model.avc"
+    checkpoint.save_checkpoint(graph.build(graph.load_spec(fixture_path("pet_8_mini")), seed=0), ckpt)
+    ckpt.write_bytes(ckpt.read_bytes()[:-7])
+    code, _, err = run(capsys, "test-eval", "--checkpoint", str(ckpt),
+                       "--data", str(cli_data), "--out", str(tmp_path / "m.json"))
+    assert code == 2 and "truncated" in err
+
+
+def test_rkfold_reports_failed_runs(capsys, cli_data, tmp_path):
+    hyper = tmp_path / "hyper.json"
+    hyper.write_text(json.dumps({"lr0": 1e30, "epochs": 3, "batch_size": 6, "seed": 0}))
+    out_dir = tmp_path / "rk"
+    code, out, _ = run(capsys, "rkfold", "--arch", fixture_path("pet_8_mini"),
+                       "--hyper", str(hyper), "--data", str(cli_data),
+                       "--k", "3", "--reps", "1", "--out-dir", str(out_dir))
+    assert code == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    failed = sum(r["failed"] for r in report["runs"])
+    assert failed > 0
+    assert f"3 runs, {failed} failed" in out
+
+
 def test_numeric_failure_exits_3(capsys, cli_data, tmp_path):
     hyper = tmp_path / "hyper.json"
     hyper.write_text(json.dumps({"lr0": 1e30, "epochs": 3, "batch_size": 6, "seed": 0}))

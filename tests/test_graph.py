@@ -118,6 +118,14 @@ def test_batchnorm_inference_uses_moving_stats():
     assert np.allclose(y, (4.0 - 2.0) / np.sqrt(4.0 + 1e-3))
 
 
+def test_batchnorm_backward_keeps_float32():
+    bn = L.BatchNorm(4)
+    x = np.random.default_rng(3).standard_normal((2, 3, 3, 3, 4)).astype(np.float32)
+    bn.forward(x, "train")
+    g = bn.backward(np.ones_like(x))
+    assert g.dtype == bn.gamma.grad.dtype == bn.beta.grad.dtype == np.float32
+
+
 def test_pinned_batchnorm_ignores_train_mode():
     bn = L.BatchNorm(1, dtype=np.float64)
     bn.pinned = True
@@ -267,6 +275,28 @@ def test_surgery_backbone_is_bitwise_frozen(small_resnet):
     # ... while the fresh head actually moved.
     head = [p for p in cut.params() if p.trainable]
     assert any(p.grad is not None and np.any(p.values != 0) for p in head)
+
+
+def test_backward_never_runs_the_frozen_prefix(small_resnet, monkeypatch):
+    cut = graph.surgery(small_resnet, "pet", seed=1)
+    called = []
+
+    def spy(layer):
+        backward = layer.backward
+
+        def wrapped(grad):
+            called.append(layer)
+            return backward(grad)
+
+        return wrapped
+
+    for lyr in cut._walk_layers():
+        monkeypatch.setattr(lyr, "backward", spy(lyr))
+    x = np.random.default_rng(4).standard_normal((1, 32, 32, 32, 1)).astype(np.float32)
+    T.loss_and_grads(cut, x, T.one_hot(np.array([2]), 3), "train")
+    # The global pool holds no parameter, so the dense head is the first trainable layer.
+    assert called == [cut.layers[-1]]
+    assert all(p.grad is not None for p in cut.layers[-1].params)
 
 
 def test_surgery_pet_drops_last_stage(small_resnet):

@@ -2,9 +2,11 @@
 
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voxcnn import checkpoint, graph, records, train as T
 from voxcnn.errors import (
@@ -257,3 +259,138 @@ def test_checkpoint_bad_magic(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(FormatError):
         checkpoint.load_checkpoint(p)
+
+
+def _checkpoint_parts(raw):
+    """(header dict, payload bytes) of a checkpoint file's contents."""
+    header_len = struct.unpack_from("<I", raw, 6)[0]
+    return json.loads(raw[10 : 10 + header_len]), raw[10 + header_len + 4 :]
+
+
+def _checkpoint_bytes(header_bytes, payloads, version=checkpoint.VERSION):
+    """A checkpoint with a correct header CRC around any header bytes."""
+    return (checkpoint.MAGIC + struct.pack("<HI", version, len(header_bytes)) + header_bytes
+            + struct.pack("<I", zlib.crc32(header_bytes)) + payloads)
+
+
+@pytest.fixture
+def saved_mini(tmp_path):
+    model = graph.build(load_fixture("pet_8_mini"), seed=6)
+    path = tmp_path / "m.avc"
+    checkpoint.save_checkpoint(model, path)
+    return path, path.read_bytes()
+
+
+def test_checkpoint_short_file_raises_truncation_error(saved_mini):
+    path, raw = saved_mini
+    header_end = 10 + struct.unpack_from("<I", raw, 6)[0]
+    for n in (0, 2, 6, 9, header_end - 1, header_end + 2, len(raw) - 1):
+        path.write_bytes(raw[:n])
+        with pytest.raises(TruncationError):
+            checkpoint.load_checkpoint(path)
+
+
+def test_checkpoint_flipped_header_byte_fails_its_crc(saved_mini):
+    path, raw = saved_mini
+    bad = bytearray(raw)
+    bad[12] ^= 0x80  # inside the JSON header
+    path.write_bytes(bytes(bad))
+    with pytest.raises(ChecksumError):
+        checkpoint.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header_bytes", [
+    b"\xff\xfe{not utf-8",
+    b"{not json",
+    b"[1, 2, 3]",
+    b'{"spec": {}, "params": []}',
+])
+def test_checkpoint_malformed_header_raises_format_error(saved_mini, header_bytes):
+    path, raw = saved_mini
+    _, payloads = _checkpoint_parts(raw)
+    path.write_bytes(_checkpoint_bytes(header_bytes, payloads))
+    with pytest.raises(FormatError):
+        checkpoint.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["params"][0].pop("dtype"),
+    lambda h: h["params"][0].update(shape=[-1]),
+    lambda h: h["params"][0].update(trainable="yes"),
+    lambda h: h["bn"].pop(),
+    lambda h: h["bn"].append({"pinned": False}),
+    lambda h: h["spec"]["layers"][0].update(kind="nope"),
+])
+def test_checkpoint_inconsistent_header_raises_format_error(saved_mini, edit):
+    path, raw = saved_mini
+    header, payloads = _checkpoint_parts(raw)
+    edit(header)
+    path.write_bytes(_checkpoint_bytes(json.dumps(header).encode("utf-8"), payloads))
+    with pytest.raises(FormatError):
+        checkpoint.load_checkpoint(path)
+
+
+def test_checkpoint_trailing_bytes_raise_format_error(saved_mini):
+    path, raw = saved_mini
+    path.write_bytes(raw + b"\x00")
+    with pytest.raises(FormatError, match="trailing"):
+        checkpoint.load_checkpoint(path)
+
+
+def test_checkpoint_other_version_raises_version_error(saved_mini):
+    path, raw = saved_mini
+    header, payloads = _checkpoint_parts(raw)
+    path.write_bytes(_checkpoint_bytes(json.dumps(header).encode("utf-8"), payloads, version=1))
+    with pytest.raises(VersionError):
+        checkpoint.load_checkpoint(path)
+
+
+TINY_CKPT_SPEC = {
+    "name": "ckpt_tiny",
+    "input_dims": [4, 4, 4, 1],
+    "layers": [
+        {"kind": "conv3d", "filters": 2, "k": 2, "activation": "relu"},
+        {"kind": "batch_norm", "momentum": 0.9},
+        {"kind": "global_avg_pool3d"},
+        {"kind": "dense", "units": 3, "activation": "softmax"},
+    ],
+}
+
+
+def _model_state(model):
+    bns = checkpoint._walk_bn(model)
+    return (
+        model.spec.to_dict(),
+        [(p.name, p.trainable, p.l2, p.values.dtype.str, p.values.tobytes()) for p in model.params()],
+        [(bn.pinned, bn.moving_mean.tobytes(), bn.moving_var.tobytes()) for bn in bns],
+    )
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    model = graph.build(graph.spec_from_dict(TINY_CKPT_SPEC), seed=4)
+    model.layers[0].w.trainable = False
+    x = np.random.default_rng(2).standard_normal((2, 4, 4, 4, 1)).astype(np.float32)
+    T.loss_and_grads(model, x, T.one_hot(np.array([0, 1]), 3), "train")  # moves BN stats
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.avc"
+    checkpoint.save_checkpoint(model, path)
+    return path.read_bytes(), _model_state(model)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_damaged_checkpoint_raises_storage_error_or_loads_equal(tiny_checkpoint, tmp_path, data):
+    raw, state = tiny_checkpoint
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+        mask = data.draw(st.integers(1, 255), label="mask")
+        damaged = raw[:pos] + bytes([raw[pos] ^ mask]) + raw[pos + 1 :]
+    path = tmp_path / "damaged.avc"
+    path.write_bytes(damaged)
+    try:
+        model = checkpoint.load_checkpoint(path)
+    except StorageError:
+        return
+    assert _model_state(model) == state

@@ -68,6 +68,17 @@ def test_cross_entropy_clamp_keeps_confident_misses_finite():
     assert abs(loss - -np.log(1e-7)) < 1e-6
 
 
+def test_cross_entropy_grad_keeps_the_probability_dtype():
+    y = T.one_hot(np.array([0, 2, 1]), 3)
+    p64 = L.softmax(np.random.default_rng(3).standard_normal((3, 3)))
+    p64[2] = [0.0, 1.0, 0.0]  # clamp active on every entry of this row
+    g64 = T.cross_entropy_grad(y, p64)
+    g32 = T.cross_entropy_grad(y, p64.astype(np.float32))
+    assert g64.dtype == np.float64 and g32.dtype == np.float32
+    assert np.allclose(g32, g64, rtol=1e-6, atol=0)
+    assert not g32[2].any() and not g64[2].any()
+
+
 def test_cross_entropy_rejects_non_one_hot():
     with pytest.raises(InputError):
         T.cross_entropy(np.array([[0.5, 0.5, 0.0]]), np.full((1, 3), 1 / 3))
@@ -174,6 +185,19 @@ def test_adam_rejects_non_finite_gradients():
         T.adam_step(T.AdamState([p]), [p], 0.1)
 
 
+@pytest.mark.parametrize("grad", [
+    np.ones(2, dtype=np.float64),
+    np.ones(3, dtype=np.float32),
+    np.ones((2, 1), dtype=np.float32),
+])
+def test_adam_rejects_a_gradient_unlike_its_parameter(grad):
+    p = L.ParamTensor("w", "dense_weights", np.zeros(2, dtype=np.float32))
+    p.grad = grad
+    with pytest.raises(NumericError, match="gradient for w"):
+        T.adam_step(T.AdamState([p]), [p], 0.1)
+    assert not p.values.any()
+
+
 # ---------------------------------------------------------------------------
 # Whole-model gradients
 
@@ -185,6 +209,18 @@ def test_whole_model_gradient_matches_finite_differences(fixture):
     y = T.one_hot(np.array([1]), 3)
     checked, worst = fd_gradient_check(model, x, y)
     assert checked == sum(p.values.size for p in model.params())
+
+
+def test_gradient_with_a_frozen_first_conv_matches_finite_differences():
+    spec, model = build_f64("pet_8_mini")
+    frozen = model.layers[0].params
+    for p in frozen:
+        p.trainable = False
+    x = random_batch(spec, n=1, seed=0)
+    y = T.one_hot(np.array([1]), 3)
+    checked, _ = fd_gradient_check(model, x, y)
+    assert checked == sum(p.values.size for p in model.params() if p.trainable)
+    assert all(p.grad is None for p in frozen)  # backward stopped before layer 0
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +337,61 @@ def test_hyperparams_validation():
         T.HyperParams(decay_rate=0.0)
     with pytest.raises(InputError):
         T.HyperParams(batch_size=0)
+
+
+# ---------------------------------------------------------------------------
+# float32 training and the frozen-prefix early stop
+
+
+def _pet_surgery_model():
+    base = graph.build(graph.build_resnet18_3d((16, 16, 16, 1)), seed=0)
+    return graph.surgery(base, "pet", seed=1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: graph.build(load_fixture("pet_8_mini"), seed=2),
+    lambda: graph.build(load_fixture("two_branch_mini"), seed=2),
+    _pet_surgery_model,
+], ids=["pet_8_mini", "two_branch_mini", "resnet18_pet_surgery"])
+def test_float32_model_trains_in_float32(monkeypatch, make):
+    model = make()
+    adam_step, states = T.adam_step, []
+
+    def spy(state, params, lr):
+        states.append(state)
+        return adam_step(state, params, lr)
+
+    monkeypatch.setattr(T, "adam_step", spy)
+    x = random_batch(model.spec, n=3, seed=4)  # float64: the model casts it
+    T.train(model, (x, np.array([0, 1, 2])), hyper=T.HyperParams(epochs=1, batch_size=3))
+
+    assert len(states) == 1
+    for p in model.params():
+        assert p.values.dtype == np.float32, p.name
+        assert states[0].m[id(p)].dtype == states[0].v[id(p)].dtype == np.float32, p.name
+        if p.trainable:
+            assert p.grad.dtype == np.float32, p.name
+        else:
+            assert p.grad is None, p.name  # a frozen prefix is never back-propagated
+
+
+def test_two_branch_with_a_frozen_branch_trains_the_other():
+    spec = load_fixture("two_branch_mini")
+    x = tuple(part.astype(np.float32) for part in random_batch(spec, n=4, seed=5))
+    hyper = T.HyperParams(epochs=2, batch_size=2, seed=3)
+    finals = []
+    for _ in range(2):
+        model = graph.build(spec, seed=3)
+        model.branch_a.freeze_all()
+        frozen = {id(p) for p in model.branch_a.params()}
+        before = [p.values.copy() for p in model.params()]
+        T.train(model, (x, np.array([0, 1, 2, 0])), hyper=hyper)
+        for p, v in zip(model.params(), before):
+            if id(p) in frozen:
+                assert p.grad is None and np.array_equal(p.values, v), p.name
+            else:
+                assert p.grad is not None, p.name
+                if p.role.endswith("weights"):
+                    assert not np.array_equal(p.values, v), p.name
+        finals.append([p.values.copy() for p in model.params()])
+    assert all(np.array_equal(a, b) for a, b in zip(*finals))  # seeded runs stay bitwise equal
