@@ -2,7 +2,8 @@
 
 Run from the repository root:
 
-    python3 scripts/bench_pairs.py --base HEAD --workload train-aug-fusion --pairs 10 --seed0 600
+    python3 scripts/bench_pairs.py --base HEAD --workload train-aug-fusion --pairs 10 --seed0 600 \
+        --metric infer_p50_ms
 
 The base revision is exported with ``git archive`` into a temporary
 directory; the change is the working tree, uncommitted edits included.
@@ -13,7 +14,8 @@ line when it ends.  The summary gives, for every end-to-end metric, each
 side's quartiles, the change's win share over all pairs (ties count for
 neither side), the base's quartile spread and the ratio of the medians.
 
-Two derived figures show host trouble, which a 2-vCPU guest often has:
+The per-pair table shows ``--metric`` (default ``train_samples_per_s``) beside
+two derived figures that show host trouble, which a 2-vCPU guest often has:
 ``train_cores`` (``train_samples_per_s * cpu_ms_per_sample / 1000``, the
 cores busy while training) and each run's share of host CPU time stolen by
 the hypervisor, from ``/proc/stat`` read before and after the run.  Both are
@@ -121,15 +123,18 @@ def read_proc_stat() -> str:
         return ""
 
 
-def format_pairs(pairs, seeds) -> str:
-    """One line per pair: throughput, cores busy and steal share on each side."""
+def format_pairs(pairs, seeds, metric: str = "train_samples_per_s") -> str:
+    """One line per pair: ``metric``, cores busy and steal share on each side."""
+    width = len(metric) + 5
+
     def side(m):
+        value = "-" if m.get(metric) is None else f"{m[metric]:.4g}"
         cores = "-" if m.get("train_cores") is None else f"{m['train_cores']:.2f}"
         steal = "-" if m.get("steal_share") is None else f"{m['steal_share']:.3f}"
-        return f"{m.get('train_samples_per_s', float('nan')):>9.1f} {cores:>6} {steal:>6}"
+        return f"{value:>{width}} {cores:>6} {steal:>6}"
 
-    lines = [f"{'pair':>4} {'seed':>5}   {'base tput':>9} {'cores':>6} {'steal':>6}   "
-             f"{'chg tput':>9} {'cores':>6} {'steal':>6}"]
+    lines = [f"{'pair':>4} {'seed':>5}   {'base ' + metric:>{width}} {'cores':>6} {'steal':>6}   "
+             f"{'chg ' + metric:>{width}} {'cores':>6} {'steal':>6}"]
     for i, ((b, c), seed) in enumerate(zip(pairs, seeds)):
         lines.append(f"{i:>4} {seed:>5}   {side(b)}   {side(c)}")
     return "\n".join(lines)
@@ -162,6 +167,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", required=True, type=int)
     ap.add_argument("--seed0", required=True, type=int)
+    ap.add_argument("--metric", default="train_samples_per_s",
+                    help="end-to-end metric shown per pair (default: train_samples_per_s)")
     args = ap.parse_args(argv)
     if args.pairs < 1 or args.seed0 < 0:
         ap.error("--pairs must be >= 1 and --seed0 >= 0")
@@ -169,6 +176,8 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    if args.metric not in better:
+        ap.error(f"--metric must be one of {', '.join(better)}")
 
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-base-") as base_root:
@@ -192,7 +201,7 @@ def main(argv=None) -> int:
             pairs.append((results["base"], results["change"]))
 
     print(f"{args.workload}: {args.pairs} pairs, base {args.base} against the working tree")
-    print(format_pairs(pairs, [args.seed0 + i for i in range(args.pairs)]))
+    print(format_pairs(pairs, [args.seed0 + i for i in range(args.pairs)], args.metric))
     better["train_cores"] = None
     print(format_summary(summarize(pairs, better)))
     return 0

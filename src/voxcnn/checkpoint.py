@@ -172,14 +172,4 @@ def load_checkpoint(path):
         bn.moving_mean = state_arrays[2 * i]
         bn.moving_var = state_arrays[2 * i + 1]
         bn.pinned = header["bn"][i]["pinned"]
-
-    # Re-sync conv layers whose ParamTensor arrays were replaced
-    def _resync(m):
-        for lyr in m._walk_layers():
-            if hasattr(lyr, "kernel"):
-                from .volume import Kernel
-
-                lyr.kernel = Kernel(lyr.w.values, lyr.b.values)
-
-    _resync(model)
     return model

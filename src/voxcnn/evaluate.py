@@ -197,12 +197,12 @@ def run_rkfold(spec: graph.ModelSpec, volumes, labels, hyper: T.HyperParams,
         try:
             model, curve = T.train(
                 model,
-                (_take(volumes, train_idx), labels[train_idx]),
-                (_take(volumes, val_idx), labels[val_idx]),
+                (T._take(volumes, train_idx), labels[train_idx]),
+                (T._take(volumes, val_idx), labels[val_idx]),
                 run_hyper,
                 augmentor=augmentor,
             )
-            probs = model.forward(_take(volumes, val_idx), "inference")
+            probs = model.forward(T._take(volumes, val_idx), "inference")
             cm = confusion_matrix(labels[val_idx], probs.argmax(axis=1))
             return RunResult(rep, fold, cm, curve)
         except NumericError as exc:
@@ -227,12 +227,6 @@ def run_rkfold(spec: graph.ModelSpec, volumes, labels, hyper: T.HyperParams,
         any_failed=any(r.failed for r in results),
         metadata={"seed": hyper.seed, "spec": spec.name, "epochs": hyper.epochs},
     )
-
-
-def _take(x, idx):
-    if isinstance(x, tuple):
-        return tuple(part[idx] for part in x)
-    return x[idx]
 
 
 def _average_curves(curves) -> list[dict]:

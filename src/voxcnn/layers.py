@@ -1,9 +1,15 @@
 """Layer objects with explicit forward/backward passes.
 
-Every layer caches what its backward pass needs during ``forward``; a model
-therefore belongs to one worker at a time.  Parameters live in
-:class:`ParamTensor` records so the optimizer, the freeze logic, and the L2
-penalty can address them uniformly.
+Every layer keeps what its backward pass needs during ``forward``, in every
+mode (an inference-mode forward may still be back-propagated); a model
+therefore belongs to one worker at a time.  Forward keeps references to
+arrays it computes anyway, its input and its output, and no more: work that
+only backward reads, such as routing a max pool's gradient, runs in
+backward.  Relu writes in place into the pre-activation its layer has just
+allocated, and backward masks with the output (``out > 0`` equals
+``z > 0``).  Parameters live in :class:`ParamTensor` records so the
+optimizer, the freeze logic, and the L2 penalty can address them uniformly;
+a conv's weights are stored there only.
 
 Backward runs in the dtype of its incoming gradient, which the loss gives in
 the model's dtype: a float32 model trains in float32.  A model's backward
@@ -33,12 +39,12 @@ class ParamTensor:
     grad: np.ndarray | None = field(default=None, repr=False)
 
 
-def relu(x):
-    return np.maximum(x, 0)
+def relu(x, out=None):
+    return np.maximum(x, 0, out=out)
 
 
-def relu_grad(x, g):
-    return g * (x > 0)
+def relu_grad(out, g):
+    return g * (out > 0)
 
 
 def sigmoid(x):
@@ -55,11 +61,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _apply_activation(name, z):
+def _apply_activation(name, z, in_place=False):
+    """``name`` applied to ``z``; relu overwrites ``z`` when ``in_place``."""
     if name is None or name == "linear":
         return z
     if name == "relu":
-        return relu(z)
+        return relu(z, out=z if in_place else None)
     if name == "sigmoid":
         return sigmoid(z)
     if name == "softmax":
@@ -67,11 +74,11 @@ def _apply_activation(name, z):
     raise SpecError(f"unknown activation {name!r}")
 
 
-def _activation_vjp(name, z, out, g):
+def _activation_vjp(name, out, g):
     if name is None or name == "linear":
         return g
     if name == "relu":
-        return relu_grad(z, g)
+        return relu_grad(out, g)
     if name == "sigmoid":
         return g * out * (1.0 - out)
     if name == "softmax":
@@ -96,24 +103,24 @@ class Layer:
 class Conv3D(Layer):
     def __init__(self, weights, bias, stride=1, padding=0, activation="relu", l2=0.0, name="conv3d"):
         super().__init__()
-        self.kernel = V.Kernel(weights, bias)
+        kernel = V.Kernel(weights, bias)  # validates the shapes
         self.stride = stride
         self.padding = padding
         self.activation = activation
-        self.w = ParamTensor(f"{name}.weights", "conv_weights", self.kernel.weights, l2=l2)
-        self.b = ParamTensor(f"{name}.bias", "conv_bias", self.kernel.bias)
+        self.w = ParamTensor(f"{name}.weights", "conv_weights", kernel.weights, l2=l2)
+        self.b = ParamTensor(f"{name}.bias", "conv_bias", kernel.bias)
         self.params = [self.w, self.b]
 
     def forward(self, x, mode="inference", rng=None):
-        self.kernel = V.Kernel(self.w.values, self.b.values)
         self._x = x
-        self._z = V.correlate3d_batch(x, self.kernel, self.stride, self.padding)
-        self._out = _apply_activation(self.activation, self._z)
+        z = V.correlate3d_batch(x, V.Kernel(self.w.values, self.b.values), self.stride, self.padding)
+        self._out = _apply_activation(self.activation, z, in_place=True)
         return self._out
 
     def backward(self, grad):
-        gz = _activation_vjp(self.activation, self._z, self._out, grad)
-        gx, gw, gb = V.correlate3d_vjp_batch(self._x, self.kernel, gz, self.stride, self.padding)
+        gz = _activation_vjp(self.activation, self._out, grad)
+        kernel = V.Kernel(self.w.values, self.b.values)
+        gx, gw, gb = V.correlate3d_vjp_batch(self._x, kernel, gz, self.stride, self.padding)
         self.w.grad = gw
         self.b.grad = gb
         return gx
@@ -126,12 +133,12 @@ class MaxPool3D(Layer):
         self.stride = stride
 
     def forward(self, x, mode="inference", rng=None):
-        self._shape = x.shape
-        out, self._idx = V.maxpool3d_batch(x, self.window, self.stride)
-        return out
+        self._x = x
+        self._out = V.maxpool3d_batch(x, self.window, self.stride)
+        return self._out
 
     def backward(self, grad):
-        return V.maxpool3d_vjp_batch(self._idx, grad, self._shape)
+        return V.maxpool3d_vjp_batch(self._x, self._out, grad, self.window, self.stride)
 
 
 class GlobalAvgPool3D(Layer):
@@ -166,12 +173,11 @@ class Dense(Layer):
         if x.ndim != 2:
             raise ShapeError(f"dense layer expects a (n, features) matrix, got {x.shape}")
         self._x = x
-        self._z = x @ self.w.values + self.b.values
-        self._out = _apply_activation(self.activation, self._z)
+        self._out = _apply_activation(self.activation, x @ self.w.values + self.b.values, in_place=True)
         return self._out
 
     def backward(self, grad):
-        gz = _activation_vjp(self.activation, self._z, self._out, grad)
+        gz = _activation_vjp(self.activation, self._out, grad)
         self.w.grad = self._x.T @ gz
         self.b.grad = gz.sum(axis=0)
         return gz @ self.w.values.T
@@ -266,12 +272,11 @@ class Activation(Layer):
         self.name = name
 
     def forward(self, x, mode="inference", rng=None):
-        self._z = x
-        self._out = _apply_activation(self.name, x)
+        self._out = _apply_activation(self.name, x)  # x belongs to the layer before
         return self._out
 
     def backward(self, grad):
-        return _activation_vjp(self.name, self._z, self._out, grad)
+        return _activation_vjp(self.name, self._out, grad)
 
 
 class ResidualBlock(Layer):

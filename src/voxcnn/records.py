@@ -24,6 +24,7 @@ from scipy.ndimage import gaussian_filter
 
 from .errors import (
     ChecksumError,
+    DataError,
     FormatError,
     InputError,
     StorageError,
@@ -65,7 +66,7 @@ class PatientRecord:
         for m, v in self.volumes:
             if m == modality:
                 return v
-        raise KeyError(modality)
+        raise DataError(f"record {self.subject_id!r} has no {modality} volume")
 
 
 def write_record(record: PatientRecord, path):
@@ -124,7 +125,10 @@ def read_record(path) -> PatientRecord:
     if version != FORMAT_VERSION:
         raise VersionError(f"{path}: unsupported format version {version}")
     (id_len,) = r.unpack("<H")
-    subject_id = r.take(id_len).decode("utf-8")
+    try:
+        subject_id = r.take(id_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: subject id is not UTF-8: {exc}") from exc
     (n_volumes,) = r.unpack("<B")
     volumes = []
     for _ in range(n_volumes):
@@ -141,7 +145,10 @@ def read_record(path) -> PatientRecord:
         volumes.append((MODALITIES[mod_code], vol.copy()))
     if r.pos != len(data):
         raise FormatError(f"{path}: {len(data) - r.pos} trailing bytes")
-    return PatientRecord(subject_id, label, volumes)
+    try:
+        return PatientRecord(subject_id, label, volumes)
+    except InputError as exc:  # a label, id or modality list no writer produces
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 @dataclass

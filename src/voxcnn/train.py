@@ -214,7 +214,7 @@ def _evaluate(model, x, y_onehot, batch_size=32):
     """Inference-mode loss and accuracy over a dataset."""
     losses, correct, n = [], 0, len(y_onehot)
     for lo in range(0, n, batch_size):
-        xb = _slice_batch(x, lo, lo + batch_size)
+        xb = _take(x, slice(lo, lo + batch_size))
         yb = y_onehot[lo : lo + batch_size]
         probs = model.forward(xb, "inference")
         losses.append(cross_entropy(yb, probs) * len(yb))
@@ -222,13 +222,8 @@ def _evaluate(model, x, y_onehot, batch_size=32):
     return sum(losses) / n, correct / n
 
 
-def _slice_batch(x, lo, hi):
-    if isinstance(x, tuple):
-        return tuple(part[lo:hi] for part in x)
-    return x[lo:hi]
-
-
 def _take(x, idx):
+    """Rows ``idx`` (an index array or a slice) of volumes or of a tuple of them."""
     if isinstance(x, tuple):
         return tuple(part[idx] for part in x)
     return x[idx]

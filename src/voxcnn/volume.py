@@ -3,7 +3,8 @@
 A volume is a rank-4 ``numpy`` array with axes ``(x, y, z, c)``, stored
 row-major with the channel axis fastest.  Batched variants prepend a sample
 axis ``(n, x, y, z, c)``; the public single-volume operations below are thin
-wrappers over the batched kernels used by the layer graph.
+wrappers over the batched kernels used by the layer graph.  Pooling has only
+its batched kernels.
 
 All kernels are pure functions.  Accumulation precision follows the input
 dtype: float64 inputs give the single-order deterministic results the test
@@ -12,6 +13,7 @@ oracles rely on, float32 is the training path.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +26,6 @@ __all__ = [
     "conv_output_extent",
     "correlate3d",
     "correlate3d_vjp",
-    "maxpool3d",
-    "maxpool3d_vjp",
     "global_avg_pool3d",
     "flatten",
 ]
@@ -151,42 +151,72 @@ def correlate3d_vjp_batch(batch, kernel: Kernel, grad_out, stride: int = 1, padd
     return grad_input, grad_weights, grad_bias
 
 
-def maxpool3d_batch(batch: np.ndarray, window: int, stride: int):
-    """Valid max pooling over a batch; returns (output, argmax flat indices).
+def _taps(batch: np.ndarray, window: int, stride: int, extents) -> list[np.ndarray]:
+    """Strided views ``(n, ox, oy, oz, c)`` of each tap of every pooling window, in scan order."""
+    axes = [[slice(o, o + stride * (e - 1) + 1, stride) for o in range(window)] for e in extents]
+    return [batch[:, sx, sy, sz] for sx in axes[0] for sy in axes[1] for sz in axes[2]]
 
-    Argmax indices address the flattened input batch and route gradients in
-    the backward pass.  Ties resolve to the first maximal index in scan
-    order.
+
+def maxpool3d_batch(batch: np.ndarray, window: int, stride: int) -> np.ndarray:
+    """Valid max pooling over a batch ``(n, x, y, z, c)``; returns the pooled batch.
+
+    A running maximum over the ``window**3`` strided taps of every window, so
+    a NaN anywhere in a window gives NaN.  Which tap won is backward work:
+    :func:`maxpool3d_vjp_batch` finds it from the same input.
     """
     n, x, y, z, c = batch.shape
     for extent in (x, y, z):
         if window > extent:
             raise ShapeError(f"pool window {window} exceeds spatial extent {extent}")
-    win = sliding_window_view(batch, (window, window, window), axis=(1, 2, 3))
-    win = win[:, ::stride, ::stride, ::stride]
-    ox, oy, oz = win.shape[1:4]
-    flat = win.reshape(n, ox, oy, oz, c, window**3)
-    local = flat.argmax(axis=5)
-    out = np.take_along_axis(flat, local[..., None], axis=5)[..., 0]
+    taps = _taps(batch, window, stride, [(e - window) // stride + 1 for e in (x, y, z)])
+    out = taps[0].copy()
+    for tap in taps[1:]:
+        np.maximum(out, tap, out=out)
+    return out
 
-    # Convert the within-window argmax to flat indices into the input batch.
-    wa, rem = np.divmod(local, window * window)
-    wb, wc = np.divmod(rem, window)
-    ix = stride * np.arange(ox).reshape(1, ox, 1, 1, 1) + wa
-    iy = stride * np.arange(oy).reshape(1, 1, oy, 1, 1) + wb
-    iz = stride * np.arange(oz).reshape(1, 1, 1, oz, 1) + wc
+
+def _first_max_indices(batch: np.ndarray, out: np.ndarray, window: int, stride: int) -> np.ndarray:
+    """Flat index into ``batch`` of each pooling window's first maximum in scan order.
+
+    A window's maximum is its entry of ``out``; a window whose maximum is NaN
+    routes to its first NaN, as ``argmax`` would.
+    """
+    n, x, y, z, c = batch.shape
+    _, ox, oy, oz, _ = out.shape
+    taps = _taps(batch, window, stride, (ox, oy, oz))
+    shifts = [((a * y + b) * z + d) * c for a, b, d in itertools.product(range(window), repeat=3)]
+    nan = bool(np.isnan(out).any())
+    shift = np.zeros(out.shape, dtype=np.intp)
+    # Last tap to first, so that the earliest tap holding the maximum is written last.
+    for tap, tap_shift in zip(reversed(taps), reversed(shifts)):
+        hit = tap == out
+        if nan:
+            hit |= np.isnan(tap)
+        np.copyto(shift, tap_shift, where=hit)
+    ix = stride * np.arange(ox).reshape(1, ox, 1, 1, 1)
+    iy = stride * np.arange(oy).reshape(1, 1, oy, 1, 1)
+    iz = stride * np.arange(oz).reshape(1, 1, 1, oz, 1)
     ib = np.arange(n).reshape(n, 1, 1, 1, 1)
     ic = np.arange(c).reshape(1, 1, 1, 1, c)
-    indices = (((ib * x + ix) * y + iy) * z + iz) * c + ic
-    return out, indices
+    return (((ib * x + ix) * y + iy) * z + iz) * c + ic + shift
 
 
-def maxpool3d_vjp_batch(indices: np.ndarray, grad_out: np.ndarray, input_shape) -> np.ndarray:
-    if indices.shape != grad_out.shape:
-        raise ShapeError(f"indices shape {indices.shape} != grad_out shape {grad_out.shape}")
-    grad = np.zeros(int(np.prod(input_shape)), dtype=grad_out.dtype)
+def maxpool3d_vjp_batch(batch: np.ndarray, out: np.ndarray, grad_out: np.ndarray,
+                        window: int, stride: int) -> np.ndarray:
+    """VJP of :func:`maxpool3d_batch` at input ``batch`` with output ``out``.
+
+    Each window's gradient goes to its first maximum in scan order (a tie
+    routes to the earliest tap); overlapping windows accumulate.
+    """
+    n, x, y, z, c = batch.shape
+    expect = (n,) + tuple((e - window) // stride + 1 for e in (x, y, z)) + (c,)
+    if out.shape != expect or grad_out.shape != expect:
+        raise ShapeError(f"pooled shape {out.shape} and grad_out shape {grad_out.shape} "
+                         f"must both be {expect} for input {batch.shape}")
+    indices = _first_max_indices(batch, out, window, stride)
+    grad = np.zeros(batch.size, dtype=grad_out.dtype)
     np.add.at(grad, indices.ravel(), grad_out.ravel())
-    return grad.reshape(input_shape)
+    return grad.reshape(batch.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +235,6 @@ def correlate3d_vjp(vol, kernel: Kernel, grad_out, stride: int = 1, padding: int
     vol = _check_volume(vol)
     gi, gw, gb = correlate3d_vjp_batch(vol[None], kernel, grad_out[None], stride, padding)
     return gi[0], gw, gb
-
-
-def maxpool3d(vol: np.ndarray, window: int, stride: int):
-    vol = _check_volume(vol)
-    out, idx = maxpool3d_batch(vol[None], window, stride)
-    return out[0], idx
-
-
-def maxpool3d_vjp(indices: np.ndarray, grad_out: np.ndarray, input_shape) -> np.ndarray:
-    return maxpool3d_vjp_batch(indices, grad_out[None], (1,) + tuple(input_shape))[0]
 
 
 def global_avg_pool3d(vol: np.ndarray) -> np.ndarray:

@@ -65,3 +65,26 @@ def test_steal_share_from_two_proc_stat_readings():
     assert bench_pairs.steal_share(before, before) is None
     with pytest.raises(ValueError):
         bench_pairs.steal_share("intr 1 2 3\n", after)
+
+
+def test_per_pair_table_shows_the_chosen_metric():
+    pairs = [({"train_samples_per_s": 120.0, "infer_p50_ms": 2.644, "train_cores": 1.8},
+              {"train_samples_per_s": 130.0, "infer_p50_ms": 2.187, "steal_share": 0.01})]
+    default = bench_pairs.format_pairs(pairs, [5101])
+    assert "train_samples_per_s" in default.splitlines()[0]
+    assert "120" in default and "2.644" not in default
+    table = bench_pairs.format_pairs(pairs, [5101], metric="infer_p50_ms")
+    header, row = table.splitlines()
+    assert "base infer_p50_ms" in header and "chg infer_p50_ms" in header
+    assert "2.644" in row and "2.187" in row and "120" not in row
+    assert row.split()[:2] == ["0", "5101"]
+    assert len(header) == len(row)
+    missing = bench_pairs.format_pairs([({}, {})], [1], metric="infer_p50_ms")
+    assert missing.splitlines()[1].split()[2] == "-"
+
+
+def test_unknown_metric_is_rejected_before_any_run(capsys):
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--base", "HEAD", "--workload", "rkfold-pet8", "--pairs", "1",
+                          "--seed0", "0", "--metric", "no_such_metric"])
+    assert "--metric" in capsys.readouterr().err

@@ -257,3 +257,10 @@ def test_numeric_failure_exits_3(capsys, cli_data, tmp_path):
                        "--hyper", str(hyper), "--data", str(cli_data),
                        "--out-dir", str(tmp_path / "o"))
     assert code == 3 and err != ""
+
+
+def test_split_on_a_missing_modality_exits_2(capsys, cli_data, tmp_path):
+    code, _, err = run(capsys, "split", "--data", str(cli_data), "--modality", "OTHER",
+                       "--test-frac", "0.2", "--out", str(tmp_path / "i.json"))
+    assert code == 2 and "OTHER" in err
+    assert not (tmp_path / "i.json").exists()

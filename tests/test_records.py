@@ -11,11 +11,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from voxcnn import checkpoint, graph, records, train as T
 from voxcnn.errors import (
     ChecksumError,
+    DataError,
     FormatError,
     InputError,
     StorageError,
     TruncationError,
     VersionError,
+    VoxcnnError,
 )
 from voxcnn.fixtures import load_fixture
 from voxcnn.rng import substream
@@ -154,6 +156,85 @@ def test_record_validation():
         records.PatientRecord("s", 5, [("PET", np.zeros((4, 4, 4, 1), np.float32))])
     with pytest.raises(InputError):
         records.PatientRecord("s", 0, [("XRAY", np.zeros((4, 4, 4, 1), np.float32))])
+
+
+def _tiny_record_bytes(tmp_path, subject_id="subj-01"):
+    rec = records.PatientRecord(subject_id, 1, [
+        ("PET", np.arange(8, dtype=np.float32).reshape(2, 2, 2, 1)),
+        ("MRI", np.ones((2, 1, 2, 1), np.float32)),
+    ])
+    path = tmp_path / "tiny.rec"
+    records.write_record(rec, path)
+    return path, path.read_bytes()
+
+
+def test_subject_id_that_is_not_utf8_raises_format_error(tmp_path):
+    path, raw = _tiny_record_bytes(tmp_path)
+    start = 4 + 3 + 2  # magic, version and label, id length
+    path.write_bytes(raw[:start] + b"\xff" + raw[start + 1:])
+    with pytest.raises(FormatError, match="UTF-8"):
+        records.read_record(path)
+
+
+@pytest.mark.parametrize("label", [3, 255])
+def test_out_of_range_label_byte_raises_format_error(tmp_path, label):
+    path, raw = _tiny_record_bytes(tmp_path)
+    path.write_bytes(raw[:6] + bytes([label]) + raw[7:])
+    with pytest.raises(FormatError, match="label"):
+        records.read_record(path)
+
+
+def test_duplicate_modality_code_raises_format_error(tmp_path):
+    path, raw = _tiny_record_bytes(tmp_path)
+    mri_code_at = raw.index(struct.pack("<B4IB", 1, 2, 1, 2, 1, 0))
+    path.write_bytes(raw[:mri_code_at] + b"\x00" + raw[mri_code_at + 1:])  # a second PET
+    with pytest.raises(FormatError, match="unique"):
+        records.read_record(path)
+
+
+def test_missing_modality_raises_data_error():
+    rec = records.PatientRecord("s", 0, [("PET", np.zeros((4, 4, 4, 1), np.float32))])
+    with pytest.raises(DataError, match="OTHER"):
+        rec.volume("OTHER")
+
+
+@pytest.fixture(scope="module")
+def tiny_record(tmp_path_factory):
+    path, raw = _tiny_record_bytes(tmp_path_factory.mktemp("rec"))
+    return raw, records.read_record(path)
+
+
+def _same_record(a, b):
+    return (a.subject_id == b.subject_id and a.label == b.label
+            and [(m, v.shape, v.tobytes()) for m, v in a.volumes]
+            == [(m, v.shape, v.tobytes()) for m, v in b.volumes])
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_damaged_record_raises_a_typed_error(tiny_record, tmp_path, data):
+    """Truncated or extended files raise a StorageError; a flipped byte a VoxcnnError or reads back."""
+    raw, original = tiny_record
+    damage = data.draw(st.sampled_from(["truncate", "append", "flip"]), label="damage")
+    if damage == "truncate":
+        damaged = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    elif damage == "append":
+        damaged = raw + data.draw(st.binary(min_size=1, max_size=16), label="tail")
+    else:
+        pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+        mask = data.draw(st.integers(1, 255), label="mask")
+        damaged = raw[:pos] + bytes([raw[pos] ^ mask]) + raw[pos + 1 :]
+    path = tmp_path / "damaged.rec"
+    path.write_bytes(damaged)
+    try:
+        rec = records.read_record(path)
+    except StorageError:
+        return
+    except VoxcnnError:
+        assert damage == "flip"
+        return
+    assert damage == "flip"
+    assert not _same_record(rec, original)  # every byte of the format means something
 
 
 # ---------------------------------------------------------------------------

@@ -395,3 +395,42 @@ def test_two_branch_with_a_frozen_branch_trains_the_other():
                     assert not np.array_equal(p.values, v), p.name
         finals.append([p.values.copy() for p in model.params()])
     assert all(np.array_equal(a, b) for a, b in zip(*finals))  # seeded runs stay bitwise equal
+
+
+def test_inference_forward_never_routes_pooling_gradients(monkeypatch):
+    """Finding each pool window's winner is backward work: serving never pays for it."""
+    from voxcnn import volume as V
+
+    calls = []
+    for name in ("_first_max_indices", "maxpool3d_vjp_batch"):
+        original = getattr(V, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(V, name, spy)
+    resnet = graph.build(graph.build_resnet18_3d((16, 16, 16, 1)), seed=0)
+    models = [graph.build(load_fixture(f), seed=1) for f in ("pet_8_mini", "two_branch_mini")]
+    for model in models + [resnet]:
+        model.forward(random_batch(model.spec, n=2, seed=3), "inference")
+    assert calls == []
+
+    model = models[0]
+    T.loss_and_grads(model, random_batch(model.spec, n=2, seed=3), T.one_hot(np.array([0, 1]), 3),
+                     "train", substream(0, "dropout"))
+    assert "_first_max_indices" in calls  # the spy sees backward's routing
+
+
+def test_relu_layers_keep_the_output_only():
+    """Conv and dense relu overwrite their own pre-activation; an Activation leaves its input."""
+    model = graph.build(load_fixture("pet_8_mini"), seed=1)
+    model.forward(random_batch(model.spec, n=2, seed=3), "inference")
+    for lyr in model._walk_layers():
+        assert not hasattr(lyr, "_z") and not hasattr(lyr, "kernel"), type(lyr).__name__
+    x = np.array([[-1.0, 0.0, 2.0, np.nan]])
+    act = L.Activation("relu")
+    out = act.forward(x)
+    assert np.array_equal(x, [[-1.0, 0.0, 2.0, np.nan]], equal_nan=True)
+    assert np.array_equal(out, [[0.0, 0.0, 2.0, np.nan]], equal_nan=True)
+    assert np.array_equal(act.backward(np.ones_like(x)), [[0.0, 0.0, 1.0, 0.0]])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from voxcnn import volume as V
 from voxcnn.errors import ShapeError
@@ -39,6 +40,29 @@ def brute_maxpool(vol, window, stride):
                           l * stride:l * stride + window, :]
                 out[i, j, l, :] = win.reshape(-1, c).max(axis=0)
     return out
+
+
+def reference_maxpool_vjp(batch, grad_out, window, stride):
+    """Argmax routing plus an ``np.add.at`` scatter, as the pooling forward once did.
+
+    Each window's gradient goes to the flat index of ``argmax`` over the
+    window's taps in scan order: the first maximum, or the first NaN.
+    """
+    n, x, y, z, c = batch.shape
+    win = sliding_window_view(batch, (window,) * 3, axis=(1, 2, 3))[:, ::stride, ::stride, ::stride]
+    ox, oy, oz = win.shape[1:4]
+    local = win.reshape(n, ox, oy, oz, c, window**3).argmax(axis=5)
+    wa, rem = np.divmod(local, window * window)
+    wb, wc = np.divmod(rem, window)
+    ix = stride * np.arange(ox).reshape(1, ox, 1, 1, 1) + wa
+    iy = stride * np.arange(oy).reshape(1, 1, oy, 1, 1) + wb
+    iz = stride * np.arange(oz).reshape(1, 1, 1, oz, 1) + wc
+    ib = np.arange(n).reshape(n, 1, 1, 1, 1)
+    ic = np.arange(c).reshape(1, 1, 1, 1, c)
+    indices = (((ib * x + ix) * y + iy) * z + iz) * c + ic
+    grad = np.zeros(batch.size, dtype=grad_out.dtype)
+    np.add.at(grad, indices.ravel(), grad_out.ravel())
+    return grad.reshape(batch.shape)
 
 
 def test_output_extent_examples():
@@ -111,7 +135,7 @@ def test_maxpool_matches_brute_force_many_cases():
             continue
         c = int(rng.integers(1, 4))
         vol = rng.standard_normal(e + (c,))
-        got, _ = V.maxpool3d(vol, window, stride)
+        got = V.maxpool3d_batch(vol[None], window, stride)[0]
         assert np.array_equal(got, brute_maxpool(vol, window, stride))
         cases += 1
 
@@ -119,7 +143,7 @@ def test_maxpool_matches_brute_force_many_cases():
 def test_maxpool_is_valid_only():
     """Trailing voxels that do not fill a window are dropped, never padded."""
     vol = np.arange(5 ** 3, dtype=np.float64).reshape(5, 5, 5, 1)
-    out, _ = V.maxpool3d(vol, 2, 2)
+    out = V.maxpool3d_batch(vol[None], 2, 2)[0]
     assert out.shape == (2, 2, 2, 1)
     # The global max (index 124 at the far corner) lies in the dropped rim.
     assert out.max() < vol.max()
@@ -127,9 +151,9 @@ def test_maxpool_is_valid_only():
 
 def test_maxpool_ties_route_to_first_max():
     vol = np.zeros((2, 2, 2, 1))
-    out, idx = V.maxpool3d(vol, 2, 2)
+    out = V.maxpool3d_batch(vol[None], 2, 2)
     grad = np.ones_like(out)
-    gin = V.maxpool3d_vjp(idx, grad, vol.shape)
+    gin = V.maxpool3d_vjp_batch(vol[None], out, grad, 2, 2)[0]
     expected = np.zeros_like(vol)
     expected[0, 0, 0, 0] = 1.0
     assert np.array_equal(gin, expected)
@@ -138,10 +162,59 @@ def test_maxpool_ties_route_to_first_max():
 def test_maxpool_vjp_overlapping_windows_accumulate():
     vol = np.zeros((3, 3, 3, 1))
     vol[1, 1, 1, 0] = 5.0  # the shared center wins every 2x2x2 window
-    out, idx = V.maxpool3d(vol, 2, 1)
-    gin = V.maxpool3d_vjp(idx, np.ones_like(out), vol.shape)
+    out = V.maxpool3d_batch(vol[None], 2, 1)
+    gin = V.maxpool3d_vjp_batch(vol[None], out, np.ones_like(out), 2, 1)[0]
     assert gin[1, 1, 1, 0] == 8.0
     assert gin.sum() == 8.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("window,stride", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_maxpool_vjp_equals_argmax_oracle_bitwise(window, stride, dtype):
+    """Routing found in backward scatters exactly as argmax routing did.
+
+    Rounded inputs tie often; stride < window overlaps windows, so inputs
+    receive several contributions and the summation order matters.
+    """
+    rng = np.random.default_rng(100 * window + stride)
+    for case in range(12):
+        n, c = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        e = tuple(int(v) for v in rng.integers(window, window + 5, size=3))
+        batch = rng.standard_normal((n,) + e + (c,))
+        if case % 2:
+            batch = np.round(batch)  # many tied maxima
+        batch = batch.astype(dtype)
+        out = V.maxpool3d_batch(batch, window, stride)
+        grad_out = rng.standard_normal(out.shape).astype(dtype)
+        got = V.maxpool3d_vjp_batch(batch, out, grad_out, window, stride)
+        want = reference_maxpool_vjp(batch, grad_out, window, stride)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes(), (case, n, e, c)
+
+
+def test_maxpool_propagates_nan_and_routes_to_the_first_nan():
+    vol = np.random.default_rng(3).standard_normal((1, 4, 4, 4, 2))
+    vol[0, 1, 0, 1, 0] = np.nan  # tap (1, 0, 1) of window (0, 0, 0), channel 0 only
+    vol[0, 0, 1, 1, 0] = np.nan  # tap (0, 1, 1): earlier in scan order
+    out = V.maxpool3d_batch(vol, 2, 2)
+    assert np.isnan(out[0, 0, 0, 0, 0])
+    assert np.isnan(out).sum() == 1
+    clean = np.where(np.isnan(vol), -np.inf, vol)
+    mask = ~np.isnan(out)
+    assert np.array_equal(out[mask], V.maxpool3d_batch(clean, 2, 2)[mask])
+    grad = np.ones_like(out)
+    gin = V.maxpool3d_vjp_batch(vol, out, grad, 2, 2)
+    assert gin[0, 0, 1, 1, 0] == 1.0 and gin[0, 1, 0, 1, 0] == 0.0  # first in scan order
+    assert np.array_equal(gin, reference_maxpool_vjp(vol, grad, 2, 2))
+
+
+def test_maxpool_vjp_rejects_mismatched_shapes():
+    vol = np.zeros((1, 4, 4, 4, 1))
+    out = V.maxpool3d_batch(vol, 2, 2)
+    with pytest.raises(ShapeError):
+        V.maxpool3d_vjp_batch(vol, out, np.ones((1, 3, 2, 2, 1)), 2, 2)
+    with pytest.raises(ShapeError):
+        V.maxpool3d_vjp_batch(vol, out[:, :1], np.ones_like(out[:, :1]), 2, 2)
 
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 2)])
