@@ -12,7 +12,11 @@ the base first on even pairs and the change first on odd ones, for the
 ``run_seconds`` that ``BENCHMARK.json`` fixes.  Each run prints one JSON
 line when it ends.  The summary gives, for every end-to-end metric, each
 side's quartiles, the change's win share over all pairs (ties count for
-neither side), the base's quartile spread and the ratio of the medians.
+neither side), the base's quartile spread, the ratio of the medians, and
+whether the change's median is worse than the base's: a metric whose median
+gets worse is a rejected change, whatever its bound.  For ``--metric`` it
+also states whether a claimed gain holds: a win share of at least 0.9 and a
+median gain larger than the base's quartile spread.
 
 The per-pair table shows ``--metric`` (default ``train_samples_per_s``) beside
 two derived figures that show host trouble, which a 2-vCPU guest often has:
@@ -33,6 +37,8 @@ import subprocess
 import sys
 import tempfile
 
+CLAIM_WIN_SHARE = 0.9
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -50,7 +56,8 @@ def summarize(pairs, better: dict[str, str | None]) -> dict[str, dict]:
 
     ``better`` maps each metric to "higher" or "lower", or to None for a
     diagnostic that has no win share.  A metric missing or None in any run is
-    left out.
+    left out.  ``worse`` is True when the change's median is worse than the
+    base's in the metric's direction, None for a diagnostic.
     """
     rows = {}
     for name, direction in better.items():
@@ -58,31 +65,45 @@ def summarize(pairs, better: dict[str, str | None]) -> dict[str, dict]:
             continue
         base = [b[name] for b, _ in pairs]
         change = [c[name] for _, c in pairs]
-        win_share = None
+        bq, cq = quartiles(base), quartiles(change)
+        win_share = gain = None
         if direction is not None:
             sign = 1.0 if direction == "higher" else -1.0
             win_share = sum(sign * (c - b) > 0 for b, c in zip(base, change)) / len(pairs)
-        bq, cq = quartiles(base), quartiles(change)
+            gain = sign * (cq[1] - bq[1])
         rows[name] = {
             "base": bq,
             "change": cq,
             "win_share": win_share,
             "base_spread": bq[2] - bq[0],
             "ratio": cq[1] / bq[1] if bq[1] else None,
+            "gain": gain,
+            "worse": None if gain is None else gain < 0,
         }
     return rows
 
 
+def claim_verdict(name: str, row: dict) -> str:
+    """Whether a claimed gain on ``name`` holds: enough wins and a median gain above the base IQR."""
+    wins = row["win_share"] >= CLAIM_WIN_SHARE
+    clear = row["gain"] > row["base_spread"]
+    verdict = "holds" if wins and clear else "fails"
+    return (f"claim on {name}: {verdict} (win share {row['win_share']:.2f} "
+            f"{'>=' if wins else '<'} {CLAIM_WIN_SHARE}, median gain {row['gain']:.4g} "
+            f"{'>' if clear else '<='} base IQR {row['base_spread']:.4g})")
+
+
 def format_summary(rows: dict[str, dict]) -> str:
     lines = [f"{'metric':<20} {'base q1/med/q3':>28} {'change q1/med/q3':>28} "
-             f"{'win':>5} {'base IQR':>9} {'ratio':>7}"]
+             f"{'win':>5} {'base IQR':>9} {'ratio':>7} {'worse':>5}"]
     for name, r in rows.items():
         base = "/".join(f"{v:.4g}" for v in r["base"])
         change = "/".join(f"{v:.4g}" for v in r["change"])
         ratio = "-" if r["ratio"] is None else f"{r['ratio']:.3f}"
         win = "-" if r["win_share"] is None else f"{r['win_share']:.2f}"
+        worse = "-" if r["worse"] is None else ("WORSE" if r["worse"] else "no")
         lines.append(f"{name:<20} {base:>28} {change:>28} "
-                     f"{win:>5} {r['base_spread']:>9.4g} {ratio:>7}")
+                     f"{win:>5} {r['base_spread']:>9.4g} {ratio:>7} {worse:>5}")
     return "\n".join(lines)
 
 
@@ -203,7 +224,10 @@ def main(argv=None) -> int:
     print(f"{args.workload}: {args.pairs} pairs, base {args.base} against the working tree")
     print(format_pairs(pairs, [args.seed0 + i for i in range(args.pairs)], args.metric))
     better["train_cores"] = None
-    print(format_summary(summarize(pairs, better)))
+    rows = summarize(pairs, better)
+    print(format_summary(rows))
+    if args.metric in rows:
+        print(claim_verdict(args.metric, rows[args.metric]))
     return 0
 
 

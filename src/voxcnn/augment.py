@@ -11,13 +11,12 @@ to it, so 90-degree rotations and integer shifts are exact index operations.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import InputError
+from .errors import InputError, require_bool, require_real
 from .rng import substream
 
 _SNAP = 1e-6
@@ -38,15 +37,9 @@ class AugmentConfig:
 
     def __post_init__(self):
         for name in _NUMERIC_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise InputError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise InputError(f"{name} must be finite, got {value}")
+            require_real(name, getattr(self, name))
         for name in _FLAG_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise InputError(f"{name} must be true or false, got {value!r}")
+            require_bool(name, getattr(self, name))
         if self.max_rotation_deg < 0:
             raise InputError("max_rotation_deg must be >= 0")
         if not 0.0 < self.zoom_min <= self.zoom_max:

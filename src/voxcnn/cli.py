@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage/config problem, 2 data/format problem,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -49,7 +50,7 @@ def _load_hyper(path, seed_override=None):
         raise InputError(f"hyperparameter file {path} must hold a JSON object")
     hyper = T.HyperParams.from_dict(d)
     if seed_override is not None:
-        hyper.seed = seed_override
+        hyper = dataclasses.replace(hyper, seed=seed_override)
     augmentor = None
     if "augment" in d:
         cfg = augment.AugmentConfig.from_dict(d["augment"])
@@ -143,7 +144,11 @@ def cmd_test_eval(args) -> int:
     volumes, labels, ids = records.load_dataset(args.data, args.modality)
     if args.index:
         idx_doc = _load_json(args.index)
-        wanted = set(idx_doc["test"])
+        test_ids = idx_doc.get("test") if isinstance(idx_doc, dict) else None
+        if not isinstance(test_ids, list) or not all(isinstance(i, str) for i in test_ids):
+            raise InputError(f'index file {args.index} must hold an object whose "test" '
+                             f"is a list of subject ids")
+        wanted = set(test_ids)
         keep = [i for i, sid in enumerate(ids) if sid in wanted]
         if not keep:
             raise InputError("index file selects no records from the data directory")

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all voxcnn modules."""
+"""Exception hierarchy shared by all voxcnn modules, and the type checks for config values."""
+
+import math
+import numbers
 
 
 class VoxcnnError(Exception):
@@ -43,3 +46,24 @@ class ChecksumError(StorageError):
 
 class TruncationError(StorageError):
     """Record file ended before all declared bytes were read."""
+
+
+# Config values read from JSON: an integer that is not a bool, a finite real
+# that is not a bool, or a bool.
+
+
+def require_int(name: str, value, error=InputError):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value, error=InputError):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value}")
+
+
+def require_bool(name: str, value, error=InputError):
+    if not isinstance(value, bool):
+        raise error(f"{name} must be true or false, got {value!r}")

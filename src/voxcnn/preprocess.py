@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.ndimage import gaussian_filter1d
 
-from .errors import DataError, InputError, SpecError
+from .errors import DataError, InputError, SpecError, require_int, require_real
 
 TOP_FRACTION = 0.01
 
@@ -103,24 +103,43 @@ def resize(vol: np.ndarray, target_dims) -> np.ndarray:
 # Op chains
 
 _OPS = {"imax_normalize", "standardize", "minmax", "clamp", "resize"}
+_REQUIRED = {"clamp": ("lo", "hi"), "resize": ("target_dims",)}
+_REAL_FIELDS = {"clamp": ("lo", "hi"), "imax_normalize": ("top_fraction",)}
 
 
-def apply_op(vol: np.ndarray, op: dict) -> np.ndarray:
+def _check_op(op) -> str:
+    """Validate one op object's kind, fields and field types; returns its kind."""
+    if not isinstance(op, dict):
+        raise SpecError(f"preprocess op must be a JSON object, got {op!r}")
     kind = op.get("op")
     if kind not in _OPS:
         raise SpecError(f"unknown preprocess op {kind!r}")
+    for name in _REQUIRED.get(kind, ()):
+        if name not in op:
+            raise SpecError(f"preprocess op {kind!r} is missing field {name!r}")
+    for name in _REAL_FIELDS.get(kind, ()):
+        if name in op:
+            require_real(f"{kind} {name}", op[name], SpecError)
+    if kind == "resize":
+        dims = op["target_dims"]
+        if not isinstance(dims, (list, tuple)) or len(dims) != 3:
+            raise SpecError(f"resize target_dims must be a list of three counts, got {dims!r}")
+        for d in dims:
+            require_int("resize target_dims", d, SpecError)
+    return kind
+
+
+def apply_op(vol: np.ndarray, op: dict) -> np.ndarray:
+    kind = _check_op(op)
     if kind == "imax_normalize":
         return imax_normalize(vol, op.get("top_fraction", TOP_FRACTION))
     if kind == "standardize":
         return standardize(vol)
     if kind == "minmax":
         return minmax(vol)
-    try:
-        if kind == "clamp":
-            return clamp(vol, op["lo"], op["hi"])
-        return resize(vol, op["target_dims"])
-    except KeyError as exc:
-        raise SpecError(f"preprocess op {kind!r} is missing field {exc}") from exc
+    if kind == "clamp":
+        return clamp(vol, op["lo"], op["hi"])
+    return resize(vol, op["target_dims"])
 
 
 def apply_chain(vol: np.ndarray, ops: list[dict]) -> np.ndarray:
@@ -142,6 +161,5 @@ def load_chain(path) -> list[dict]:
     if not isinstance(chain, list):
         raise SpecError("preprocess spec must be a list of op objects")
     for op in chain:
-        if op.get("op") not in _OPS:
-            raise SpecError(f"unknown preprocess op {op.get('op')!r}")
+        _check_op(op)
     return chain

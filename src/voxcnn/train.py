@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, require_bool, require_int, require_real
 from .layers import ParamTensor, softmax
 from .rng import sample_seed, substream
 
@@ -28,6 +28,13 @@ class HyperParams:
     shuffle: bool = True
 
     def __post_init__(self):
+        for name in ("lr0", "decay_rate", "l2_lambda"):
+            require_real(name, getattr(self, name))
+        for name in ("epochs", "batch_size", "seed"):
+            require_int(name, getattr(self, name))
+        require_bool("shuffle", self.shuffle)
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
         if self.lr0 <= 0:
             raise InputError("lr0 must be positive")
         if not 0.0 < self.decay_rate <= 1.0:

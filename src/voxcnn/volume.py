@@ -1,14 +1,21 @@
-"""Dense volumes and the raw 3D sliding-window kernels.
+"""The raw 3D sliding-window kernels over batches of volumes.
 
 A volume is a rank-4 ``numpy`` array with axes ``(x, y, z, c)``, stored
-row-major with the channel axis fastest.  Batched variants prepend a sample
-axis ``(n, x, y, z, c)``; the public single-volume operations below are thin
-wrappers over the batched kernels used by the layer graph.  Pooling has only
-its batched kernels.
+row-major with the channel axis fastest.  The kernels take a batch, a rank-5
+array ``(n, x, y, z, c)``, and raise ``ShapeError`` for any other rank; the
+layer graph is their only caller.
 
 All kernels are pure functions.  Accumulation precision follows the input
 dtype: float64 inputs give the single-order deterministic results the test
 oracles rely on, float32 is the training path.
+
+Convolution runs as matrix products over copies of the strided window view.
+The copy goes in the order whose innermost axis has unit stride in the
+input: z for a one-channel input at stride 1 (a tap-major window matrix),
+the channel axis otherwise (``tensordot``'s channel-major one).  The input
+gradient is one small GEMM per kernel tap into a single reused buffer, each
+followed by a strided slice-add, so its products and summation order are
+those of a per-tap ``tensordot`` loop.
 """
 
 from __future__ import annotations
@@ -19,15 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 
 __all__ = [
     "Kernel",
     "conv_output_extent",
-    "correlate3d",
-    "correlate3d_vjp",
-    "global_avg_pool3d",
-    "flatten",
+    "correlate3d_batch",
+    "correlate3d_vjp_batch",
+    "maxpool3d_batch",
+    "maxpool3d_vjp_batch",
 ]
 
 
@@ -73,20 +80,6 @@ def conv_output_extent(extent: int, k: int, padding: int, stride: int) -> int:
     return out
 
 
-def _check_volume(vol: np.ndarray, name: str = "input") -> np.ndarray:
-    vol = np.asarray(vol)
-    if vol.ndim != 4:
-        raise ShapeError(f"{name} must be rank-4 (x, y, z, c), got shape {vol.shape}")
-    if min(vol.shape) < 1:
-        raise ShapeError(f"{name} dims must all be >= 1, got {vol.shape}")
-    return vol
-
-
-def _require_finite(arr: np.ndarray, what: str):
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite values in {what}")
-
-
 def _windows(batch: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
     """Strided view of all kernel windows: (n, ox, oy, oz, c, k, k, k)."""
     if padding:
@@ -101,12 +94,25 @@ def _windows(batch: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray
     return win[:, ::stride, ::stride, ::stride]
 
 
+def _check_batch(batch: np.ndarray) -> None:
+    if batch.ndim != 5:
+        raise ShapeError(f"input must be rank-5 (n, x, y, z, c), got shape {batch.shape}")
+
+
 def correlate3d_batch(batch: np.ndarray, kernel: Kernel, stride: int = 1, padding: int = 0) -> np.ndarray:
     """Cross-correlate a batch ``(n, x, y, z, c_in)`` with a cubic kernel."""
+    _check_batch(batch)
     if batch.shape[4] != kernel.c_in:
         raise ShapeError(f"input channels {batch.shape[4]} != kernel c_in {kernel.c_in}")
-    win = _windows(batch, kernel.k, stride, padding)
-    out = np.tensordot(win, kernel.weights, axes=([5, 6, 7, 4], [0, 1, 2, 3]))
+    k = kernel.k
+    win = _windows(batch, k, stride, padding)
+    if kernel.c_in == 1 and stride == 1:
+        # Tap-major gather: each copied run is a contiguous stretch along z.
+        n, ox, oy, oz = win.shape[:4]
+        cols = win.transpose(5, 6, 7, 4, 0, 1, 2, 3).reshape(k**3, n * ox * oy * oz)
+        out = (cols.T @ kernel.weights.reshape(k**3, kernel.c_out)).reshape(n, ox, oy, oz, kernel.c_out)
+    else:
+        out = np.tensordot(win, kernel.weights, axes=([5, 6, 7, 4], [0, 1, 2, 3]))
     out += kernel.bias
     return out
 
@@ -116,13 +122,14 @@ def correlate3d_vjp_batch(batch, kernel: Kernel, grad_out, stride: int = 1, padd
 
     Returns ``(grad_input, grad_weights, grad_bias)``.
     """
-    k = kernel.k
-    n, ox, oy, oz, c_out = grad_out.shape
+    _check_batch(batch)
+    k, c_in = kernel.k, kernel.c_in
     expect = (batch.shape[0],) + tuple(
         conv_output_extent(batch.shape[i + 1], k, padding, stride) for i in range(3)
     ) + (kernel.c_out,)
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape} != forward output shape {expect}")
+    n, ox, oy, oz, c_out = expect
 
     win = _windows(batch, k, stride, padding)
     # (n, ox, oy, oz, c_in, k, k, k) x (n, ox, oy, oz, c_out) over the batch axes
@@ -130,13 +137,18 @@ def correlate3d_vjp_batch(batch, kernel: Kernel, grad_out, stride: int = 1, padd
     grad_weights = gw.transpose(1, 2, 3, 0, 4)
     grad_bias = grad_out.sum(axis=(0, 1, 2, 3))
 
-    padded_shape = (n,) + tuple(batch.shape[i + 1] + 2 * padding for i in range(3)) + (kernel.c_in,)
+    padded_shape = (n,) + tuple(batch.shape[i + 1] + 2 * padding for i in range(3)) + (c_in,)
     grad_padded = np.zeros(padded_shape, dtype=grad_out.dtype)
-    # Scatter one kernel offset at a time; k^3 strided slice-adds.
+    # Scatter one kernel offset at a time: k^3 GEMMs into one reused buffer,
+    # each followed by a strided slice-add.
+    rows = grad_out.reshape(-1, c_out)
+    w_t = np.ascontiguousarray(kernel.weights.transpose(0, 1, 2, 4, 3))  # (k, k, k, c_out, c_in)
+    buf = np.empty((rows.shape[0], c_in), dtype=np.result_type(rows, w_t))
+    gi = buf.reshape(n, ox, oy, oz, c_in)
     for a in range(k):
         for b in range(k):
             for c in range(k):
-                gi = np.tensordot(grad_out, kernel.weights[a, b, c], axes=([4], [1]))
+                np.matmul(rows, w_t[a, b, c], out=buf)
                 grad_padded[
                     :,
                     a : a + stride * ox : stride,
@@ -217,33 +229,3 @@ def maxpool3d_vjp_batch(batch: np.ndarray, out: np.ndarray, grad_out: np.ndarray
     grad = np.zeros(batch.size, dtype=grad_out.dtype)
     np.add.at(grad, indices.ravel(), grad_out.ravel())
     return grad.reshape(batch.shape)
-
-
-# ---------------------------------------------------------------------------
-# Single-volume API
-
-
-def correlate3d(vol: np.ndarray, kernel: Kernel, stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Correlate one volume ``(x, y, z, c_in)`` with a cubic kernel."""
-    vol = _check_volume(vol)
-    out = correlate3d_batch(vol[None], kernel, stride, padding)[0]
-    _require_finite(out, "correlate3d output")
-    return out
-
-
-def correlate3d_vjp(vol, kernel: Kernel, grad_out, stride: int = 1, padding: int = 0):
-    vol = _check_volume(vol)
-    gi, gw, gb = correlate3d_vjp_batch(vol[None], kernel, grad_out[None], stride, padding)
-    return gi[0], gw, gb
-
-
-def global_avg_pool3d(vol: np.ndarray) -> np.ndarray:
-    """Mean over all spatial positions, per channel; returns a length-c vector."""
-    vol = _check_volume(vol)
-    return vol.mean(axis=(0, 1, 2))
-
-
-def flatten(vol: np.ndarray) -> np.ndarray:
-    """Row-major (channel fastest) flattening to a length x*y*z*c vector."""
-    vol = _check_volume(vol)
-    return vol.reshape(-1)

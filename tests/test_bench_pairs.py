@@ -88,3 +88,36 @@ def test_unknown_metric_is_rejected_before_any_run(capsys):
         bench_pairs.main(["--base", "HEAD", "--workload", "rkfold-pet8", "--pairs", "1",
                           "--seed0", "0", "--metric", "no_such_metric"])
     assert "--metric" in capsys.readouterr().err
+
+
+def test_summary_marks_worse_medians_and_states_the_claim_verdict():
+    base = [500.0, 510.0, 490.0, 505.0, 495.0, 520.0, 480.0, 515.0, 485.0, 500.0]
+    change = [b + 120.0 for b in base[:9]] + [490.0]  # nine wins, one loss
+    pairs = [({"tput": b, "lat": 1.0, "cores": 1.8}, {"tput": c, "lat": 1.2, "cores": 1.8})
+             for b, c in zip(base, change)]
+    rows = bench_pairs.summarize(pairs, {"tput": "higher", "lat": "lower", "cores": None})
+    assert rows["tput"]["worse"] is False and rows["lat"]["worse"] is True
+    assert rows["cores"]["worse"] is None
+    assert rows["tput"]["gain"] == pytest.approx(117.5)
+    assert rows["lat"]["gain"] == pytest.approx(-0.2)
+    table = bench_pairs.format_summary(rows).splitlines()
+    assert table[0].split()[-1] == "worse"
+    assert [line.split()[-1] for line in table[1:]] == ["no", "WORSE", "-"]
+
+    # 0.9 wins and a median gain of 117.5 against a base IQR of 17.5: the claim holds.
+    assert rows["tput"]["win_share"] == pytest.approx(0.9)
+    assert rows["tput"]["base_spread"] == pytest.approx(17.5)
+    assert bench_pairs.claim_verdict("tput", rows["tput"]).startswith("claim on tput: holds")
+    # Too few wins.
+    eight = bench_pairs.summarize(pairs[:8] + [(b, {**c, "tput": 400.0}) for b, c in pairs[8:]],
+                                  {"tput": "higher"})["tput"]
+    assert eight["win_share"] == pytest.approx(0.8)
+    assert "fails (win share 0.80 < 0.9" in bench_pairs.claim_verdict("tput", eight)
+    # Every pair won, but the gain is inside the base's own spread.
+    small = bench_pairs.summarize([(b, {**c, "tput": b["tput"] + 10.0}) for b, c in pairs],
+                                  {"tput": "higher"})["tput"]
+    assert small["win_share"] == 1.0
+    assert "fails" in bench_pairs.claim_verdict("tput", small)
+    assert "median gain 10 <= base IQR 17.5" in bench_pairs.claim_verdict("tput", small)
+    # A lower-is-better metric that got worse fails on both counts.
+    assert "fails (win share 0.00 < 0.9" in bench_pairs.claim_verdict("lat", rows["lat"])

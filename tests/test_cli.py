@@ -264,3 +264,50 @@ def test_split_on_a_missing_modality_exits_2(capsys, cli_data, tmp_path):
                        "--test-frac", "0.2", "--out", str(tmp_path / "i.json"))
     assert code == 2 and "OTHER" in err
     assert not (tmp_path / "i.json").exists()
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"epochs": "3"}, "epochs"),
+    ({"lr0": None}, "lr0"),
+    ({"batch_size": 2.5}, "batch_size"),
+    ({"seed": "x"}, "seed"),
+    ({"shuffle": "no"}, "shuffle"),
+    ({"epochs": True}, "epochs"),
+])
+def test_mistyped_hyperparameter_exits_1(capsys, cli_data, tmp_path, doc, field):
+    hyper = tmp_path / "hyper.json"
+    hyper.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "train", "--arch", fixture_path("pet_8_mini"),
+                       "--hyper", str(hyper), "--data", str(cli_data),
+                       "--out-dir", str(tmp_path / "o"))
+    assert code == 1 and field in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("doc", [{"train": ["a"]}, {"test": 5}, ["a", "b"]],
+                         ids=["no-test-key", "test-not-a-list", "top-level-list"])
+def test_malformed_index_file_exits_1(capsys, cli_data, tmp_path, doc):
+    ckpt = tmp_path / "model.avc"
+    checkpoint.save_checkpoint(graph.build(graph.load_spec(fixture_path("pet_8_mini")), seed=0), ckpt)
+    index = tmp_path / "index.json"
+    index.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "test-eval", "--checkpoint", str(ckpt), "--data", str(cli_data),
+                       "--index", str(index), "--out", str(tmp_path / "m.json"))
+    assert code == 1 and "index file" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("chain,word", [
+    ([{"op": "clamp", "lo": "a", "hi": 1}], "lo"),
+    ([{"op": "imax_normalize", "top_fraction": "x"}], "top_fraction"),
+    ([5], "object"),
+    ([{"op": "resize", "target_dims": "ab"}], "target_dims"),
+], ids=["clamp-lo", "imax-top-fraction", "not-an-object", "resize-dims"])
+def test_mistyped_preprocess_chain_exits_1(capsys, cli_data, tmp_path, chain, word):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain))
+    out_dir = tmp_path / "prep"
+    code, _, err = run(capsys, "preprocess", "--data", str(cli_data),
+                       "--chain", str(path), "--out-dir", str(out_dir))
+    assert code == 1 and word in err
+    assert not out_dir.exists()

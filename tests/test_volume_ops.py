@@ -7,6 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from voxcnn import volume as V
 from voxcnn.errors import ShapeError
+from voxcnn.layers import Flatten, GlobalAvgPool3D
 
 
 def brute_correlate(vol, weights, bias, stride, padding):
@@ -64,6 +65,31 @@ def reference_maxpool_vjp(batch, grad_out, window, stride):
     np.add.at(grad, indices.ravel(), grad_out.ravel())
     return grad.reshape(batch.shape)
 
+def reference_correlate(batch, kernel, stride, padding):
+    """The window-matrix forward: ``tensordot`` over the strided window view, channel-major."""
+    if padding:
+        batch = np.pad(batch, [(0, 0)] + [(padding, padding)] * 3 + [(0, 0)])
+    k = kernel.k
+    win = sliding_window_view(batch, (k, k, k), axis=(1, 2, 3))[:, ::stride, ::stride, ::stride]
+    return np.tensordot(win, kernel.weights, axes=([5, 6, 7, 4], [0, 1, 2, 3])) + kernel.bias
+
+
+def reference_correlate_vjp_input(batch, kernel, grad_out, stride, padding):
+    """The input gradient as a k^3 loop of ``tensordot`` products and strided slice-adds."""
+    k = kernel.k
+    n, ox, oy, oz, _ = grad_out.shape
+    padded = np.zeros((n,) + tuple(e + 2 * padding for e in batch.shape[1:4]) + (kernel.c_in,),
+                      dtype=grad_out.dtype)
+    for a in range(k):
+        for b in range(k):
+            for c in range(k):
+                gi = np.tensordot(grad_out, kernel.weights[a, b, c], axes=([4], [1]))
+                padded[:, a:a + stride * ox:stride, b:b + stride * oy:stride,
+                       c:c + stride * oz:stride, :] += gi
+    if padding:
+        padded = padded[:, padding:-padding, padding:-padding, padding:-padding, :]
+    return padded
+
 
 def test_output_extent_examples():
     assert V.conv_output_extent(79, 3, 0, 1) == 77
@@ -106,7 +132,7 @@ def test_correlate_matches_brute_force_many_cases():
         vol = rng.integers(-4, 5, size=e + (c_in,)).astype(np.float64)
         w = rng.integers(-3, 4, size=(k, k, k, c_in, c_out)).astype(np.float64)
         b = rng.integers(-3, 4, size=c_out).astype(np.float64)
-        got = V.correlate3d(vol, V.Kernel(w, b), stride=stride, padding=padding)
+        got = V.correlate3d_batch(vol[None], V.Kernel(w, b), stride=stride, padding=padding)[0]
         want = brute_correlate(vol, w, b, stride, padding)
         assert got.shape == want.shape
         assert np.array_equal(got, want), (e, k, stride, padding)
@@ -119,9 +145,77 @@ def test_correlate_is_correlation_not_convolution():
     vol[2, 1, 1, 0] = 1.0
     w = np.zeros((3, 3, 3, 1, 1))
     w[2, 1, 1, 0, 0] = 1.0  # weight at offset (+1, 0, 0) from window center
-    out = V.correlate3d(vol, V.Kernel(w, np.zeros(1)), stride=1, padding=1)
+    out = V.correlate3d_batch(vol[None], V.Kernel(w, np.zeros(1)), stride=1, padding=1)[0]
     assert out[1, 1, 1, 0] == 1.0
     assert out[2, 1, 1, 0] == 0.0
+
+
+def _random_conv_case(rng, c_in, stride, dtype, integers):
+    """A batch, kernel and upstream gradient whose shapes fit ``stride`` and a random padding."""
+    while True:
+        n = int(rng.integers(1, 4))
+        e = tuple(int(v) for v in rng.integers(2, 8, size=3))
+        k = int(rng.integers(1, 4))
+        padding = int(rng.integers(0, 3))
+        if min(e) + 2 * padding >= k:
+            break
+    c_out = int(rng.integers(1, 5))
+    draw = ((lambda shape: rng.integers(-4, 5, size=shape)) if integers
+            else rng.standard_normal)
+    batch = draw((n,) + e + (c_in,)).astype(dtype)
+    kernel = V.Kernel(draw((k, k, k, c_in, c_out)).astype(dtype), draw(c_out).astype(dtype))
+    ext = tuple(V.conv_output_extent(v, k, padding, stride) for v in e)
+    grad_out = draw((n,) + ext + (c_out,)).astype(dtype)
+    return batch, kernel, grad_out, padding
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("c_in", [1, 2, 3])
+def test_correlate_kernels_equal_references_on_small_integers(c_in, stride, dtype):
+    """Every product and partial sum is an exact small integer, so any summation order agrees.
+
+    ``c_in == 1`` with stride 1 takes the tap-major gather; the other cases
+    the channel-major ``tensordot``.
+    """
+    rng = np.random.default_rng(1000 * c_in + 10 * stride + (dtype == np.float64))
+    for _ in range(12):
+        batch, kernel, grad_out, padding = _random_conv_case(rng, c_in, stride, dtype, integers=True)
+        got = V.correlate3d_batch(batch, kernel, stride, padding)
+        want = reference_correlate(batch, kernel, stride, padding)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+        gi, gw, gb = V.correlate3d_vjp_batch(batch, kernel, grad_out, stride, padding)
+        want_gi = reference_correlate_vjp_input(batch, kernel, grad_out, stride, padding)
+        assert gi.dtype == gw.dtype == gb.dtype == dtype
+        assert np.array_equal(gi, want_gi)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("c_in", [1, 2, 3])
+def test_correlate_kernels_match_references_on_random_floats(c_in, stride, dtype):
+    """The input gradient is bitwise the k^3 ``tensordot`` loop's: the same products in the same order.
+
+    The tap-major forward hands BLAS one long reduction where ``tensordot``
+    handed it another layout of the same one, so it may round differently:
+    it must agree within 16 machine epsilons of the largest output.  The channel-major
+    forward is the reference's own code.
+    """
+    rng = np.random.default_rng(2000 * c_in + 10 * stride + (dtype == np.float64))
+    for _ in range(12):
+        batch, kernel, grad_out, padding = _random_conv_case(rng, c_in, stride, dtype, integers=False)
+        gi, _, _ = V.correlate3d_vjp_batch(batch, kernel, grad_out, stride, padding)
+        want_gi = reference_correlate_vjp_input(batch, kernel, grad_out, stride, padding)
+        assert gi.dtype == want_gi.dtype and gi.tobytes() == want_gi.tobytes()
+        got = V.correlate3d_batch(batch, kernel, stride, padding)
+        want = reference_correlate(batch, kernel, stride, padding)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if c_in == 1 and stride == 1:
+            tol = 16 * np.finfo(dtype).eps * np.abs(want).max()
+            assert np.abs(got - want).max() <= tol
+        else:
+            assert got.tobytes() == want.tobytes()
 
 
 def test_maxpool_matches_brute_force_many_cases():
@@ -224,13 +318,15 @@ def test_correlate_vjp_matches_finite_differences(stride, padding):
     w = 0.3 * rng.standard_normal((3, 3, 3, 2, 3))
     b = 0.1 * rng.standard_normal(3)
     kern = V.Kernel(w, b)
-    out = V.correlate3d(vol, kern, stride=stride, padding=padding)
+    out = V.correlate3d_batch(vol[None], kern, stride=stride, padding=padding)[0]
     g_out = rng.standard_normal(out.shape)
 
     def scalar(vv, ww, bb):
-        return (V.correlate3d(vv, V.Kernel(ww, bb), stride=stride, padding=padding) * g_out).sum()
+        return (V.correlate3d_batch(vv[None], V.Kernel(ww, bb), stride=stride, padding=padding)[0]
+                * g_out).sum()
 
-    g_in, g_w, g_b = V.correlate3d_vjp(vol, kern, g_out, stride=stride, padding=padding)
+    g_in, g_w, g_b = V.correlate3d_vjp_batch(vol[None], kern, g_out[None], stride=stride, padding=padding)
+    g_in = g_in[0]
     h = 1e-6
     probe = np.random.default_rng(8)
     for arr, grad in ((vol, g_in), (w, g_w), (b, g_b)):
@@ -250,11 +346,16 @@ def test_correlate_vjp_is_linear_in_upstream_gradient():
     rng = np.random.default_rng(9)
     vol = rng.standard_normal((5, 5, 5, 1))
     kern = V.Kernel(rng.standard_normal((3, 3, 3, 1, 2)), rng.standard_normal(2))
-    out = V.correlate3d(vol, kern)
+    out = V.correlate3d_batch(vol[None], kern)[0]
     g1, g2 = rng.standard_normal(out.shape), rng.standard_normal(out.shape)
-    a1 = V.correlate3d_vjp(vol, kern, g1)
-    a2 = V.correlate3d_vjp(vol, kern, g2)
-    both = V.correlate3d_vjp(vol, kern, g1 + 2 * g2)
+
+    def vjp(g):
+        gi, gw, gb = V.correlate3d_vjp_batch(vol[None], kern, g[None])
+        return gi[0], gw, gb
+
+    a1 = vjp(g1)
+    a2 = vjp(g2)
+    both = vjp(g1 + 2 * g2)
     for lhs, r1, r2 in zip(both, a1, a2):
         assert np.allclose(lhs, r1 + 2 * r2, atol=1e-10)
 
@@ -262,11 +363,11 @@ def test_correlate_vjp_is_linear_in_upstream_gradient():
 def test_global_avg_pool_and_flatten():
     rng = np.random.default_rng(10)
     vol = rng.standard_normal((4, 3, 5, 6))
-    gap = V.global_avg_pool3d(vol)
+    gap = GlobalAvgPool3D().forward(vol[None])[0]
     assert gap.shape == (6,)
     assert np.allclose(gap, vol.mean(axis=(0, 1, 2)))
 
-    flat = V.flatten(vol)
+    flat = Flatten().forward(vol[None])[0]
     assert flat.shape == (4 * 3 * 5 * 6,)
     # Round trip: flatten is a plain row-major (channel-fastest) reshape.
     assert np.array_equal(flat.reshape(vol.shape), vol)
@@ -281,4 +382,13 @@ def test_kernel_shape_validation():
 
 def test_rank_validation():
     with pytest.raises(ShapeError):
-        V.correlate3d(np.zeros((4, 4, 4)), V.Kernel(np.zeros((3, 3, 3, 1, 1)), np.zeros(1)))
+        V.correlate3d_batch(np.zeros((4, 4, 4)), V.Kernel(np.zeros((3, 3, 3, 1, 1)), np.zeros(1)))
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 4), (4, 4, 4, 1), (1, 1, 4, 4, 4, 1)])
+def test_batched_kernels_reject_inputs_that_are_not_rank_5(shape):
+    kern = V.Kernel(np.zeros((3, 3, 3, 1, 1)), np.zeros(1))
+    with pytest.raises(ShapeError, match="rank-5"):
+        V.correlate3d_batch(np.zeros(shape), kern)
+    with pytest.raises(ShapeError, match="rank-5"):
+        V.correlate3d_vjp_batch(np.zeros(shape), kern, np.zeros((1, 2, 2, 2, 1)))
