@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import InputError, require_bool, require_real
+from .errors import InputError, require_bool, require_known_keys, require_real
 from .rng import substream
 
 _SNAP = 1e-6
@@ -60,8 +60,8 @@ class AugmentConfig:
     def from_dict(cls, d: dict) -> "AugmentConfig":
         if not isinstance(d, dict):
             raise InputError(f"augmentation config must be a JSON object, got {type(d).__name__}")
-        known = {k: d[k] for k in cls.__dataclass_fields__ if k in d}
-        return cls(**known)
+        require_known_keys("augmentation setting", d, cls.__dataclass_fields__)
+        return cls(**d)
 
 
 def identity_affine() -> np.ndarray:

@@ -12,25 +12,16 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
-import tempfile
-import zlib
 
 import numpy as np
 
-from . import graph
-from .errors import ChecksumError, FormatError, ShapeError, SpecError, StorageError, VersionError
-from .layers import BatchNorm
-from .records import _Reader
+from . import fileio, graph
+from .errors import FormatError, ShapeError, SpecError, StorageError, VersionError
 
 MAGIC = b"AVC1"
 VERSION = 2
 _HEADER_KEYS = ("spec", "params", "bn")
-
-
-def _walk_bn(model):
-    return [lyr for lyr in model._walk_layers() if isinstance(lyr, BatchNorm)]
 
 
 def save_checkpoint(model, path):
@@ -51,7 +42,7 @@ def save_checkpoint(model, path):
         )
         payloads.append(arr.tobytes())
     bn_state = []
-    for i, bn in enumerate(_walk_bn(model)):
+    for i, bn in enumerate(graph.bn_layers(model)):
         for tag, arr in (("mean", bn.moving_mean), ("var", bn.moving_var)):
             arr = np.ascontiguousarray(arr)
             entries.append(
@@ -69,28 +60,14 @@ def save_checkpoint(model, path):
     header = json.dumps(
         {"spec": model.spec.to_dict(), "params": entries, "bn": bn_state}
     ).encode("utf-8")
-    parts = [MAGIC, struct.pack("<HI", VERSION, len(header)), header,
-             struct.pack("<I", zlib.crc32(header))]
-    for payload in payloads:
-        parts.append(payload)
-        parts.append(struct.pack("<I", zlib.crc32(payload)))
-    data = b"".join(parts)
-
-    dirname = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".ckpt-")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise StorageError(f"cannot write {path}: {exc}") from exc
+    parts = [MAGIC, struct.pack("<HI", VERSION, len(header))]
+    for payload in [header] + payloads:
+        parts += fileio.with_crc(payload)
+    fileio.write_bytes(path, b"".join(parts))
 
 
 def _parse_header(raw: bytes, path) -> dict:
-    try:
-        header = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: header is not UTF-8 JSON: {exc}") from exc
+    header = fileio.decode_json(raw, FormatError, f"{path}: header")
     if not (isinstance(header, dict) and all(k in header for k in _HEADER_KEYS)
             and isinstance(header["params"], list) and isinstance(header["bn"], list)):
         raise FormatError(f"{path}: header lacks its spec, params or bn entries")
@@ -117,22 +94,13 @@ def load_checkpoint(path):
     over-long one :class:`FormatError`; a damaged header or payload
     :class:`ChecksumError`.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise StorageError(f"cannot read {path}: {exc}") from exc
-    r = _Reader(data, path)
+    r = fileio.Reader(fileio.read_bytes(path, StorageError, "checkpoint"), path)
     if r.take(4) != MAGIC:
         raise FormatError(f"{path}: bad magic bytes")
     version, header_len = r.unpack("<HI")
     if version != VERSION:
         raise VersionError(f"{path}: unsupported checkpoint version {version}")
-    raw_header = r.take(header_len)
-    (crc,) = r.unpack("<I")
-    if zlib.crc32(raw_header) != crc:
-        raise ChecksumError(f"{path}: CRC mismatch for the header")
-    header = _parse_header(raw_header, path)
+    header = _parse_header(r.take_checked(header_len, "the header"), path)
 
     try:
         model = graph.build(graph.spec_from_dict(header["spec"]), seed=0)
@@ -142,13 +110,9 @@ def load_checkpoint(path):
     arrays = []
     for entry in header["params"]:
         shape, dtype, nbytes = _entry_layout(entry, path)
-        payload = r.take(nbytes)
-        (crc,) = r.unpack("<I")
-        if zlib.crc32(payload) != crc:
-            raise ChecksumError(f"{path}: CRC mismatch for {entry.get('name')!r}")
+        payload = r.take_checked(nbytes, repr(entry.get("name")))
         arrays.append(np.frombuffer(payload, dtype=dtype).reshape(shape).copy())
-    if r.pos != len(data):
-        raise FormatError(f"{path}: {len(data) - r.pos} trailing bytes")
+    r.expect_end()
 
     params = model.params()
     n_params = len(params)
@@ -161,7 +125,7 @@ def load_checkpoint(path):
         p.trainable = entry["trainable"]
         p.l2 = entry.get("l2", 0.0)
 
-    bn_layers = _walk_bn(model)
+    bn_layers = graph.bn_layers(model)
     state_arrays = arrays[n_params:]
     stat_shapes = [bn.moving_mean.shape for bn in bn_layers for _ in ("mean", "var")]
     if not ([a.shape for a in state_arrays] == stat_shapes and len(header["bn"]) == len(bn_layers)

@@ -12,43 +12,26 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 import numpy as np
 
-from . import augment, checkpoint, evaluate, graph, preprocess, records, train as T
+from . import augment, checkpoint, evaluate, fileio, graph, preprocess, records, train as T
 from .errors import DataError, InputError, NumericError, SpecError, StorageError
 from .rng import sample_seed
 
 
 def _write_json(obj, path):
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-def _load_json(path, kind="config"):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"{kind} file not found: {path}")
-    except json.JSONDecodeError as exc:
-        if kind == "config":
-            raise InputError(f"malformed {kind} file {path}: {exc}")
-        raise DataError(f"malformed {kind} file {path}: {exc}")
+    fileio.write_json(path, obj, indent=2, sort_keys=True)
 
 
 def _load_hyper(path, seed_override=None):
     """Read a hyperparameter file; returns (HyperParams, augmentor or None)."""
-    d = _load_json(path)
+    d = fileio.read_json(path, InputError, "hyperparameter file")
     if not isinstance(d, dict):
         raise InputError(f"hyperparameter file {path} must hold a JSON object")
-    hyper = T.HyperParams.from_dict(d)
+    hyper = T.HyperParams.from_dict({k: v for k, v in d.items() if k != "augment"})
     if seed_override is not None:
         hyper = dataclasses.replace(hyper, seed=seed_override)
     augmentor = None
@@ -107,7 +90,7 @@ def cmd_train(args) -> int:
         model, (volumes[train_idx], labels[train_idx]), val_set, hyper,
         augmentor=augmentor,
     )
-    os.makedirs(args.out_dir, exist_ok=True)
+    fileio.make_dirs(args.out_dir)
     checkpoint.save_checkpoint(model, os.path.join(args.out_dir, "model.avc"))
     curve.write_csv(os.path.join(args.out_dir, "curve.csv"))
     print(f"trained {spec.name or args.arch}: {len(curve.rows)} epochs")
@@ -123,7 +106,7 @@ def cmd_rkfold(args) -> int:
     plan = evaluate.repeated_stratified_kfold(labels, args.k, args.reps, hyper.seed)
     report = evaluate.run_rkfold(spec, volumes, labels, hyper, plan,
                                  augmentor=augmentor, jobs=args.jobs)
-    os.makedirs(args.out_dir, exist_ok=True)
+    fileio.make_dirs(args.out_dir)
     _write_json(report.to_dict(), os.path.join(args.out_dir, "report.json"))
     curve = T.LearningCurve([
         T.CurveRow(r["epoch"], r["train_loss"], r["train_acc"],
@@ -143,7 +126,7 @@ def cmd_test_eval(args) -> int:
     model = checkpoint.load_checkpoint(args.checkpoint)
     volumes, labels, ids = records.load_dataset(args.data, args.modality)
     if args.index:
-        idx_doc = _load_json(args.index)
+        idx_doc = fileio.read_json(args.index, InputError, "index file")
         test_ids = idx_doc.get("test") if isinstance(idx_doc, dict) else None
         if not isinstance(test_ids, list) or not all(isinstance(i, str) for i in test_ids):
             raise InputError(f'index file {args.index} must hold an object whose "test" '
@@ -186,24 +169,25 @@ def cmd_split(args) -> int:
 
 def cmd_preprocess(args) -> int:
     ops = preprocess.load_chain(args.chain)
-    manifest = records.build_manifest(args.data)
-    os.makedirs(args.out_dir, exist_ok=True)
-    for fname in manifest.files:
-        rec = records.read_record(os.path.join(args.data, fname))
+    files, recs = records.read_directory(args.data)
+    records.manifest_for(files, recs)  # mixed input dims fail before any output is written
+    fileio.make_dirs(args.out_dir)
+    for fname, rec in zip(files, recs):
         rec.volumes = [
             (mod, preprocess.apply_chain(vol, ops).astype(np.float32))
             for mod, vol in rec.volumes
         ]
         records.write_record(rec, os.path.join(args.out_dir, fname))
-    out_manifest = records.build_manifest(args.out_dir)
-    records.write_manifest(out_manifest, os.path.join(args.out_dir, "manifest.json"))
-    print(f"preprocessed {len(manifest.files)} records into {args.out_dir}")
+    records.write_manifest(records.manifest_for(files, recs),
+                           os.path.join(args.out_dir, "manifest.json"))
+    print(f"preprocessed {len(files)} records into {args.out_dir}")
     return 0
 
 
 def cmd_augment_preview(args) -> int:
     rec = records.read_record(args.record)
-    cfg = augment.AugmentConfig.from_dict(_load_json(args.config))
+    doc = fileio.read_json(args.config, InputError, "augmentation config")
+    cfg = augment.AugmentConfig.from_dict(doc)
     seed = sample_seed(args.seed, "augment-preview", rec.subject_id)
     rec.volumes = [
         (mod, augment.augment(vol, cfg, seed).astype(np.float32))

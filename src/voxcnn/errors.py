@@ -29,7 +29,7 @@ class NumericError(VoxcnnError):
 
 
 class StorageError(VoxcnnError):
-    """Base class for record-file problems."""
+    """A data file or output cannot be read, parsed or written; base of the record errors."""
 
 
 class FormatError(StorageError):
@@ -49,7 +49,7 @@ class TruncationError(StorageError):
 
 
 # Config values read from JSON: an integer that is not a bool, a finite real
-# that is not a bool, or a bool.
+# that is not a bool, or a bool; and objects that hold only known keys.
 
 
 def require_int(name: str, value, error=InputError):
@@ -67,3 +67,9 @@ def require_real(name: str, value, error=InputError):
 def require_bool(name: str, value, error=InputError):
     if not isinstance(value, bool):
         raise error(f"{name} must be true or false, got {value!r}")
+
+
+def require_known_keys(what: str, d: dict, known):
+    unknown = [k for k in d if k not in known]
+    if unknown:
+        raise InputError(f"unknown {what} {', '.join(map(repr, unknown))}")

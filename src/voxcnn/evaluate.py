@@ -7,7 +7,7 @@ three-class confusion matrix to AD-vs-rest.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,10 +66,6 @@ class FoldPlan:
     k: int
     # assignment[rep][fold] -> validation index array
     assignment: list[list[np.ndarray]]
-
-    @property
-    def n_runs(self) -> int:
-        return self.reps * self.k
 
     def runs(self):
         for rep in range(self.reps):
@@ -188,11 +184,7 @@ def run_rkfold(spec: graph.ModelSpec, volumes, labels, hyper: T.HyperParams,
         train_idx = np.setdiff1d(all_idx, val_idx)
         assert not np.intersect1d(train_idx, val_idx).size, "train/validation overlap"
         run_seed = int(substream(hyper.seed, "run", rep, fold).integers(0, 2**31 - 1))
-        run_hyper = T.HyperParams(
-            lr0=hyper.lr0, decay_rate=hyper.decay_rate, epochs=hyper.epochs,
-            batch_size=hyper.batch_size, l2_lambda=hyper.l2_lambda,
-            seed=run_seed, shuffle=hyper.shuffle,
-        )
+        run_hyper = replace(hyper, seed=run_seed)
         model = graph.build(spec, seed=run_seed)
         try:
             model, curve = T.train(

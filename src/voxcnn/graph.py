@@ -8,13 +8,12 @@ Transfer surgery and two-branch fusion operate on built models.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import layers as L
+from . import fileio, layers as L
 from .errors import SpecError
 from .rng import substream
 
@@ -132,6 +131,8 @@ class ModelSpec:
 
 
 def spec_from_dict(d: dict) -> ModelSpec:
+    if not isinstance(d, dict):
+        raise SpecError(f"model spec must be a JSON object, got {type(d).__name__}")
     try:
         if "two_branch" in d:
             tb = d["two_branch"]
@@ -151,22 +152,11 @@ def spec_from_dict(d: dict) -> ModelSpec:
 
 
 def load_spec(path) -> ModelSpec:
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise SpecError(f"cannot read model spec {path}: {exc}") from exc
-    with fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"{path}: invalid JSON: {exc}") from exc
-    return spec_from_dict(d)
+    return spec_from_dict(fileio.read_json(path, SpecError, "model spec"))
 
 
 def save_spec(spec: ModelSpec, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec.to_dict(), fh, indent=1)
-        fh.write("\n")
+    fileio.write_json(path, spec.to_dict(), indent=1)
 
 
 # ---------------------------------------------------------------------------
@@ -182,18 +172,6 @@ def _conv_out(shape, k, stride, padding, filters):
         conv_output_extent(y, k, padding, stride),
         conv_output_extent(z, k, padding, stride),
         filters,
-    )
-
-
-def _pool_out(shape, window, stride):
-    from .volume import conv_output_extent
-
-    x, y, z, c = shape
-    return (
-        conv_output_extent(x, window, 0, stride),
-        conv_output_extent(y, window, 0, stride),
-        conv_output_extent(z, window, 0, stride),
-        c,
     )
 
 
@@ -222,7 +200,7 @@ def layer_out_shape(spec: LayerSpec, shape):
         return _conv_out(shape, spec.k, spec.stride, spec.padding, spec.filters)
     if kind == "maxpool3d":
         _require_volume(shape, kind)
-        return _pool_out(shape, spec.window, spec.stride)
+        return _conv_out(shape, spec.window, spec.stride, 0, shape[3])
     if kind == "global_avg_pool3d":
         _require_volume(shape, kind)
         return shape[3]
@@ -303,15 +281,18 @@ class Summary:
         return self.total - self.trainable
 
 
-def _summarize_sequence(input_dims, specs, rows, prefix=""):
-    shape = tuple(input_dims)
-    rows.append(SummaryRow(prefix + "Input", shape, 0, 0))
+def _summarize_layers(shape, specs, rows, prefix=""):
     for lspec in specs:
         out = layer_out_shape(lspec, shape)
         total, non_trainable = layer_param_counts(lspec, shape)
         rows.append(SummaryRow(prefix + _layer_label(lspec, out), out, total, total - non_trainable))
         shape = out
     return shape
+
+
+def _summarize_sequence(input_dims, specs, rows, prefix=""):
+    rows.append(SummaryRow(prefix + "Input", tuple(input_dims), 0, 0))
+    return _summarize_layers(tuple(input_dims), specs, rows, prefix)
 
 
 def summarize(spec: ModelSpec) -> Summary:
@@ -323,13 +304,8 @@ def summarize(spec: ModelSpec) -> Summary:
         for w, label in ((wa, "A"), (wb, "B")):
             if isinstance(w, tuple):
                 raise SpecError(f"branch {label} must end in a vector, got {w}")
-        shape = wa + wb
-        rows.append(SummaryRow("Concatenate", shape, 0, 0))
-        for lspec in spec.head:
-            out = layer_out_shape(lspec, shape)
-            total, non_trainable = layer_param_counts(lspec, shape)
-            rows.append(SummaryRow(_layer_label(lspec, out), out, total, total - non_trainable))
-            shape = out
+        rows.append(SummaryRow("Concatenate", wa + wb, 0, 0))
+        _summarize_layers(wa + wb, spec.head, rows)
     else:
         _summarize_sequence(spec.input_dims, spec.layers, rows)
     total = sum(r.params for r in rows)
@@ -463,9 +439,8 @@ class Model:
     def freeze_all(self):
         for p in self.params():
             p.trainable = False
-        for lyr in self._walk_layers():
-            if isinstance(lyr, L.BatchNorm):
-                lyr.pinned = True
+        for bn in bn_layers(self):
+            bn.pinned = True
 
     def _walk_layers(self):
         for lyr in self.layers:
@@ -483,6 +458,7 @@ class TwoBranchModel:
         self.branch_a = branch_a
         self.branch_b = branch_b
         self.head = head_layers
+        self._split = _sequence_out_shape(spec.branch_a)  # columns of branch A's features
 
     def params(self) -> list[L.ParamTensor]:
         return self.branch_a.params() + self.branch_b.params() + [
@@ -493,7 +469,6 @@ class TwoBranchModel:
         xa, xb = batch_pair
         fa = self.branch_a.forward(xa, mode, rng)
         fb = self.branch_b.forward(xb, mode, rng)
-        self._split = fa.shape[1]
         h = np.concatenate([fa, fb], axis=1)
         for lyr in self.head:
             h = lyr.forward(h, mode, rng)
@@ -515,6 +490,11 @@ class TwoBranchModel:
         yield from self.branch_a._walk_layers()
         yield from self.branch_b._walk_layers()
         yield from self.head
+
+
+def bn_layers(model) -> list[L.BatchNorm]:
+    """The batch-norm layers of a model, residual blocks and branches included, in a fixed order."""
+    return [lyr for lyr in model._walk_layers() if isinstance(lyr, L.BatchNorm)]
 
 
 def build(spec: ModelSpec, seed: int = 0, dtype=np.float32):
@@ -629,11 +609,7 @@ def surgery(model: Model, recipe: str, classes: int = 3, seed: int = 0) -> Model
     backbone = Model(ModelSpec("backbone", model.spec.input_dims, kept_specs), kept_layers)
     backbone.freeze_all()
 
-    shape = tuple(model.spec.input_dims)
-    for lspec in kept_specs:
-        shape = layer_out_shape(lspec, shape)
-    feature_width = shape[3]
-
+    shape = _sequence_out_shape(backbone.spec)
     rng = substream(seed, "init")
     dtype = model.params()[0].values.dtype
     head_specs = [
@@ -649,12 +625,10 @@ def surgery(model: Model, recipe: str, classes: int = 3, seed: int = 0) -> Model
 
 def fuse_two_branch(branch_a: Model, branch_b: Model, head: list[LayerSpec], seed: int = 0):
     """Fuse two vector-terminated branch models by concatenation plus a head."""
-    for m, label in ((branch_a, "branch_a"), (branch_b, "branch_b")):
-        out = _sequence_out_shape(m.spec)
+    wa, wb = _sequence_out_shape(branch_a.spec), _sequence_out_shape(branch_b.spec)
+    for out, label in ((wa, "branch_a"), (wb, "branch_b")):
         if isinstance(out, tuple):
             raise SpecError(f"{label} must end in a vector (remove its classifier), got {out}")
-    wa = _sequence_out_shape(branch_a.spec)
-    wb = _sequence_out_shape(branch_b.spec)
     rng = substream(seed, "init")
     dtype = (branch_a.params() or branch_b.params())[0].values.dtype
     head_layers, _ = _materialize(head, wa + wb, rng, "head", dtype)

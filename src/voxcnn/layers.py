@@ -88,7 +88,6 @@ def _activation_vjp(name, out, g):
 
 class Layer:
     params: list[ParamTensor]
-    train_only_rng = False
 
     def __init__(self):
         self.params = []
@@ -241,8 +240,6 @@ class BatchNorm(Layer):
 
 class Dropout(Layer):
     """Inverted dropout: kept units scaled by 1/(1 - rate)."""
-
-    train_only_rng = True
 
     def __init__(self, rate):
         super().__init__()

@@ -7,12 +7,12 @@ data).
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 from scipy.ndimage import gaussian_filter1d
 
+from . import fileio
 from .errors import DataError, InputError, SpecError, require_int, require_real
 
 TOP_FRACTION = 0.01
@@ -149,15 +149,7 @@ def apply_chain(vol: np.ndarray, ops: list[dict]) -> np.ndarray:
 
 
 def load_chain(path) -> list[dict]:
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise SpecError(f"cannot read preprocess spec {path}: {exc}") from exc
-    with fh:
-        try:
-            chain = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"{path}: invalid JSON: {exc}") from exc
+    chain = fileio.read_json(path, SpecError, "preprocess spec")
     if not isinstance(chain, list):
         raise SpecError("preprocess spec must be a list of op objects")
     for op in chain:

@@ -12,25 +12,15 @@ shuffles can never unpair a patient's images.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
-import tempfile
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import (
-    ChecksumError,
-    DataError,
-    FormatError,
-    InputError,
-    StorageError,
-    TruncationError,
-    VersionError,
-)
+from . import fileio
+from .errors import DataError, FormatError, InputError, StorageError, VersionError
 from .rng import substream
 
 MAGIC = b"AVR1"
@@ -80,55 +70,20 @@ def write_record(record: PatientRecord, path):
         vol = np.ascontiguousarray(np.asarray(vol, dtype="<f4"))
         payload = vol.tobytes()
         parts.append(struct.pack("<B4IB", _MOD_CODE[modality], *vol.shape, _DTYPE_F32))
-        parts.append(payload)
-        parts.append(struct.pack("<I", zlib.crc32(payload)))
-    data = b"".join(parts)
-
-    dirname = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".rec-")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise StorageError(f"cannot write {path}: {exc}") from exc
-
-
-class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncationError(f"{self.path}: truncated at byte {self.pos} (need {n} more)")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+        parts += fileio.with_crc(payload)
+    fileio.write_bytes(path, b"".join(parts))
 
 
 def read_record(path) -> PatientRecord:
     """Read and fully validate a record (magic, version, dims, CRC)."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise StorageError(f"cannot read {path}: {exc}") from exc
-    r = _Reader(data, path)
+    r = fileio.Reader(fileio.read_bytes(path, StorageError, "record"), path)
     if r.take(4) != MAGIC:
         raise FormatError(f"{path}: bad magic bytes")
     (version, label) = r.unpack("<HB")
     if version != FORMAT_VERSION:
         raise VersionError(f"{path}: unsupported format version {version}")
     (id_len,) = r.unpack("<H")
-    try:
-        subject_id = r.take(id_len).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: subject id is not UTF-8: {exc}") from exc
+    subject_id = fileio.decode_text(r.take(id_len), FormatError, f"{path}: subject id")
     (n_volumes,) = r.unpack("<B")
     volumes = []
     for _ in range(n_volumes):
@@ -137,14 +92,10 @@ def read_record(path) -> PatientRecord:
             raise FormatError(f"{path}: unknown modality code {mod_code}")
         if dtype != _DTYPE_F32:
             raise FormatError(f"{path}: unknown dtype code {dtype}")
-        payload = r.take(x * y * z * c * 4)
-        (crc,) = r.unpack("<I")
-        if zlib.crc32(payload) != crc:
-            raise ChecksumError(f"{path}: CRC mismatch for {MODALITIES[mod_code]} volume")
+        payload = r.take_checked(x * y * z * c * 4, f"{MODALITIES[mod_code]} volume")
         vol = np.frombuffer(payload, dtype="<f4").reshape(x, y, z, c)
         volumes.append((MODALITIES[mod_code], vol.copy()))
-    if r.pos != len(data):
-        raise FormatError(f"{path}: {len(data) - r.pos} trailing bytes")
+    r.expect_end()
     try:
         return PatientRecord(subject_id, label, volumes)
     except InputError as exc:  # a label, id or modality list no writer produces
@@ -170,28 +121,32 @@ class DatasetManifest:
 
 
 def write_manifest(manifest: DatasetManifest, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, indent=1)
-        fh.write("\n")
+    fileio.write_json(path, manifest.to_dict(), indent=1)
 
 
 def read_manifest(path) -> DatasetManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
+    d = fileio.read_json(path, FormatError, "manifest")
+    if not (isinstance(d, dict) and isinstance(d.get("files"), list)
+            and all(k in d for k in ("class_counts", "dims"))):
+        raise FormatError(f"{path}: manifest lacks its files, class_counts or dims entries")
     return DatasetManifest(d["files"], d["class_counts"], d["dims"],
                            d.get("format_version", FORMAT_VERSION), d.get("extras", {}))
 
 
-def build_manifest(directory) -> DatasetManifest:
-    """Scan a record directory and rebuild its manifest from disk."""
+def read_directory(directory) -> tuple[list[str], list[PatientRecord]]:
+    """The ``.rec`` file names of a directory in sorted order, and their records, each read once."""
     try:
         files = sorted(f for f in os.listdir(directory) if f.endswith(".rec"))
     except OSError as exc:
         raise StorageError(f"cannot scan record directory {directory}: {exc}") from exc
+    return files, [read_record(os.path.join(directory, f)) for f in files]
+
+
+def manifest_for(files: list[str], recs: list[PatientRecord]) -> DatasetManifest:
+    """The manifest of records ``recs`` stored as ``files``; raises StorageError on mixed dims."""
     counts = {"CN": 0, "AD": 0, "MCI": 0}
     dims: dict[str, list[int]] = {}
-    for fname in files:
-        rec = read_record(os.path.join(directory, fname))
+    for rec in recs:
         counts[("CN", "AD", "MCI")[rec.label]] += 1
         for modality, vol in rec.volumes:
             d = list(vol.shape)
@@ -201,16 +156,19 @@ def build_manifest(directory) -> DatasetManifest:
     return DatasetManifest(files, counts, dims)
 
 
+def build_manifest(directory) -> DatasetManifest:
+    """Scan a record directory and rebuild its manifest from disk."""
+    return manifest_for(*read_directory(directory))
+
+
 def load_dataset(directory, modality="PET"):
     """Load all records in a directory as (volumes, labels, subject_ids)."""
-    manifest = build_manifest(directory)
-    vols, labels, ids = [], [], []
-    for fname in manifest.files:
-        rec = read_record(os.path.join(directory, fname))
-        vols.append(rec.volume(modality))
-        labels.append(rec.label)
-        ids.append(rec.subject_id)
-    return np.stack(vols), np.array(labels), ids
+    files, recs = read_directory(directory)
+    if not recs:
+        raise DataError(f"{directory} holds no .rec files")
+    manifest_for(files, recs)  # the same dims checks as the manifest's
+    return (np.stack([rec.volume(modality) for rec in recs]),
+            np.array([rec.label for rec in recs]), [rec.subject_id for rec in recs])
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +234,7 @@ def gen_synthetic(per_class: int, dims=(16, 16, 16), signal_strength: float = 1.
         extras={"seed": seed, "signal_strength": signal_strength, "noise_sigma": noise_sigma},
     )
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+        fileio.make_dirs(out_dir)
         for rec in records:
             write_record(rec, os.path.join(out_dir, f"{rec.subject_id}.rec"))
         write_manifest(manifest, os.path.join(out_dir, "manifest.json"))

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericError, require_bool, require_int, require_real
+from . import fileio
+from .errors import (InputError, NumericError, require_bool, require_int, require_known_keys,
+                     require_real)
+from .graph import bn_layers
 from .layers import ParamTensor, softmax
 from .rng import sample_seed, substream
 
@@ -46,8 +50,8 @@ class HyperParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HyperParams":
-        known = {k: d[k] for k in cls.__dataclass_fields__ if k in d}
-        return cls(**known)
+        require_known_keys("hyperparameter", d, cls.__dataclass_fields__)
+        return cls(**d)
 
 
 @dataclass
@@ -64,17 +68,18 @@ class LearningCurve:
     rows: list[CurveRow] = field(default_factory=list)
 
     def write_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["epoch", "train_loss", "train_acc", "val_loss", "val_acc"])
-            for r in self.rows:
-                w.writerow([
-                    r.epoch,
-                    f"{r.train_loss:.8g}",
-                    f"{r.train_acc:.8g}",
-                    "" if r.val_loss is None else f"{r.val_loss:.8g}",
-                    "" if r.val_acc is None else f"{r.val_acc:.8g}",
-                ])
+        text = io.StringIO()
+        w = csv.writer(text)
+        w.writerow(["epoch", "train_loss", "train_acc", "val_loss", "val_acc"])
+        for r in self.rows:
+            w.writerow([
+                r.epoch,
+                f"{r.train_loss:.8g}",
+                f"{r.train_acc:.8g}",
+                "" if r.val_loss is None else f"{r.val_loss:.8g}",
+                "" if r.val_acc is None else f"{r.val_acc:.8g}",
+            ])
+        fileio.write_bytes(path, text.getvalue().encode("utf-8"))
 
 
 def cross_entropy(y_onehot: np.ndarray, probs: np.ndarray) -> float:
@@ -236,17 +241,11 @@ def _take(x, idx):
     return x[idx]
 
 
-def _bn_layers(model):
-    from .layers import BatchNorm
-
-    return [lyr for lyr in model._walk_layers() if isinstance(lyr, BatchNorm)]
-
-
 def _snapshot(model, params):
     """Copy everything inference depends on: parameters and BN moving stats."""
     return (
         [p.values.copy() for p in params],
-        [(bn.moving_mean.copy(), bn.moving_var.copy()) for bn in _bn_layers(model)],
+        [(bn.moving_mean.copy(), bn.moving_var.copy()) for bn in bn_layers(model)],
     )
 
 
@@ -254,7 +253,7 @@ def _restore(model, params, snap):
     values, bn_stats = snap
     for p, v in zip(params, values):
         p.values[...] = v
-    for bn, (mm, mv) in zip(_bn_layers(model), bn_stats):
+    for bn, (mm, mv) in zip(bn_layers(model), bn_stats):
         bn.moving_mean = mm.copy()
         bn.moving_var = mv.copy()
 

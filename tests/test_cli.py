@@ -1,11 +1,12 @@
 """End-to-end command-line workflows and exit codes."""
 
+import collections
 import json
 
 import numpy as np
 import pytest
 
-from voxcnn import checkpoint, graph, records
+from voxcnn import checkpoint, fileio, graph, records
 from voxcnn.cli import main
 from voxcnn.fixtures import fixture_path
 
@@ -311,3 +312,154 @@ def test_mistyped_preprocess_chain_exits_1(capsys, cli_data, tmp_path, chain, wo
                        "--chain", str(path), "--out-dir", str(out_dir))
     assert code == 1 and word in err
     assert not out_dir.exists()
+
+
+# ---------------------------------------------------------------------------
+# files that cannot be read or written
+
+
+@pytest.fixture(scope="module")
+def mini_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "model.avc"
+    checkpoint.save_checkpoint(graph.build(graph.load_spec(fixture_path("pet_8_mini")), seed=0), path)
+    return path
+
+
+def _argv_with(flag, path, out, cli_data, hyper_file, mini_checkpoint):
+    """A command that reads ``path`` as ``flag`` and writes to ``out``."""
+    arch, hyper = fixture_path("pet_8_mini"), hyper_file
+    if flag == "--arch":
+        arch = path
+    if flag == "--hyper":
+        hyper = path
+    if flag in ("--arch", "--hyper"):
+        return ["train", "--arch", arch, "--hyper", hyper, "--data", cli_data, "--out-dir", out]
+    if flag == "--chain":
+        return ["preprocess", "--data", cli_data, "--chain", path, "--out-dir", out]
+    if flag == "--index":
+        return ["test-eval", "--checkpoint", mini_checkpoint, "--data", cli_data,
+                "--index", path, "--out", out]
+    record = next(iter(sorted(cli_data.glob("*.rec"))))
+    return ["augment-preview", "--record", record, "--config", path, "--out", out]
+
+
+@pytest.mark.parametrize("flag", ["--arch", "--hyper", "--chain", "--index", "--config"])
+def test_input_that_is_not_utf8_exits_1(capsys, cli_data, hyper_file, mini_checkpoint,
+                                        tmp_path, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"name": "\xff"}')
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *_argv_with(flag, bad, out, cli_data, hyper_file, mini_checkpoint))
+    assert code == 1 and err.startswith("error:") and "UTF-8" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_directory_as_hyperparameter_file_exits_1(capsys, cli_data, tmp_path):
+    code, _, err = run(capsys, "train", "--arch", fixture_path("pet_8_mini"), "--hyper", tmp_path,
+                       "--data", cli_data, "--out-dir", tmp_path / "o")
+    assert code == 1 and err.startswith("error:") and "hyperparameter file" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_architecture_that_is_not_an_object_exits_1(capsys, tmp_path):
+    arch = tmp_path / "arch.json"
+    arch.write_text("[1, 2]")
+    code, _, err = run(capsys, "inspect", arch)
+    assert code == 1 and "JSON object" in err
+
+
+@pytest.mark.parametrize("command", ["split", "test-eval"])
+def test_output_into_a_missing_directory_exits_2(capsys, cli_data, mini_checkpoint, tmp_path,
+                                                 command):
+    out = tmp_path / "missing" / "x.json"
+    argv = {"split": ["split", "--data", cli_data, "--test-frac", "0.5", "--out", out],
+            "test-eval": ["test-eval", "--checkpoint", mini_checkpoint, "--data", cli_data,
+                          "--out", out]}[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("data error:") and "cannot write" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_json_output_leaves_the_directory_as_it_was(capsys, cli_data, tmp_path,
+                                                           monkeypatch):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "split.json").write_text("old")
+
+    def failing_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("os.replace", failing_replace)
+    code, _, err = run(capsys, "split", "--data", cli_data, "--test-frac", "0.5",
+                       "--out", out_dir / "split.json")
+    assert code == 2 and "No space left" in err
+    assert [p.name for p in out_dir.iterdir()] == ["split.json"]
+    assert (out_dir / "split.json").read_text() == "old"
+
+
+@pytest.mark.parametrize("command", ["gen-synth", "train", "rkfold", "preprocess"])
+def test_out_dir_naming_a_file_exits_2(capsys, cli_data, tmp_path, command):
+    hyper = tmp_path / "hyper.json"
+    hyper.write_text(json.dumps({"epochs": 0}))
+    chain = tmp_path / "chain.json"
+    chain.write_text("[]")
+    out = tmp_path / "taken"
+    out.write_text("x")
+    model = ["--arch", fixture_path("pet_8_mini"), "--hyper", hyper, "--data", cli_data]
+    argv = {
+        "gen-synth": ["gen-synth", "--per-class", "1", "--dims", "8,8,8"],
+        "train": ["train", *model],
+        "rkfold": ["rkfold", *model, "--k", "2", "--reps", "1"],
+        "preprocess": ["preprocess", "--data", cli_data, "--chain", chain],
+    }[command]
+    code, _, err = run(capsys, *argv, "--out-dir", out)
+    assert code == 2 and err.startswith("data error:") and "cannot create directory" in err
+    assert out.read_text() == "x"
+
+
+def test_unknown_hyperparameter_exits_1(capsys, cli_data, tmp_path):
+    hyper = tmp_path / "hyper.json"
+    hyper.write_text(json.dumps({"epoch": 5}))
+    code, _, err = run(capsys, "train", "--arch", fixture_path("pet_8_mini"), "--hyper", hyper,
+                       "--data", cli_data, "--out-dir", tmp_path / "o")
+    assert code == 1 and "'epoch'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_unknown_augmentation_setting_exits_1(capsys, cli_data, tmp_path):
+    cfg = tmp_path / "aug.json"
+    cfg.write_text(json.dumps({"max_rotation": 5}))
+    record = next(iter(sorted(cli_data.glob("*.rec"))))
+    code, _, err = run(capsys, "augment-preview", "--record", record, "--config", cfg,
+                       "--out", tmp_path / "p.rec")
+    assert code == 1 and "'max_rotation'" in err
+    assert not (tmp_path / "p.rec").exists()
+
+
+def test_preprocess_reads_each_input_once(capsys, cli_data, tmp_path, monkeypatch):
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps([{"op": "minmax"}]))
+    reads = collections.Counter()
+    read_bytes = fileio.read_bytes
+
+    def spy(path, *args):
+        reads[str(path)] += 1
+        return read_bytes(path, *args)
+
+    monkeypatch.setattr(fileio, "read_bytes", spy)
+    out_dir = tmp_path / "prep"
+    code, _, _ = run(capsys, "preprocess", "--data", cli_data, "--chain", chain,
+                     "--out-dir", out_dir)
+    assert code == 0
+    inputs = [str(chain)] + [str(p) for p in sorted(cli_data.glob("*.rec"))]
+    assert reads == {path: 1 for path in inputs}
+    manifest = records.read_manifest(out_dir / "manifest.json")
+    assert manifest.to_dict() == records.build_manifest(out_dir).to_dict()
+
+
+def test_data_directory_without_records_exits_2(capsys, tmp_path):
+    (tmp_path / "data").mkdir()
+    code, _, err = run(capsys, "split", "--data", tmp_path / "data", "--test-frac", "0.5",
+                       "--out", tmp_path / "i.json")
+    assert code == 2 and "no .rec files" in err

@@ -439,7 +439,7 @@ TINY_CKPT_SPEC = {
 
 
 def _model_state(model):
-    bns = checkpoint._walk_bn(model)
+    bns = graph.bn_layers(model)
     return (
         model.spec.to_dict(),
         [(p.name, p.trainable, p.l2, p.values.dtype.str, p.values.tobytes()) for p in model.params()],
