@@ -23,7 +23,7 @@ print(f"split: {len(train_idx)} train / {len(test_idx)} test "
       f"(test classes {np.bincount(labels[test_idx]).tolist()})")
 
 model = graph.build(load_fixture("pet_8_mini"), seed=1)
-hyper = train.HyperParams(lr0=3e-3, decay_rate=0.9, epochs=12, batch_size=8, seed=1)
+hyper = train.HyperParams(lr0=3e-3, decay_rate=0.9, epochs=12, seed=1)  # batch 8, the default
 model, curve = train.train(
     model,
     (vols[train_idx], labels[train_idx]),
@@ -38,7 +38,7 @@ for r in curve.rows:
     print(f"{r.epoch:>5}  {r.train_loss:>10.4f}  {r.train_acc:>9.3f}"
           f"  {r.val_loss:>8.4f}  {r.val_acc:>7.3f}")
 
-probs = model.forward(vols[test_idx], "inference")
+probs = train.predict(model, vols[test_idx], hyper.batch_size)
 cm = evaluate.confusion_matrix(labels[test_idx], probs.argmax(axis=1))
 sens, spec = evaluate.sensitivity_specificity(cm)
 print()

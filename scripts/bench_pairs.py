@@ -12,11 +12,13 @@ the base first on even pairs and the change first on odd ones, for the
 ``run_seconds`` that ``BENCHMARK.json`` fixes.  Each run prints one JSON
 line when it ends.  The summary gives, for every end-to-end metric, each
 side's quartiles, the change's win share over all pairs (ties count for
-neither side), the base's quartile spread, the ratio of the medians, and
-whether the change's median is worse than the base's: a metric whose median
-gets worse is a rejected change, whatever its bound.  For ``--metric`` it
-also states whether a claimed gain holds: a win share of at least 0.9 and a
-median gain larger than the base's quartile spread.
+neither side), the base's quartile spread, the ratio of the medians, and a
+verdict under the metric's ``bound`` from ``BENCHMARK.json``: ``WORSE`` when
+the change's median is worse than the base's by more than ``bound`` times the
+base median, ``unresolved`` when the base's quartile spread is wider than that
+and not every change run beats every base run, ``no`` otherwise.  For
+``--metric`` it also states whether a claimed gain holds: a win share of at
+least 0.9 and a median gain larger than the base's quartile spread.
 
 The per-pair table shows ``--metric`` (default ``train_samples_per_s``) beside
 two derived figures that show host trouble, which a 2-vCPU guest often has:
@@ -51,14 +53,20 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs, better: dict[str, str | None]) -> dict[str, dict]:
+def summarize(pairs, better: dict[str, str | None],
+              bounds: dict[str, float] | None = None) -> dict[str, dict]:
     """Per-metric summary of ``pairs``, a list of (base, change) metric dicts.
 
     ``better`` maps each metric to "higher" or "lower", or to None for a
-    diagnostic that has no win share.  A metric missing or None in any run is
-    left out.  ``worse`` is True when the change's median is worse than the
-    base's in the metric's direction, None for a diagnostic.
+    diagnostic that has no win share.  ``bounds`` maps a metric to its
+    allowed relative regression (0 when absent).  A metric missing or None
+    in any run is left out.  ``worse`` is True when the change's median is
+    worse than the base's by more than the bound times the base median;
+    ``unresolved`` is True when the base's quartile spread is wider than that
+    margin and not every change run beats every base run.  Both are None for
+    a diagnostic.
     """
+    bounds = bounds or {}
     rows = {}
     for name, direction in better.items():
         if not pairs or any(b.get(name) is None or c.get(name) is None for b, c in pairs):
@@ -66,11 +74,15 @@ def summarize(pairs, better: dict[str, str | None]) -> dict[str, dict]:
         base = [b[name] for b, _ in pairs]
         change = [c[name] for _, c in pairs]
         bq, cq = quartiles(base), quartiles(change)
-        win_share = gain = None
+        win_share = gain = worse = unresolved = None
         if direction is not None:
             sign = 1.0 if direction == "higher" else -1.0
             win_share = sum(sign * (c - b) > 0 for b, c in zip(base, change)) / len(pairs)
             gain = sign * (cq[1] - bq[1])
+            margin = bounds.get(name, 0.0) * abs(bq[1])
+            worse = gain < -margin
+            separated = min(sign * c for c in change) > max(sign * b for b in base)
+            unresolved = bq[2] - bq[0] > margin and not separated
         rows[name] = {
             "base": bq,
             "change": cq,
@@ -78,7 +90,8 @@ def summarize(pairs, better: dict[str, str | None]) -> dict[str, dict]:
             "base_spread": bq[2] - bq[0],
             "ratio": cq[1] / bq[1] if bq[1] else None,
             "gain": gain,
-            "worse": None if gain is None else gain < 0,
+            "worse": worse,
+            "unresolved": unresolved,
         }
     return rows
 
@@ -95,15 +108,18 @@ def claim_verdict(name: str, row: dict) -> str:
 
 def format_summary(rows: dict[str, dict]) -> str:
     lines = [f"{'metric':<20} {'base q1/med/q3':>28} {'change q1/med/q3':>28} "
-             f"{'win':>5} {'base IQR':>9} {'ratio':>7} {'worse':>5}"]
+             f"{'win':>5} {'base IQR':>9} {'ratio':>7} {'worse':>10}"]
     for name, r in rows.items():
         base = "/".join(f"{v:.4g}" for v in r["base"])
         change = "/".join(f"{v:.4g}" for v in r["change"])
         ratio = "-" if r["ratio"] is None else f"{r['ratio']:.3f}"
         win = "-" if r["win_share"] is None else f"{r['win_share']:.2f}"
-        worse = "-" if r["worse"] is None else ("WORSE" if r["worse"] else "no")
+        if r["worse"] is None:
+            worse = "-"
+        else:
+            worse = "WORSE" if r["worse"] else "unresolved" if r["unresolved"] else "no"
         lines.append(f"{name:<20} {base:>28} {change:>28} "
-                     f"{win:>5} {r['base_spread']:>9.4g} {ratio:>7} {worse:>5}")
+                     f"{win:>5} {r['base_spread']:>9.4g} {ratio:>7} {worse:>10}")
     return "\n".join(lines)
 
 
@@ -197,6 +213,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     if args.metric not in better:
         ap.error(f"--metric must be one of {', '.join(better)}")
 
@@ -224,7 +241,7 @@ def main(argv=None) -> int:
     print(f"{args.workload}: {args.pairs} pairs, base {args.base} against the working tree")
     print(format_pairs(pairs, [args.seed0 + i for i in range(args.pairs)], args.metric))
     better["train_cores"] = None
-    rows = summarize(pairs, better)
+    rows = summarize(pairs, better, bounds)
     print(format_summary(rows))
     if args.metric in rows:
         print(claim_verdict(args.metric, rows[args.metric]))

@@ -131,12 +131,18 @@ def cmd_test_eval(args) -> int:
         if not isinstance(test_ids, list) or not all(isinstance(i, str) for i in test_ids):
             raise InputError(f'index file {args.index} must hold an object whose "test" '
                              f"is a list of subject ids")
+        present = set(ids)
+        missing = [sid for sid in dict.fromkeys(test_ids) if sid not in present]
+        if missing:
+            raise InputError(f"{len(missing)} test ids of index file {args.index} are not in "
+                             f"{args.data}: {', '.join(missing[:3])}"
+                             f"{', ...' if len(missing) > 3 else ''}")
         wanted = set(test_ids)
         keep = [i for i, sid in enumerate(ids) if sid in wanted]
         if not keep:
             raise InputError("index file selects no records from the data directory")
         volumes, labels = volumes[keep], labels[keep]
-    probs = model.forward(volumes, "inference")
+    probs = T.predict(model, volumes, T.DEFAULT_BATCH_SIZE)
     cm = evaluate.confusion_matrix(labels, probs.argmax(axis=1))
     metrics = _metrics_dict(cm)
     _write_json(metrics, args.out)

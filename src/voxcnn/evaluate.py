@@ -79,6 +79,8 @@ def repeated_stratified_kfold(labels, k: int, reps: int, seed: int) -> FoldPlan:
     classes, counts = np.unique(labels, return_counts=True)
     if k < 2:
         raise InputError("k must be >= 2")
+    if reps < 1:
+        raise InputError("reps must be >= 1")
     if k > counts.min():
         raise InputError(f"k={k} exceeds the smallest class count {counts.min()}")
     assignment = []
@@ -149,8 +151,8 @@ class EvalReport:
         return {
             "reps": self.plan.reps,
             "k": self.plan.k,
-            "mean_accuracy": self.mean_accuracy,
-            "std_accuracy": self.std_accuracy,
+            "mean_accuracy": _finite_or_none(self.mean_accuracy),
+            "std_accuracy": _finite_or_none(self.std_accuracy),
             "any_failed": self.any_failed,
             "runs": [
                 {
@@ -165,6 +167,11 @@ class EvalReport:
             "mean_curve": self.mean_curve,
             "metadata": self.metadata,
         }
+
+
+def _finite_or_none(value: float) -> float | None:
+    """JSON has no NaN: a mean or std that no run produced is written as null."""
+    return value if np.isfinite(value) else None
 
 
 def run_rkfold(spec: graph.ModelSpec, volumes, labels, hyper: T.HyperParams,
@@ -194,7 +201,7 @@ def run_rkfold(spec: graph.ModelSpec, volumes, labels, hyper: T.HyperParams,
                 run_hyper,
                 augmentor=augmentor,
             )
-            probs = model.forward(T._take(volumes, val_idx), "inference")
+            probs = T.predict(model, T._take(volumes, val_idx), run_hyper.batch_size)
             cm = confusion_matrix(labels[val_idx], probs.argmax(axis=1))
             return RunResult(rep, fold, cm, curve)
         except NumericError as exc:

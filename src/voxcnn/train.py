@@ -19,6 +19,9 @@ PROB_CLAMP = 1e-7
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-7
+# The training batch when none is given; inference passes without a training
+# run of their own (test-eval) use it too.
+DEFAULT_BATCH_SIZE = 8
 
 
 @dataclass
@@ -26,7 +29,7 @@ class HyperParams:
     lr0: float = 1e-3
     decay_rate: float = 1.0
     epochs: int = 1
-    batch_size: int = 8
+    batch_size: int = DEFAULT_BATCH_SIZE
     l2_lambda: float = 0.0
     seed: int = 0
     shuffle: bool = True
@@ -222,16 +225,27 @@ def loss_and_grads(model, x, y_onehot, mode="train", rng=None, l2_lambda=None):
     return value, probs
 
 
-def _evaluate(model, x, y_onehot, batch_size=32):
+def predict(model, x, batch_size: int) -> np.ndarray:
+    """Inference-mode class probabilities of ``x``, ``batch_size`` samples per forward.
+
+    ``x`` is a batch of volumes, or a ``(PET, MRI)`` tuple of them for a
+    two-branch model.  Bounding the batch bounds memory: an inference pass
+    at the training batch size never needs more than a training step.
+    """
+    n = len(x[0]) if isinstance(x, tuple) else len(x)
+    if n == 0:
+        raise InputError("no samples to predict")
+    if batch_size < 1:
+        raise InputError("batch_size must be >= 1")
+    return np.concatenate([model.forward(_take(x, slice(lo, lo + batch_size)), "inference")
+                           for lo in range(0, n, batch_size)])
+
+
+def _evaluate(model, x, y_onehot, batch_size):
     """Inference-mode loss and accuracy over a dataset."""
-    losses, correct, n = [], 0, len(y_onehot)
-    for lo in range(0, n, batch_size):
-        xb = _take(x, slice(lo, lo + batch_size))
-        yb = y_onehot[lo : lo + batch_size]
-        probs = model.forward(xb, "inference")
-        losses.append(cross_entropy(yb, probs) * len(yb))
-        correct += int((probs.argmax(axis=1) == yb.argmax(axis=1)).sum())
-    return sum(losses) / n, correct / n
+    probs = predict(model, x, batch_size)
+    correct = int((probs.argmax(axis=1) == y_onehot.argmax(axis=1)).sum())
+    return cross_entropy(y_onehot, probs), correct / len(y_onehot)
 
 
 def _take(x, idx):
@@ -314,7 +328,7 @@ def train(model, train_set, val_set=None, hyper: HyperParams | None = None,
 
         row = CurveRow(epoch, epoch_loss / n, epoch_correct / n)
         if val is not None:
-            row.val_loss, row.val_acc = _evaluate(model, *val)
+            row.val_loss, row.val_acc = _evaluate(model, *val, hyper.batch_size)
         curve.rows.append(row)
 
         if early_stopping_patience is not None and val is not None:

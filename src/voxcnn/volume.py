@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeError
 
@@ -72,6 +72,8 @@ class Kernel:
 
 def conv_output_extent(extent: int, k: int, padding: int, stride: int) -> int:
     """Shape law: floor((in + 2*padding - k) / stride) + 1."""
+    if stride < 1:
+        raise ShapeError(f"stride must be >= 1, got {stride}")
     out = (extent + 2 * padding - k) // stride + 1
     if out < 1:
         raise ShapeError(
@@ -81,7 +83,7 @@ def conv_output_extent(extent: int, k: int, padding: int, stride: int) -> int:
 
 
 def _windows(batch: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
-    """Strided view of all kernel windows: (n, ox, oy, oz, c, k, k, k)."""
+    """Strided read-only view of all kernel windows: (n, ox, oy, oz, c, k, k, k)."""
     if padding:
         pad = [(0, 0)] + [(padding, padding)] * 3 + [(0, 0)]
         batch = np.pad(batch, pad)
@@ -90,8 +92,12 @@ def _windows(batch: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray
             raise ShapeError(
                 f"kernel size {k} exceeds padded extent {batch.shape[axis]} on axis {axis - 1}"
             )
-    win = sliding_window_view(batch, (k, k, k), axis=(1, 2, 3))
-    return win[:, ::stride, ::stride, ::stride]
+    n, _, _, _, c = batch.shape
+    out = [conv_output_extent(e, k, 0, stride) for e in batch.shape[1:4]]
+    sn, sx, sy, sz, sc = batch.strides
+    return as_strided(batch, shape=(n, *out, c, k, k, k),
+                      strides=(sn, sx * stride, sy * stride, sz * stride, sc, sx, sy, sz),
+                      writeable=False)
 
 
 def _check_batch(batch: np.ndarray) -> None:

@@ -95,7 +95,8 @@ def test_summary_marks_worse_medians_and_states_the_claim_verdict():
     change = [b + 120.0 for b in base[:9]] + [490.0]  # nine wins, one loss
     pairs = [({"tput": b, "lat": 1.0, "cores": 1.8}, {"tput": c, "lat": 1.2, "cores": 1.8})
              for b, c in zip(base, change)]
-    rows = bench_pairs.summarize(pairs, {"tput": "higher", "lat": "lower", "cores": None})
+    rows = bench_pairs.summarize(pairs, {"tput": "higher", "lat": "lower", "cores": None},
+                                 {"tput": 0.1, "lat": 0.1})
     assert rows["tput"]["worse"] is False and rows["lat"]["worse"] is True
     assert rows["cores"]["worse"] is None
     assert rows["tput"]["gain"] == pytest.approx(117.5)
@@ -121,3 +122,43 @@ def test_summary_marks_worse_medians_and_states_the_claim_verdict():
     assert "median gain 10 <= base IQR 17.5" in bench_pairs.claim_verdict("tput", small)
     # A lower-is-better metric that got worse fails on both counts.
     assert "fails (win share 0.00 < 0.9" in bench_pairs.claim_verdict("lat", rows["lat"])
+
+
+def _verdict(base, change, direction="lower", bound=0.1):
+    pairs = [({"m": b}, {"m": c}) for b, c in zip(base, change)]
+    row = bench_pairs.summarize(pairs, {"m": direction}, {"m": bound})["m"]
+    return row, bench_pairs.format_summary({"m": row}).splitlines()[1].split()[-1]
+
+
+def test_worse_needs_a_median_beyond_the_bound():
+    base = [100.0, 101.0, 99.0, 100.5, 99.5]  # median 100, IQR 1
+    # 5 % worse in the median: inside a 0.1 bound.
+    row, verdict = _verdict(base, [b + 5.0 for b in base])
+    assert row["gain"] == pytest.approx(-5.0)
+    assert row["worse"] is False and row["unresolved"] is False and verdict == "no"
+    # 12 % worse: beyond it.
+    row, verdict = _verdict(base, [b + 12.0 for b in base])
+    assert row["worse"] is True and verdict == "WORSE"
+    # The same 12 % in a higher-is-better metric is a gain.
+    row, verdict = _verdict(base, [b + 12.0 for b in base], direction="higher")
+    assert row["worse"] is False and verdict == "no"
+    # Without a bound any worse median counts.
+    row, verdict = _verdict(base, [b + 0.5 for b in base], bound=0.0)
+    assert row["worse"] is True and verdict == "WORSE"
+
+
+def test_unresolved_when_the_base_spread_exceeds_the_bound():
+    base = [80.0, 120.0, 90.0, 110.0, 100.0]  # median 100, IQR 20 > 0.1 * 100
+    row, verdict = _verdict(base, [101.0, 119.0, 92.0, 108.0, 99.0])
+    assert row["base_spread"] == pytest.approx(20.0)
+    assert row["worse"] is False and row["unresolved"] is True and verdict == "unresolved"
+    # Every change run below every base run: the spread does not matter.
+    row, verdict = _verdict(base, [70.0, 75.0, 60.0, 79.0, 65.0])
+    assert row["unresolved"] is False and verdict == "no"
+    # A median worse by more than the bound is WORSE even when the spread is wide.
+    row, verdict = _verdict(base, [b + 15.0 for b in base])
+    assert row["worse"] is True and row["unresolved"] is True and verdict == "WORSE"
+    # A diagnostic gets neither verdict.
+    pairs = [({"m": b}, {"m": b}) for b in base]
+    diag = bench_pairs.summarize(pairs, {"m": None}, {"m": 0.1})["m"]
+    assert diag["worse"] is None and diag["unresolved"] is None

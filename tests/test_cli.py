@@ -463,3 +463,23 @@ def test_data_directory_without_records_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "split", "--data", tmp_path / "data", "--test-frac", "0.5",
                        "--out", tmp_path / "i.json")
     assert code == 2 and "no .rec files" in err
+
+
+def test_index_naming_absent_ids_exits_1(capsys, cli_data, mini_checkpoint, tmp_path):
+    index = tmp_path / "index.json"
+    index.write_text(json.dumps({"test": ["synth-0-000", "nobody-1", "nobody-2"]}))
+    out = tmp_path / "m.json"
+    code, _, err = run(capsys, "test-eval", "--checkpoint", str(mini_checkpoint),
+                       "--data", str(cli_data), "--index", str(index), "--out", str(out))
+    assert code == 1
+    assert "2 test ids" in err and "nobody-1, nobody-2" in err
+    assert not out.exists()
+
+
+def test_rkfold_with_zero_repetitions_exits_1(capsys, cli_data, hyper_file, tmp_path):
+    out_dir = tmp_path / "rk"
+    code, _, err = run(capsys, "rkfold", "--arch", fixture_path("pet_8_mini"),
+                       "--hyper", str(hyper_file), "--data", str(cli_data),
+                       "--k", "3", "--reps", "0", "--out-dir", str(out_dir))
+    assert code == 1 and "reps" in err
+    assert not out_dir.exists()

@@ -1,10 +1,12 @@
 """Splits, fold plans, confusion-matrix metrics, and the k-fold harness."""
 
+import json
+
 import numpy as np
 import pytest
 
 from voxcnn import evaluate as E, graph, records, train as T
-from voxcnn.errors import InputError
+from voxcnn.errors import InputError, NumericError
 from voxcnn.fixtures import load_fixture
 
 
@@ -194,3 +196,26 @@ def test_run_rkfold_parallel_matches_serial(tiny_data):
     for ra, rb in zip(serial.runs, parallel.runs):
         assert (ra.rep, ra.fold) == (rb.rep, rb.fold)
         assert np.array_equal(ra.confusion, rb.confusion)
+
+
+def test_fold_plan_rejects_fewer_than_one_repetition():
+    labels = np.repeat(np.arange(3), 4)
+    for reps in (0, -1):
+        with pytest.raises(InputError, match="reps"):
+            E.repeated_stratified_kfold(labels, k=2, reps=reps, seed=0)
+
+
+def test_a_study_whose_runs_all_fail_writes_valid_json(tiny_data, monkeypatch):
+    vols, labels = tiny_data
+
+    def diverge(*args, **kwargs):
+        raise NumericError("epoch 0 batch 0: non-finite loss")
+
+    monkeypatch.setattr(T, "train", diverge)
+    plan = E.repeated_stratified_kfold(labels, k=2, reps=1, seed=5)
+    report = E.run_rkfold(load_fixture("pet_8_mini"), vols, labels,
+                          T.HyperParams(epochs=1, seed=5), plan)
+    assert all(r.failed for r in report.runs) and np.isnan(report.mean_accuracy)
+    d = report.to_dict()
+    assert d["mean_accuracy"] is None and d["std_accuracy"] is None
+    assert json.loads(json.dumps(d, allow_nan=False))["any_failed"] is True

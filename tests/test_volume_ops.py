@@ -392,3 +392,18 @@ def test_batched_kernels_reject_inputs_that_are_not_rank_5(shape):
         V.correlate3d_batch(np.zeros(shape), kern)
     with pytest.raises(ShapeError, match="rank-5"):
         V.correlate3d_vjp_batch(np.zeros(shape), kern, np.zeros((1, 2, 2, 2, 1)))
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+def test_correlate_rejects_a_stride_below_one(stride):
+    kern = V.Kernel(np.zeros((2, 2, 2, 1, 1)), np.zeros(1))
+    with pytest.raises(ShapeError, match="stride"):
+        V.correlate3d_batch(np.zeros((1, 4, 4, 4, 1)), kern, stride=stride)
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+def test_correlate_vjp_rejects_a_stride_below_one(stride):
+    kern = V.Kernel(np.zeros((2, 2, 2, 1, 1)), np.zeros(1))
+    with pytest.raises(ShapeError, match="stride"):
+        V.correlate3d_vjp_batch(np.zeros((1, 4, 4, 4, 1)), kern, np.zeros((1, 3, 3, 3, 1)),
+                                stride=stride)
