@@ -17,6 +17,7 @@ import struct
 import numpy as np
 
 from . import fileio, graph
+from .layers import ParamTensor
 from .errors import FormatError, ShapeError, SpecError, StorageError, VersionError
 
 MAGIC = b"AVC1"
@@ -25,43 +26,18 @@ _HEADER_KEYS = ("spec", "params", "bn")
 
 
 def save_checkpoint(model, path):
-    params = model.params()
-    entries = []
-    payloads = []
-    for p in params:
-        arr = np.ascontiguousarray(p.values)
-        entries.append(
-            {
-                "name": p.name,
-                "role": p.role,
-                "shape": list(arr.shape),
-                "dtype": str(arr.dtype),
-                "trainable": bool(p.trainable),
-                "l2": p.l2,
-            }
-        )
-        payloads.append(arr.tobytes())
-    bn_state = []
-    for i, bn in enumerate(graph.bn_layers(model)):
-        for tag, arr in (("mean", bn.moving_mean), ("var", bn.moving_var)):
-            arr = np.ascontiguousarray(arr)
-            entries.append(
-                {
-                    "name": f"bn{i}.moving_{tag}",
-                    "role": "bn_state",
-                    "shape": list(arr.shape),
-                    "dtype": str(arr.dtype),
-                    "trainable": False,
-                }
-            )
-            payloads.append(arr.tobytes())
-        bn_state.append({"pinned": bn.pinned})
-
-    header = json.dumps(
-        {"spec": model.spec.to_dict(), "params": entries, "bn": bn_state}
-    ).encode("utf-8")
+    bns = graph.bn_layers(model)
+    arrays = [(p.name, p.role, p.values, {"trainable": bool(p.trainable), "l2": p.l2})
+              for p in model.params()]
+    arrays += [(f"bn{i}.moving_{tag}", "bn_state", values, {"trainable": False})
+               for i, bn in enumerate(bns)
+               for tag, values in (("mean", bn.moving_mean), ("var", bn.moving_var))]
+    entries = [{"name": name, "role": role, "shape": list(values.shape), "dtype": str(values.dtype),
+                **flags} for name, role, values, flags in arrays]
+    header = json.dumps({"spec": model.spec.to_dict(), "params": entries,
+                         "bn": [{"pinned": bn.pinned} for bn in bns]}).encode("utf-8")
     parts = [MAGIC, struct.pack("<HI", VERSION, len(header))]
-    for payload in [header] + payloads:
+    for payload in [header] + [values.tobytes() for _, _, values, _ in arrays]:
         parts += fileio.with_crc(payload)
     fileio.write_bytes(path, b"".join(parts))
 
@@ -79,7 +55,9 @@ def _entry_layout(entry, path):
     try:
         shape = tuple(entry["shape"])
         dtype = np.dtype(entry["dtype"])
-        flags_ok = isinstance(entry["trainable"], bool) and isinstance(entry.get("l2", 0.0), (int, float))
+        flags_ok = (isinstance(entry["name"], str) and isinstance(entry["role"], str)
+                    and isinstance(entry["trainable"], bool)
+                    and isinstance(entry.get("l2", 0.0), (int, float)))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: malformed parameter entry: {exc}") from exc
     if not (flags_ok and dtype.kind == "f" and all(isinstance(d, int) and d >= 0 for d in shape)):
@@ -88,11 +66,13 @@ def _entry_layout(entry, path):
 
 
 def load_checkpoint(path):
-    """Rebuild a model from a checkpoint, restoring flags and BN state.
+    """Rebuild a model from a checkpoint's own entries; nothing is drawn at random.
 
-    A short file raises :class:`TruncationError`; a foreign, malformed or
-    over-long one :class:`FormatError`; a damaged header or payload
-    :class:`ChecksumError`.
+    Names, values, trainable flags, L2 weights and BN state come from the
+    file, in the spec's layout order.  A short file raises
+    :class:`TruncationError`; a foreign, malformed or over-long one, or one
+    whose entries do not fit its spec, :class:`FormatError`; a damaged
+    header or payload :class:`ChecksumError`.
     """
     r = fileio.Reader(fileio.read_bytes(path, StorageError, "checkpoint"), path)
     if r.take(4) != MAGIC:
@@ -102,38 +82,37 @@ def load_checkpoint(path):
         raise VersionError(f"{path}: unsupported checkpoint version {version}")
     header = _parse_header(r.take_checked(header_len, "the header"), path)
 
-    try:
-        model = graph.build(graph.spec_from_dict(header["spec"]), seed=0)
-    except (SpecError, ShapeError) as exc:
-        raise FormatError(f"{path}: bad model spec: {exc}") from exc
-
-    arrays = []
+    loaded = []
     for entry in header["params"]:
         shape, dtype, nbytes = _entry_layout(entry, path)
-        payload = r.take_checked(nbytes, repr(entry.get("name")))
-        arrays.append(np.frombuffer(payload, dtype=dtype).reshape(shape).copy())
+        payload = r.take_checked(nbytes, repr(entry["name"]))
+        loaded.append((entry, np.frombuffer(payload, dtype=dtype).reshape(shape).copy()))
     r.expect_end()
 
-    params = model.params()
-    n_params = len(params)
-    if len([e for e in header["params"] if e.get("role") != "bn_state"]) != n_params:
+    # the parameters come first, in Model.params() order, then the moving statistics
+    n_params = sum(entry["role"] != "bn_state" for entry, _ in loaded)
+    params, stats = iter(loaded[:n_params]), iter(loaded[n_params:])
+
+    def take(name, slot):
+        entry, values = next(stats if slot.role == "bn_state" else params, (None, None))
+        if entry is None or entry["role"] != slot.role or values.shape != slot.shape:
+            raise FormatError(f"{path}: no entry fits {name} ({slot.role}, shape {list(slot.shape)})")
+        if slot.role == "bn_state":
+            return values
+        return ParamTensor(entry["name"], slot.role, values, entry["trainable"], entry.get("l2", 0.0))
+
+    try:
+        model = graph.assemble(graph.spec_from_dict(header["spec"]), take)
+    except (SpecError, ShapeError) as exc:
+        raise FormatError(f"{path}: bad model spec: {exc}") from exc
+    if next(params, None) is not None or next(stats, None) is not None:
         raise FormatError(f"{path}: parameter count does not match spec")
-    for p, entry, arr in zip(params, header["params"][:n_params], arrays[:n_params]):
-        if p.values.shape != arr.shape:
-            raise FormatError(f"{path}: shape mismatch for {entry.get('name')!r}")
-        p.values = arr
-        p.trainable = entry["trainable"]
-        p.l2 = entry.get("l2", 0.0)
 
     bn_layers = graph.bn_layers(model)
-    state_arrays = arrays[n_params:]
-    stat_shapes = [bn.moving_mean.shape for bn in bn_layers for _ in ("mean", "var")]
-    if not ([a.shape for a in state_arrays] == stat_shapes and len(header["bn"]) == len(bn_layers)
+    if not (len(header["bn"]) == len(bn_layers)
             and all(isinstance(b, dict) and isinstance(b.get("pinned"), bool) for b in header["bn"])):
         raise FormatError(f"{path}: batch-norm entries do not match the model's "
                           f"{len(bn_layers)} batch-norm layers")
-    for i, bn in enumerate(bn_layers):
-        bn.moving_mean = state_arrays[2 * i]
-        bn.moving_var = state_arrays[2 * i + 1]
-        bn.pinned = header["bn"][i]["pinned"]
+    for bn, b in zip(bn_layers, header["bn"]):
+        bn.pinned = b["pinned"]
     return model

@@ -4,17 +4,26 @@ A :class:`ModelSpec` is an ordered layer list (or a two-branch composite
 fused by concatenation).  ``summarize`` walks a spec purely symbolically;
 ``build`` materializes parameter tensors with Glorot-uniform initialization.
 Transfer surgery and two-branch fusion operate on built models.
+
+Layout rule: ``_slots`` states once, per layer kind, the arrays a layer
+holds (name suffix, role, shape and initial fill) in ``Model.params()``
+order, a batch norm's moving statistics last.  A residual block holds no
+array of its own: ``_block_parts`` expands it into named conv3d, batch_norm
+and activation sub-specs.  Summary counts, output shapes, and a model's
+arrays, whether ``build`` draws them or ``checkpoint`` loads them (both
+through ``assemble``), all derive from these two statements.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from . import fileio, layers as L
-from .errors import SpecError
+from .errors import SpecError, require_int, require_real
 from .rng import substream
 
 LAYER_KINDS = {
@@ -30,6 +39,16 @@ LAYER_KINDS = {
 }
 
 ACTIVATIONS = {"relu", "sigmoid", "softmax", "linear"}
+_INT_FIELDS = ("filters", "k", "stride", "padding", "window", "units")
+_REAL_FIELDS = ("rate", "momentum", "l2")
+# the integer fields each kind needs, all >= 1; to_dict writes the stride and
+# padding of a kind with a stride even at their defaults
+_AT_LEAST_ONE = {
+    "conv3d": ("filters", "k", "stride"),
+    "maxpool3d": ("window", "stride"),
+    "dense": ("units",),
+    "residual_block": ("filters", "stride"),
+}
 
 
 @dataclass
@@ -51,52 +70,31 @@ class LayerSpec:
             raise SpecError(f"unknown layer kind {self.kind!r}")
         if self.activation is not None and self.activation not in ACTIVATIONS:
             raise SpecError(f"unknown activation {self.activation!r}")
-        if self.kind == "conv3d":
-            if not self.filters or self.filters < 1 or not self.k or self.k < 1:
-                raise SpecError("conv3d needs filters >= 1 and k >= 1")
-            if self.stride < 1 or self.padding < 0:
-                raise SpecError("conv3d stride must be >= 1 and padding >= 0")
-        elif self.kind == "maxpool3d":
-            if not self.window or self.window < 1 or self.stride < 1:
-                raise SpecError("maxpool3d needs window >= 1 and stride >= 1")
-        elif self.kind == "dense":
-            if not self.units or self.units < 1:
-                raise SpecError("dense needs units >= 1")
-        elif self.kind == "dropout":
-            if self.rate is None or not 0.0 <= self.rate < 1.0:
-                raise SpecError("dropout rate must be in [0, 1)")
-        elif self.kind == "batch_norm":
+        for names, require in ((_INT_FIELDS, require_int), (_REAL_FIELDS, require_real)):
+            for name in names:
+                if getattr(self, name) is not None:
+                    require(f"{self.kind} {name}", getattr(self, name), SpecError)
+        for name in _AT_LEAST_ONE.get(self.kind, ()):
+            if getattr(self, name) is None or getattr(self, name) < 1:
+                raise SpecError(f"{self.kind} needs {name} >= 1")
+        if self.padding < 0 or self.l2 < 0:
+            raise SpecError(f"{self.kind} padding and l2 must be >= 0")
+        if self.kind == "dropout" and (self.rate is None or not 0.0 <= self.rate < 1.0):
+            raise SpecError("dropout rate must be in [0, 1)")
+        if self.kind == "activation" and self.activation is None:
+            raise SpecError("activation layer needs an activation name")
+        if self.kind in ("batch_norm", "residual_block"):
             if self.momentum is None:
                 self.momentum = 0.99
             if not 0.0 < self.momentum < 1.0:
-                raise SpecError("batch_norm momentum must be in (0, 1)")
-        elif self.kind == "activation":
-            if self.activation is None:
-                raise SpecError("activation layer needs an activation name")
-        elif self.kind == "residual_block":
-            if not self.filters or self.filters < 1:
-                raise SpecError("residual_block needs filters >= 1")
-            if self.momentum is None:
-                self.momentum = 0.99
+                raise SpecError(f"{self.kind} momentum must be in (0, 1)")
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for f in fields(self):
-            if f.name == "kind":
-                continue
-            v = getattr(self, f.name)
-            if v is None:
-                continue
-            if f.name == "l2" and v == 0.0:
-                continue
-            if f.name in ("stride", "padding") and v == f.default and self.kind not in (
-                "conv3d",
-                "maxpool3d",
-                "residual_block",
-            ):
-                continue
-            d[f.name] = v
-        return d
+        """The set fields, less a zero ``l2`` and a default stride or padding on an unstrided kind."""
+        unstrided = "stride" not in _AT_LEAST_ONE.get(self.kind, ())
+        return {f.name: v for f in fields(self)
+                if (v := getattr(self, f.name)) is not None and not (f.name == "l2" and v == 0.0)
+                and not (unstrided and f.name in ("stride", "padding") and v == f.default)}
 
 
 @dataclass
@@ -108,6 +106,16 @@ class ModelSpec:
     branch_a: "ModelSpec | None" = None
     branch_b: "ModelSpec | None" = None
     head: list[LayerSpec] = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.input_dims is not None:
+            self.input_dims = tuple(self.input_dims)
+            if len(self.input_dims) != 4:
+                raise SpecError(f"input_dims must be (x, y, z, c), got {list(self.input_dims)}")
+            for d in self.input_dims:
+                require_int("each input dim", d, SpecError)
+                if d < 1:
+                    raise SpecError(f"input dims must be >= 1, got {list(self.input_dims)}")
 
     @property
     def is_two_branch(self) -> bool:
@@ -144,7 +152,7 @@ def spec_from_dict(d: dict) -> ModelSpec:
             )
         return ModelSpec(
             name=d.get("name", "model"),
-            input_dims=tuple(d["input_dims"]),
+            input_dims=d["input_dims"],
             layers=[LayerSpec(**l) for l in d["layers"]],
         )
     except (KeyError, TypeError) as exc:
@@ -180,16 +188,70 @@ def _require_volume(shape, kind):
         raise SpecError(f"{kind} needs a volume input, got vector of width {shape}")
 
 
-def _residual_param_count(c_in, filters, stride):
-    conv1 = 27 * c_in * filters + filters
-    conv2 = 27 * filters * filters + filters
-    bn = 4 * filters
-    total = conv1 + conv2 + 2 * bn
-    non_trainable = 4 * filters
-    if stride != 1 or c_in != filters:
-        total += c_in * filters + filters + 4 * filters  # projection conv + bn
-        non_trainable += 2 * filters
-    return total, non_trainable
+class Slot(NamedTuple):
+    """One array a layer holds."""
+
+    suffix: str  # of the array's name, after the layer's name
+    role: str  # the ParamTensor role, or "bn_state" for a batch norm's moving statistic
+    shape: tuple
+    fill: float | None  # every element's initial value; None draws Glorot-uniform
+    l2: float = 0.0
+
+
+def _slots(spec: LayerSpec, in_shape) -> list[Slot]:
+    """The arrays of one layer on inputs of ``in_shape``; none for a residual block."""
+    kind = spec.kind
+    if kind == "conv3d":
+        k, f = spec.k, spec.filters
+        return [Slot("weights", "conv_weights", (k, k, k, in_shape[3], f), None, spec.l2),
+                Slot("bias", "conv_bias", (f,), 0.0)]
+    if kind == "dense":
+        return [Slot("weights", "dense_weights", (in_shape, spec.units), None, spec.l2),
+                Slot("bias", "dense_bias", (spec.units,), 0.0)]
+    if kind == "batch_norm":
+        c = (in_shape[3] if isinstance(in_shape, tuple) else in_shape,)
+        return [Slot("gamma", "bn_gamma", c, 1.0), Slot("beta", "bn_beta", c, 0.0),
+                Slot("moving_mean", "bn_state", c, 0.0), Slot("moving_var", "bn_state", c, 1.0)]
+    return []
+
+
+def _block_parts(spec: LayerSpec, c_in):
+    """A residual block's sub-layers as (name, spec) pairs: its main path, then its shortcut.
+
+    The main path is conv-bn-relu-conv-bn with 3x3x3 convs at padding 1, the
+    first carrying the stride; the shortcut is the identity, or a 1x1x1
+    projection conv + bn when the stride or the channel count changes.
+    """
+    f, s = spec.filters, spec.stride
+
+    def conv(k, stride, padding):
+        return LayerSpec("conv3d", filters=f, k=k, stride=stride, padding=padding,
+                         activation=None, l2=spec.l2)
+
+    bn = LayerSpec("batch_norm", momentum=spec.momentum)
+    main = [("conv1", conv(3, s, 1)), ("bn1", bn), ("relu", LayerSpec("activation", activation="relu")),
+            ("conv2", conv(3, 1, 1)), ("bn2", bn)]
+    shortcut = [("conv_proj", conv(1, s, 0)), ("bn_proj", bn)] if s != 1 or c_in != f else []
+    return main, shortcut
+
+
+def _inputs(parts, shape):
+    """(name, spec, input shape) of each (name, spec) pair of a path that starts at ``shape``."""
+    for name, lspec in parts:
+        yield name, lspec, shape
+        shape = layer_out_shape(lspec, shape)
+
+
+def _numbered(lspecs):
+    """The (name, spec) pairs of a layer list, named by position and kind."""
+    return [(f"{i}_{lspec.kind}", lspec) for i, lspec in enumerate(lspecs)]
+
+
+def _out_shape(lspecs, shape):
+    """The output shape of a layer list on inputs of ``shape``."""
+    for lspec in lspecs:
+        shape = layer_out_shape(lspec, shape)
+    return shape
 
 
 def layer_out_shape(spec: LayerSpec, shape):
@@ -213,28 +275,21 @@ def layer_out_shape(spec: LayerSpec, shape):
         return spec.units
     if kind == "residual_block":
         _require_volume(shape, kind)
-        s = spec.stride
-        x, y, z, _ = shape
-        # 3x3x3 convs with padding 1; first conv carries the stride
-        return ((x + s - 1) // s, (y + s - 1) // s, (z + s - 1) // s, spec.filters)
+        main, _ = _block_parts(spec, shape[3])
+        return _out_shape([lspec for _, lspec in main], shape)
     # batch_norm, dropout, activation preserve shape
     return shape
 
 
 def layer_param_counts(spec: LayerSpec, in_shape):
     """(total, non_trainable) parameter counts of one layer."""
-    kind = spec.kind
-    if kind == "conv3d":
-        c_in = in_shape[3]
-        return spec.k**3 * c_in * spec.filters + spec.filters, 0
-    if kind == "dense":
-        return in_shape * spec.units + spec.units, 0
-    if kind == "batch_norm":
-        c = in_shape[3] if isinstance(in_shape, tuple) else in_shape
-        return 4 * c, 2 * c
-    if kind == "residual_block":
-        return _residual_param_count(in_shape[3], spec.filters, spec.stride)
-    return 0, 0
+    if spec.kind == "residual_block":
+        counts = [layer_param_counts(lspec, shape) for path in _block_parts(spec, in_shape[3])
+                  for _, lspec, shape in _inputs(path, in_shape)]
+        return sum(c[0] for c in counts), sum(c[1] for c in counts)
+    slots = _slots(spec, in_shape)
+    return (sum(math.prod(s.shape) for s in slots),
+            sum(math.prod(s.shape) for s in slots if s.role == "bn_state"))
 
 
 def _layer_label(spec: LayerSpec, out_shape) -> str:
@@ -290,24 +345,24 @@ def _summarize_layers(shape, specs, rows, prefix=""):
     return shape
 
 
-def _summarize_sequence(input_dims, specs, rows, prefix=""):
-    rows.append(SummaryRow(prefix + "Input", tuple(input_dims), 0, 0))
-    return _summarize_layers(tuple(input_dims), specs, rows, prefix)
+def _summarize_sequence(spec: ModelSpec, rows, prefix=""):
+    rows.append(SummaryRow(prefix + "Input", spec.input_dims, 0, 0))
+    return _summarize_layers(spec.input_dims, spec.layers, rows, prefix)
 
 
 def summarize(spec: ModelSpec) -> Summary:
     """Symbolic per-layer table; allocates no parameter storage."""
     rows: list[SummaryRow] = []
     if spec.is_two_branch:
-        wa = _summarize_sequence(spec.branch_a.input_dims, spec.branch_a.layers, rows, prefix="A: ")
-        wb = _summarize_sequence(spec.branch_b.input_dims, spec.branch_b.layers, rows, prefix="B: ")
+        wa = _summarize_sequence(spec.branch_a, rows, prefix="A: ")
+        wb = _summarize_sequence(spec.branch_b, rows, prefix="B: ")
         for w, label in ((wa, "A"), (wb, "B")):
             if isinstance(w, tuple):
                 raise SpecError(f"branch {label} must end in a vector, got {w}")
         rows.append(SummaryRow("Concatenate", wa + wb, 0, 0))
         _summarize_layers(wa + wb, spec.head, rows)
     else:
-        _summarize_sequence(spec.input_dims, spec.layers, rows)
+        _summarize_sequence(spec, rows)
     total = sum(r.params for r in rows)
     trainable = sum(r.trainable for r in rows)
     return Summary(spec.name, rows, total, trainable)
@@ -335,58 +390,52 @@ def glorot_uniform(rng, shape, fan_in, fan_out, dtype):
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def _make_layer(lspec: LayerSpec, in_shape, rng, name, dtype):
+def _fresh_arrays(rng, dtype):
+    """A ``take`` for :func:`assemble`: Glorot-uniform weights from ``rng``, constant fills elsewhere."""
+
+    def take(name, slot: Slot):
+        if slot.fill is None:
+            rf = math.prod(slot.shape[:-2])  # receptive field: k**3 for a conv, 1 for a dense layer
+            values = glorot_uniform(rng, slot.shape, rf * slot.shape[-2], rf * slot.shape[-1], dtype)
+        else:
+            values = np.full(slot.shape, slot.fill, dtype=dtype)
+        if slot.role == "bn_state":
+            return values
+        return L.ParamTensor(name, slot.role, values, l2=slot.l2)
+
+    return take
+
+
+def _make_layer(lspec: LayerSpec, in_shape, name, take):
+    """One layer of ``lspec`` on inputs of ``in_shape``, each of its arrays from ``take(name, slot)``."""
     kind = lspec.kind
+    if kind == "residual_block":
+        paths = _block_parts(lspec, in_shape[3])
+        return L.ResidualBlock(*(_make_layers(path, in_shape, name, take) for path in paths))
+    arrays = [take(f"{name}.{slot.suffix}", slot) for slot in _slots(lspec, in_shape)]
     if kind == "conv3d":
-        c_in = in_shape[3]
-        k = lspec.k
-        fan_in, fan_out = k**3 * c_in, k**3 * lspec.filters
-        w = glorot_uniform(rng, (k, k, k, c_in, lspec.filters), fan_in, fan_out, dtype)
-        b = np.zeros(lspec.filters, dtype=dtype)
-        return L.Conv3D(w, b, lspec.stride, lspec.padding, lspec.activation, lspec.l2, name)
+        return L.Conv3D(*arrays, lspec.stride, lspec.padding, lspec.activation)
+    if kind == "dense":
+        return L.Dense(*arrays, lspec.activation)
+    if kind == "batch_norm":
+        return L.BatchNorm(*arrays, lspec.momentum)
     if kind == "maxpool3d":
         return L.MaxPool3D(lspec.window, lspec.stride)
     if kind == "global_avg_pool3d":
         return L.GlobalAvgPool3D()
     if kind == "flatten":
         return L.Flatten()
-    if kind == "dense":
-        w = glorot_uniform(rng, (in_shape, lspec.units), in_shape, lspec.units, dtype)
-        b = np.zeros(lspec.units, dtype=dtype)
-        return L.Dense(w, b, lspec.activation, lspec.l2, name)
-    if kind == "batch_norm":
-        c = in_shape[3] if isinstance(in_shape, tuple) else in_shape
-        return L.BatchNorm(c, lspec.momentum, name=name, dtype=dtype)
     if kind == "dropout":
         return L.Dropout(lspec.rate)
     if kind == "activation":
         return L.Activation(lspec.activation)
-    if kind == "residual_block":
-        c_in, f, s = in_shape[3], lspec.filters, lspec.stride
-        mk_conv = lambda cin, cout, kk, ss, pad, idx: L.Conv3D(
-            glorot_uniform(rng, (kk, kk, kk, cin, cout), kk**3 * cin, kk**3 * cout, dtype),
-            np.zeros(cout, dtype=dtype),
-            ss,
-            pad,
-            activation=None,
-            l2=lspec.l2,
-            name=f"{name}.conv{idx}",
-        )
-        main = [
-            mk_conv(c_in, f, 3, s, 1, 1),
-            L.BatchNorm(f, lspec.momentum, name=f"{name}.bn1", dtype=dtype),
-            L.Activation("relu"),
-            mk_conv(f, f, 3, 1, 1, 2),
-            L.BatchNorm(f, lspec.momentum, name=f"{name}.bn2", dtype=dtype),
-        ]
-        shortcut = []
-        if s != 1 or c_in != f:
-            shortcut = [
-                mk_conv(c_in, f, 1, s, 0, "_proj"),
-                L.BatchNorm(f, lspec.momentum, name=f"{name}.bn_proj", dtype=dtype),
-            ]
-        return L.ResidualBlock(main, shortcut)
     raise SpecError(f"unknown layer kind {kind!r}")
+
+
+def _make_layers(parts, shape, prefix, take):
+    """The layers of a path of (name, spec) pairs that starts at ``shape``, named ``prefix.name``."""
+    return [_make_layer(lspec, in_shape, f"{prefix}.{name}", take)
+            for name, lspec, in_shape in _inputs(parts, shape)]
 
 
 def _first_trainable(layers) -> int:
@@ -409,16 +458,12 @@ class Model:
         self.spec = spec
         self.layers = layers
 
-    @property
-    def input_dims(self):
-        return self.spec.input_dims
-
     def params(self) -> list[L.ParamTensor]:
         return [p for lyr in self.layers for p in lyr.params]
 
     def forward(self, batch, mode="inference", rng=None):
         h = np.asarray(batch)
-        expected = tuple(self.spec.input_dims)
+        expected = self.spec.input_dims
         if h.ndim != 5 or h.shape[1:] != expected:
             raise SpecError(f"batch shape {h.shape} does not match input dims {expected}")
         params = self.params()
@@ -458,7 +503,8 @@ class TwoBranchModel:
         self.branch_a = branch_a
         self.branch_b = branch_b
         self.head = head_layers
-        self._split = _sequence_out_shape(spec.branch_a)  # columns of branch A's features
+        # columns of branch A's features
+        self._split = _out_shape(spec.branch_a.layers, spec.branch_a.input_dims)
 
     def params(self) -> list[L.ParamTensor]:
         return self.branch_a.params() + self.branch_b.params() + [
@@ -503,36 +549,30 @@ def build(spec: ModelSpec, seed: int = 0, dtype=np.float32):
     Deterministic under ``seed``: identical (spec, seed) pairs produce
     bitwise-identical parameters.
     """
+    return assemble(spec, _fresh_arrays(substream(seed, "init"), dtype))
+
+
+def assemble(spec: ModelSpec, take):
+    """A model of ``spec`` whose arrays come from ``take(name, slot)``.
+
+    ``take`` is called per :class:`Slot` in layer order and returns a
+    ``ParamTensor``, or a bare array for a moving statistic.
+    """
     summarize(spec)  # validates shape composition before any allocation
-    rng = substream(seed, "init")
     if spec.is_two_branch:
-        ma = _build_sequence(spec.branch_a, rng, dtype)
-        mb = _build_sequence(spec.branch_b, rng, dtype)
-        wa = _sequence_out_shape(spec.branch_a)
-        wb = _sequence_out_shape(spec.branch_b)
-        head, _ = _materialize(spec.head, wa + wb, rng, "head", dtype)
-        return TwoBranchModel(spec, ma, mb, head)
-    return _build_sequence(spec, rng, dtype)
+        ma = _assemble_sequence(spec.branch_a, take)
+        mb = _assemble_sequence(spec.branch_b, take)
+        return TwoBranchModel(spec, ma, mb, _fused_head(spec, take))
+    return _assemble_sequence(spec, take)
 
 
-def _sequence_out_shape(spec: ModelSpec):
-    shape = tuple(spec.input_dims)
-    for lspec in spec.layers:
-        shape = layer_out_shape(lspec, shape)
-    return shape
+def _assemble_sequence(spec: ModelSpec, take) -> Model:
+    return Model(spec, _make_layers(_numbered(spec.layers), spec.input_dims, spec.name, take))
 
 
-def _materialize(lspecs, shape, rng, prefix, dtype):
-    layers = []
-    for i, lspec in enumerate(lspecs):
-        layers.append(_make_layer(lspec, shape, rng, f"{prefix}.{i}_{lspec.kind}", dtype))
-        shape = layer_out_shape(lspec, shape)
-    return layers, shape
-
-
-def _build_sequence(spec: ModelSpec, rng, dtype) -> Model:
-    layers, _ = _materialize(spec.layers, tuple(spec.input_dims), rng, spec.name, dtype)
-    return Model(spec, layers)
+def _fused_head(spec: ModelSpec, take) -> list[L.Layer]:
+    width = sum(_out_shape(branch.layers, branch.input_dims) for branch in (spec.branch_a, spec.branch_b))
+    return _make_layers(_numbered(spec.head), width, "head", take)
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +587,6 @@ def build_resnet18_3d(input_dims, classes: int = 3, bn_momentum: float = 0.99) -
     first block of stages 2-4 downsampling with a projection shortcut;
     global average pool; dense softmax head.
     """
-    if len(input_dims) != 4:
-        raise SpecError("input_dims must be (x, y, z, c)")
     layers = [
         LayerSpec("conv3d", filters=64, k=7, stride=2, padding=3, activation=None),
         LayerSpec("batch_norm", momentum=bn_momentum),
@@ -564,7 +602,7 @@ def build_resnet18_3d(input_dims, classes: int = 3, bn_momentum: float = 0.99) -
             layers.append(LayerSpec("activation", activation="relu"))
     layers.append(LayerSpec("global_avg_pool3d"))
     layers.append(LayerSpec("dense", units=classes, activation="softmax"))
-    spec = ModelSpec("resnet18_3d", tuple(input_dims), layers)
+    spec = ModelSpec("resnet18_3d", input_dims, layers)
     summarize(spec)  # raises SpecError if the input is too small for the stem
     return spec
 
@@ -609,14 +647,13 @@ def surgery(model: Model, recipe: str, classes: int = 3, seed: int = 0) -> Model
     backbone = Model(ModelSpec("backbone", model.spec.input_dims, kept_specs), kept_layers)
     backbone.freeze_all()
 
-    shape = _sequence_out_shape(backbone.spec)
-    rng = substream(seed, "init")
     dtype = model.params()[0].values.dtype
     head_specs = [
         LayerSpec("global_avg_pool3d"),
         LayerSpec("dense", units=classes, activation="softmax"),
     ]
-    head_layers, _ = _materialize(head_specs, shape, rng, f"{recipe}_head", dtype)
+    head_layers = _make_layers(_numbered(head_specs), _out_shape(kept_specs, model.spec.input_dims),
+                               f"{recipe}_head", _fresh_arrays(substream(seed, "init"), dtype))
 
     new_spec = ModelSpec(f"{model.spec.name}_{recipe}_surgery", model.spec.input_dims,
                          kept_specs + head_specs)
@@ -625,12 +662,8 @@ def surgery(model: Model, recipe: str, classes: int = 3, seed: int = 0) -> Model
 
 def fuse_two_branch(branch_a: Model, branch_b: Model, head: list[LayerSpec], seed: int = 0):
     """Fuse two vector-terminated branch models by concatenation plus a head."""
-    wa, wb = _sequence_out_shape(branch_a.spec), _sequence_out_shape(branch_b.spec)
-    for out, label in ((wa, "branch_a"), (wb, "branch_b")):
-        if isinstance(out, tuple):
-            raise SpecError(f"{label} must end in a vector (remove its classifier), got {out}")
-    rng = substream(seed, "init")
-    dtype = (branch_a.params() or branch_b.params())[0].values.dtype
-    head_layers, _ = _materialize(head, wa + wb, rng, "head", dtype)
     spec = ModelSpec("two_branch", branch_a=branch_a.spec, branch_b=branch_b.spec, head=head)
+    summarize(spec)  # each branch must end in a vector
+    dtype = (branch_a.params() or branch_b.params())[0].values.dtype
+    head_layers = _fused_head(spec, _fresh_arrays(substream(seed, "init"), dtype))
     return TwoBranchModel(spec, branch_a, branch_b, head_layers)

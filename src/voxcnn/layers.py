@@ -9,7 +9,9 @@ backward.  Relu writes in place into the pre-activation its layer has just
 allocated, and backward masks with the output (``out > 0`` equals
 ``z > 0``).  Parameters live in :class:`ParamTensor` records so the
 optimizer, the freeze logic, and the L2 penalty can address them uniformly;
-a conv's weights are stored there only.
+a conv's weights are stored there only.  A layer is handed its records and
+moving statistics ready-made: ``graph`` makes them, fresh or from a
+checkpoint.
 
 Backward runs in the dtype of its incoming gradient, which the loss gives in
 the model's dtype: a float32 model trains in float32.  A model's backward
@@ -100,15 +102,13 @@ class Layer:
 
 
 class Conv3D(Layer):
-    def __init__(self, weights, bias, stride=1, padding=0, activation="relu", l2=0.0, name="conv3d"):
+    def __init__(self, w: ParamTensor, b: ParamTensor, stride=1, padding=0, activation="relu"):
         super().__init__()
-        kernel = V.Kernel(weights, bias)  # validates the shapes
         self.stride = stride
         self.padding = padding
         self.activation = activation
-        self.w = ParamTensor(f"{name}.weights", "conv_weights", kernel.weights, l2=l2)
-        self.b = ParamTensor(f"{name}.bias", "conv_bias", kernel.bias)
-        self.params = [self.w, self.b]
+        self.w, self.b = w, b
+        self.params = [w, b]
 
     def forward(self, x, mode="inference", rng=None):
         self._x = x
@@ -161,12 +161,11 @@ class Flatten(Layer):
 
 
 class Dense(Layer):
-    def __init__(self, weights, bias, activation=None, l2=0.0, name="dense"):
+    def __init__(self, w: ParamTensor, b: ParamTensor, activation=None):
         super().__init__()
         self.activation = activation
-        self.w = ParamTensor(f"{name}.weights", "dense_weights", weights, l2=l2)
-        self.b = ParamTensor(f"{name}.bias", "dense_bias", bias)
-        self.params = [self.w, self.b]
+        self.w, self.b = w, b
+        self.params = [w, b]
 
     def forward(self, x, mode="inference", rng=None):
         if x.ndim != 2:
@@ -190,16 +189,13 @@ class BatchNorm(Layer):
     never updates its moving statistics (transfer-surgery contract).
     """
 
-    def __init__(self, channels, momentum=0.99, eps=BN_EPS, name="batch_norm", dtype=np.float32):
+    def __init__(self, gamma: ParamTensor, beta: ParamTensor, moving_mean, moving_var, momentum=0.99):
         super().__init__()
         self.momentum = momentum
-        self.eps = eps
         self.pinned = False
-        self.gamma = ParamTensor(f"{name}.gamma", "bn_gamma", np.ones(channels, dtype=dtype))
-        self.beta = ParamTensor(f"{name}.beta", "bn_beta", np.zeros(channels, dtype=dtype))
-        self.moving_mean = np.zeros(channels, dtype=dtype)
-        self.moving_var = np.ones(channels, dtype=dtype)
-        self.params = [self.gamma, self.beta]
+        self.gamma, self.beta = gamma, beta
+        self.moving_mean, self.moving_var = moving_mean, moving_var
+        self.params = [gamma, beta]
 
     def forward(self, x, mode="inference", rng=None):
         self._x = x
@@ -219,7 +215,7 @@ class BatchNorm(Layer):
             var = self.moving_var
             self._batch_stats = False
         self._mean = mean
-        self._inv_std = 1.0 / np.sqrt(var + self.eps)
+        self._inv_std = 1.0 / np.sqrt(var + BN_EPS)
         self._xhat = (x - mean) * self._inv_std
         return self.gamma.values * self._xhat + self.beta.values
 

@@ -369,6 +369,16 @@ def test_architecture_that_is_not_an_object_exits_1(capsys, tmp_path):
     assert code == 1 and "JSON object" in err
 
 
+@pytest.mark.parametrize("field,value", [("k", 2.5), ("stride", True), ("l2", -1)])
+def test_mistyped_architecture_field_exits_1(capsys, tmp_path, field, value):
+    spec = json.loads(fixture_path("pet_8_mini").read_text())
+    spec["layers"][0][field] = value
+    arch = tmp_path / "arch.json"
+    arch.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "inspect", arch)
+    assert code == 1 and err.startswith("error:") and field in err
+
+
 @pytest.mark.parametrize("command", ["split", "test-eval"])
 def test_output_into_a_missing_directory_exits_2(capsys, cli_data, mini_checkpoint, tmp_path,
                                                  command):

@@ -44,6 +44,62 @@ def test_unknown_layer_kind_rejected():
         )
 
 
+_SMALL_NET = {
+    "name": "typed",
+    "input_dims": [8, 8, 8, 1],
+    "layers": [
+        {"kind": "conv3d", "filters": 2, "k": 3, "padding": 1, "l2": 1e-4},
+        {"kind": "maxpool3d", "window": 2, "stride": 2},
+        {"kind": "flatten"},
+        {"kind": "dense", "units": 3, "activation": "softmax"},
+    ],
+}
+
+
+def _with(layer, **fields):
+    d = {**_SMALL_NET, "layers": [dict(l) for l in _SMALL_NET["layers"]]}
+    d["layers"][layer].update(fields)
+    return d
+
+
+@pytest.mark.parametrize("doc", [
+    _with(0, k=2.5),
+    _with(3, units=2.5),
+    _with(0, padding=1.5),
+    _with(0, stride=True),
+    _with(1, window="2"),
+    _with(0, l2="x"),
+    _with(0, l2=-1),
+    _with(0, l2=float("nan")),
+    {**_SMALL_NET, "input_dims": [8.5, 8, 8, 1]},
+    {**_SMALL_NET, "input_dims": [8, 8, 8]},
+    {**_SMALL_NET, "input_dims": [8, 8, 8, "1"]},
+    {**_SMALL_NET, "input_dims": [8, 8, 0, 1]},
+    {**_SMALL_NET, "input_dims": 8},
+    {"name": "r", "input_dims": [8, 8, 8, 1],
+     "layers": [{"kind": "residual_block", "filters": 2, "stride": 0}]},
+], ids=["k-float", "units-float", "padding-float", "stride-bool", "window-str", "l2-str", "l2-negative",
+        "l2-nan", "dims-float", "dims-three", "dims-str", "dims-zero", "dims-int", "block-stride-0"])
+def test_mistyped_spec_field_raises_spec_error(doc):
+    with pytest.raises(SpecError):
+        graph.summarize(graph.spec_from_dict(doc))
+
+
+def test_fixture_generator_reproduces_the_shipped_fixtures(tmp_path):
+    """``scripts/gen_fixtures.py`` writes every shipped fixture file byte for byte."""
+    import pathlib
+    import runpy
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    specs = runpy.run_path(str(root / "scripts" / "gen_fixtures.py"))["SPECS"]
+    shipped = sorted((root / "src" / "voxcnn" / "fixtures").glob("*.json"))
+    assert sorted(f"{name}.json" for name in specs) == [p.name for p in shipped]
+    assert len(shipped) == 15
+    for path in shipped:
+        graph.save_spec(specs[path.stem], tmp_path / path.name)
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 # ---------------------------------------------------------------------------
 # Initialization
 
@@ -86,13 +142,19 @@ def test_glorot_bounds_for_conv_fans():
 # Layer mechanics
 
 
+def _bn(channels, momentum=0.99, dtype=np.float32):
+    """A fresh batch-norm layer over ``channels`` channels, made as ``build`` makes one."""
+    spec = graph.ModelSpec("bn", (1, 1, 1, channels), [graph.LayerSpec("batch_norm", momentum=momentum)])
+    return graph.build(spec, dtype=dtype).layers[0]
+
+
 def test_batchnorm_moving_stats_closed_form():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 3, 3, 3, 2))
     mu = x.mean(axis=(0, 1, 2, 3))
     var = x.var(axis=(0, 1, 2, 3))
     m = 0.9
-    bn = L.BatchNorm(2, momentum=m, dtype=np.float64)
+    bn = _bn(2, momentum=m, dtype=np.float64)
     bn.forward(x, "train")
     assert np.allclose(bn.moving_mean, (1 - m) * mu, atol=1e-12)
     assert np.allclose(bn.moving_var, m * 1.0 + (1 - m) * var, atol=1e-12)
@@ -103,7 +165,7 @@ def test_batchnorm_moving_stats_closed_form():
 def test_batchnorm_train_output_is_standardized():
     rng = np.random.default_rng(1)
     x = 3.0 + 2.0 * rng.standard_normal((8, 2, 2, 2, 3))
-    bn = L.BatchNorm(3, dtype=np.float64)
+    bn = _bn(3, dtype=np.float64)
     y = bn.forward(x, "train")
     assert np.allclose(y.mean(axis=(0, 1, 2, 3)), 0, atol=1e-10)
     # eps=1e-3 shrinks the unit variance slightly; just check the ballpark
@@ -111,7 +173,7 @@ def test_batchnorm_train_output_is_standardized():
 
 
 def test_batchnorm_inference_uses_moving_stats():
-    bn = L.BatchNorm(1, dtype=np.float64)
+    bn = _bn(1, dtype=np.float64)
     bn.moving_mean[:] = 2.0
     bn.moving_var[:] = 4.0
     y = bn.forward(np.full((1, 1, 1, 1, 1), 4.0), "inference")
@@ -119,7 +181,7 @@ def test_batchnorm_inference_uses_moving_stats():
 
 
 def test_batchnorm_backward_keeps_float32():
-    bn = L.BatchNorm(4)
+    bn = _bn(4)
     x = np.random.default_rng(3).standard_normal((2, 3, 3, 3, 4)).astype(np.float32)
     bn.forward(x, "train")
     g = bn.backward(np.ones_like(x))
@@ -127,7 +189,7 @@ def test_batchnorm_backward_keeps_float32():
 
 
 def test_pinned_batchnorm_ignores_train_mode():
-    bn = L.BatchNorm(1, dtype=np.float64)
+    bn = _bn(1, dtype=np.float64)
     bn.pinned = True
     x = np.random.default_rng(2).standard_normal((4, 2, 2, 2, 1))
     y = bn.forward(x, "train")

@@ -401,6 +401,8 @@ def test_checkpoint_malformed_header_raises_format_error(saved_mini, header_byte
     lambda h: h["bn"].pop(),
     lambda h: h["bn"].append({"pinned": False}),
     lambda h: h["spec"]["layers"][0].update(kind="nope"),
+    lambda h: h["params"][0].update(name=3),
+    lambda h: h["params"][0].update(role="dense_weights"),
 ])
 def test_checkpoint_inconsistent_header_raises_format_error(saved_mini, edit):
     path, raw = saved_mini
@@ -409,6 +411,49 @@ def test_checkpoint_inconsistent_header_raises_format_error(saved_mini, edit):
     path.write_bytes(_checkpoint_bytes(json.dumps(header).encode("utf-8"), payloads))
     with pytest.raises(FormatError):
         checkpoint.load_checkpoint(path)
+
+
+def _fused_model():
+    spec = load_fixture("two_branch_mini")
+    branch_a = graph.build(spec.branch_a, seed=1)
+    branch_a.freeze_all()
+    head = [graph.LayerSpec("dense", units=3, activation="softmax")]
+    return graph.fuse_two_branch(branch_a, graph.build(spec.branch_b, seed=2), head, seed=3)
+
+
+def _pet_surgery_resnet():
+    base = graph.build(graph.build_resnet18_3d((32, 32, 32, 1)), seed=0)
+    return graph.surgery(base, "pet", seed=1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: graph.build(load_fixture("pet_8_mini"), seed=6),
+    lambda: graph.build(load_fixture("pet_8_mini"), seed=6, dtype=np.float64),
+    lambda: graph.build(load_fixture("two_branch_mini"), seed=6),
+    _fused_model,
+    _pet_surgery_resnet,
+], ids=["pet_8_mini-float32", "pet_8_mini-float64", "two_branch_mini", "fused", "pet-surgery-resnet18"])
+def test_checkpoint_save_load_save_is_byte_identical(tmp_path, make):
+    first, second = tmp_path / "first.avc", tmp_path / "second.avc"
+    checkpoint.save_checkpoint(make(), first)
+    checkpoint.save_checkpoint(checkpoint.load_checkpoint(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_load_checkpoint_draws_nothing(saved_mini, monkeypatch):
+    path, _ = saved_mini
+    calls = []
+    real_glorot, real_substream = graph.glorot_uniform, graph.substream
+    monkeypatch.setattr(graph, "glorot_uniform",
+                        lambda *a: calls.append("glorot_uniform") or real_glorot(*a))
+    monkeypatch.setattr(graph, "substream", lambda *a: calls.append(a) or real_substream(*a))
+    back = checkpoint.load_checkpoint(path)
+    assert calls == []
+    for p in back.params():  # loaded arrays are owned, C-contiguous, writable float32
+        assert p.values.flags.owndata and p.values.flags.c_contiguous and p.values.flags.writeable
+        assert p.values.dtype == np.float32
+    graph.build(back.spec, seed=0)  # the spies do see a build's draws
+    assert calls[0][-1] == "init" and "glorot_uniform" in calls
 
 
 def test_checkpoint_trailing_bytes_raise_format_error(saved_mini):
