@@ -26,7 +26,9 @@ two derived figures that show host trouble, which a 2-vCPU guest often has:
 cores busy while training) and each run's share of host CPU time stolen by
 the hypervisor, from ``/proc/stat`` read before and after the run.  Both are
 printed per pair; a pair whose cores fall or whose steal rises on one side
-only measured the host, not the change.
+only measured the host, not the change.  A third diagnostic, ``faults``, is
+the run's minor page faults (the ``RUSAGE_CHILDREN`` ``ru_minflt`` delta
+around it), which shows allocator work such as mapping fresh pages.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -160,18 +163,25 @@ def read_proc_stat() -> str:
         return ""
 
 
+def child_minor_faults() -> int:
+    """Minor page faults of all waited-for child processes so far."""
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+
+
 def format_pairs(pairs, seeds, metric: str = "train_samples_per_s") -> str:
-    """One line per pair: ``metric``, cores busy and steal share on each side."""
+    """One line per pair: ``metric``, cores busy, steal share and minor faults on each side."""
     width = len(metric) + 5
 
     def side(m):
         value = "-" if m.get(metric) is None else f"{m[metric]:.4g}"
         cores = "-" if m.get("train_cores") is None else f"{m['train_cores']:.2f}"
         steal = "-" if m.get("steal_share") is None else f"{m['steal_share']:.3f}"
-        return f"{value:>{width}} {cores:>6} {steal:>6}"
+        faults = "-" if m.get("minor_faults") is None else f"{m['minor_faults']}"
+        return f"{value:>{width}} {cores:>6} {steal:>6} {faults:>8}"
 
-    lines = [f"{'pair':>4} {'seed':>5}   {'base ' + metric:>{width}} {'cores':>6} {'steal':>6}   "
-             f"{'chg ' + metric:>{width}} {'cores':>6} {'steal':>6}"]
+    head = f"{'cores':>6} {'steal':>6} {'faults':>8}"
+    lines = [f"{'pair':>4} {'seed':>5}   {'base ' + metric:>{width}} {head}   "
+             f"{'chg ' + metric:>{width}} {head}"]
     for i, ((b, c), seed) in enumerate(zip(pairs, seeds)):
         lines.append(f"{i:>4} {seed:>5}   {side(b)}   {side(c)}")
     return "\n".join(lines)
@@ -226,13 +236,14 @@ def main(argv=None) -> int:
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             results = {}
             for side in order:
-                stat_before = read_proc_stat()
+                stat_before, faults_before = read_proc_stat(), child_minor_faults()
                 result = run_side(sides[side], args.workload, seed, bench["run_seconds"])
-                stat_after = read_proc_stat()
+                stat_after, faults_after = read_proc_stat(), child_minor_faults()
                 results[side] = {k: m["value"] for k, m in result["metrics"].items()}
                 results[side]["train_cores"] = train_cores(results[side])
                 results[side]["steal_share"] = (steal_share(stat_before, stat_after)
                                                 if stat_before and stat_after else None)
+                results[side]["minor_faults"] = faults_after - faults_before
                 print(json.dumps({"pair": i, "side": side, "seed": seed,
                                   "failed": result["failed"], "attempted": result["attempted"],
                                   "metrics": results[side]}), flush=True)
@@ -240,7 +251,7 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}: {args.pairs} pairs, base {args.base} against the working tree")
     print(format_pairs(pairs, [args.seed0 + i for i in range(args.pairs)], args.metric))
-    better["train_cores"] = None
+    better["train_cores"] = better["minor_faults"] = None
     rows = summarize(pairs, better, bounds)
     print(format_summary(rows))
     if args.metric in rows:

@@ -182,7 +182,8 @@ def run_rkfold(spec: graph.ModelSpec, volumes, labels, hyper: T.HyperParams,
     Validation indices are asserted disjoint from training indices on every
     run (leakage guard).  ``jobs`` bounds fold-level parallelism; every run
     draws its seed from its own (rep, fold) substream, so results do not
-    depend on scheduling.
+    depend on scheduling.  A fold is scored from its last validation pass,
+    which ran the trained model on the fold's validation samples.
     """
     labels = _check_labels(labels)
     all_idx = np.arange(len(labels))
@@ -201,7 +202,9 @@ def run_rkfold(spec: graph.ModelSpec, volumes, labels, hyper: T.HyperParams,
                 run_hyper,
                 augmentor=augmentor,
             )
-            probs = T.predict(model, T._take(volumes, val_idx), run_hyper.batch_size)
+            probs = curve.val_probs
+            if probs is None:
+                probs = T.predict(model, T._take(volumes, val_idx), run_hyper.batch_size)
             cm = confusion_matrix(labels[val_idx], probs.argmax(axis=1))
             return RunResult(rep, fold, cm, curve)
         except NumericError as exc:

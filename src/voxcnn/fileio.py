@@ -30,9 +30,10 @@ def read_bytes(path, error, what: str) -> bytes:
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
-def decode_text(data: bytes, error, what: str) -> str:
+def decode_text(data, error, what: str) -> str:
+    """``data`` (bytes or any other buffer) decoded as UTF-8."""
     try:
-        return data.decode("utf-8")
+        return str(data, "utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{what} is not UTF-8: {exc}") from exc
 
@@ -49,14 +50,18 @@ def read_json(path, error, what: str):
 
 
 class Reader:
-    """Sequential reads from a file's bytes; reading past the end raises TruncationError."""
+    """Sequential reads from a file's bytes; reading past the end raises TruncationError.
+
+    Reads are ``memoryview`` slices of the file's bytes, not copies: a caller
+    that keeps what it read copies it once, into an array it owns.
+    """
 
     def __init__(self, data: bytes, path):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise TruncationError(f"{self.path}: truncated at byte {self.pos} (need {n} more)")
         chunk = self.data[self.pos : self.pos + n]
@@ -66,7 +71,7 @@ class Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def take_checked(self, n: int, what: str) -> bytes:
+    def take_checked(self, n: int, what: str) -> memoryview:
         """``n`` bytes and the CRC-32 that follows them (see :func:`with_crc`)."""
         payload = self.take(n)
         if zlib.crc32(payload) != self.unpack("<I")[0]:

@@ -69,6 +69,10 @@ class CurveRow:
 @dataclass
 class LearningCurve:
     rows: list[CurveRow] = field(default_factory=list)
+    # Inference-mode probabilities of the validation set from the last
+    # epoch's validation pass, while the model still holds the parameters
+    # that pass ran with; None otherwise.
+    val_probs: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def write_csv(self, path):
         text = io.StringIO()
@@ -242,10 +246,10 @@ def predict(model, x, batch_size: int) -> np.ndarray:
 
 
 def _evaluate(model, x, y_onehot, batch_size):
-    """Inference-mode loss and accuracy over a dataset."""
+    """Inference-mode loss, accuracy and probabilities over a dataset."""
     probs = predict(model, x, batch_size)
     correct = int((probs.argmax(axis=1) == y_onehot.argmax(axis=1)).sum())
-    return cross_entropy(y_onehot, probs), correct / len(y_onehot)
+    return cross_entropy(y_onehot, probs), correct / len(y_onehot), probs
 
 
 def _take(x, idx):
@@ -283,7 +287,9 @@ def train(model, train_set, val_set=None, hyper: HyperParams | None = None,
     samples as the model sees them.
 
     Early stopping monitors validation loss and restores the best-epoch
-    parameters; it is off unless a patience is given.
+    parameters; it is off unless a patience is given.  The curve's
+    ``val_probs`` are the last validation pass's probabilities, or None when
+    no pass ran or early stopping restored other parameters.
     """
     hyper = hyper or HyperParams()
     x_train, y_train = train_set
@@ -328,7 +334,7 @@ def train(model, train_set, val_set=None, hyper: HyperParams | None = None,
 
         row = CurveRow(epoch, epoch_loss / n, epoch_correct / n)
         if val is not None:
-            row.val_loss, row.val_acc = _evaluate(model, *val, hyper.batch_size)
+            row.val_loss, row.val_acc, curve.val_probs = _evaluate(model, *val, hyper.batch_size)
         curve.rows.append(row)
 
         if early_stopping_patience is not None and val is not None:
@@ -338,11 +344,13 @@ def train(model, train_set, val_set=None, hyper: HyperParams | None = None,
                 bad_epochs += 1
                 if bad_epochs > early_stopping_patience:
                     _restore(model, params, best_snap)
+                    curve.val_probs = None
                     break
 
     if early_stopping_patience is not None and best_snap is not None and curve.rows:
         if curve.rows[-1].val_loss is not None and curve.rows[-1].val_loss > best_loss:
             _restore(model, params, best_snap)
+            curve.val_probs = None
     return model, curve
 
 

@@ -5,28 +5,41 @@ row-major with the channel axis fastest.  The kernels take a batch, a rank-5
 array ``(n, x, y, z, c)``, and raise ``ShapeError`` for any other rank; the
 layer graph is their only caller.
 
-All kernels are pure functions.  Accumulation precision follows the input
-dtype: float64 inputs give the single-order deterministic results the test
-oracles rely on, float32 is the training path.
+Each kernel's results are a pure function of its inputs, and no result
+shares memory with anything but its inputs.  Accumulation precision follows
+the input dtype: float64 inputs give the single-order deterministic results
+the test oracles rely on, float32 is the training path.
 
 Convolution runs as matrix products over copies of the strided window view.
 The copy goes in the order whose innermost axis has unit stride in the
 input: z for a one-channel input at stride 1 (a tap-major window matrix),
-the channel axis otherwise (``tensordot``'s channel-major one).  The input
-gradient is one small GEMM per kernel tap into a single reused buffer, each
-followed by a strided slice-add, so its products and summation order are
-those of a per-tap ``tensordot`` loop.
+the channel axis otherwise (``tensordot``'s channel-major one), and the
+matrix products are the ones ``tensordot`` makes of the same matrices.  The
+input gradient is one small GEMM per kernel tap into a single reused buffer,
+each followed by a strided slice-add, so its products and summation order
+are those of a per-tap ``tensordot`` loop.
+
+The temporaries (the zero-padded input, the window matrix and the per-tap
+product) live in one scratch buffer per thread, so a training step or a
+request maps no fresh pages for them.  The buffer keeps the size of the
+largest window matrix its thread has gathered, until the thread ends.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeError
+
+# Each thread's conv temporaries: one growable byte buffer, see _scratch.
+_thread = threading.local()
+_ALIGN = 64  # bytes between the starts of arrays laid out in one buffer
 
 __all__ = [
     "Kernel",
@@ -82,43 +95,89 @@ def conv_output_extent(extent: int, k: int, padding: int, stride: int) -> int:
     return out
 
 
-def _windows(batch: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
-    """Strided read-only view of all kernel windows: (n, ox, oy, oz, c, k, k, k)."""
+def _scratch(*layouts):
+    """Arrays of the given ``(shape, dtype)`` layouts, end to end in this thread's scratch buffer.
+
+    The buffer grows to the largest request its thread has made and is kept
+    for the thread's lifetime.  Every call hands out the same memory again,
+    so an array is valid until its thread's next call; no kernel returns one.
+    """
+    offsets, end = [], 0
+    for shape, dtype in layouts:
+        offsets.append(end)
+        end += -(-math.prod(shape) * dtype.itemsize // _ALIGN) * _ALIGN
+    buf = getattr(_thread, "scratch", None)
+    if buf is None or buf.size < end:
+        buf = _thread.scratch = np.empty(end, dtype=np.uint8)
+    return [np.ndarray(shape, dtype, buffer=buf, offset=offset)
+            for (shape, dtype), offset in zip(layouts, offsets)]
+
+
+def _padded_shape(batch: np.ndarray, padding: int) -> tuple:
+    return batch.shape[:1] + tuple(e + 2 * padding for e in batch.shape[1:4]) + batch.shape[4:]
+
+
+def _window_matrix(batch: np.ndarray, k: int, stride: int, padding: int, extents,
+                   axes, shape) -> np.ndarray:
+    """The kernel windows of ``batch`` as a C-ordered matrix of ``shape``.
+
+    ``extents`` are the output's ``(ox, oy, oz)``.  The strided window view
+    ``(n, ox, oy, oz, c, k, k, k)`` is transposed to ``axes`` and reshaped
+    as ``tensordot`` would: a view where the layout allows one (a 1x1x1
+    kernel at stride 1), else a copy.  The copy and the zero-padded input
+    live in the thread's scratch buffer.
+    """
     if padding:
-        pad = [(0, 0)] + [(padding, padding)] * 3 + [(0, 0)]
-        batch = np.pad(batch, pad)
-    for axis in range(1, 4):
-        if batch.shape[axis] < k:
-            raise ShapeError(
-                f"kernel size {k} exceeds padded extent {batch.shape[axis]} on axis {axis - 1}"
-            )
+        padded, out = _scratch((_padded_shape(batch, padding), batch.dtype), (shape, batch.dtype))
+        padded.fill(0)
+        padded[:, padding:-padding, padding:-padding, padding:-padding, :] = batch
+        batch = padded
+    else:
+        out = None
     n, _, _, _, c = batch.shape
-    out = [conv_output_extent(e, k, 0, stride) for e in batch.shape[1:4]]
     sn, sx, sy, sz, sc = batch.strides
-    return as_strided(batch, shape=(n, *out, c, k, k, k),
-                      strides=(sn, sx * stride, sy * stride, sz * stride, sc, sx, sy, sz),
-                      writeable=False)
+    win = as_strided(batch, shape=(n, *extents, c, k, k, k),
+                     strides=(sn, sx * stride, sy * stride, sz * stride, sc, sx, sy, sz),
+                     writeable=False).transpose(axes)
+    try:
+        return np.reshape(win, shape, copy=False)
+    except ValueError:
+        if out is None:
+            (out,) = _scratch((shape, batch.dtype))
+        np.copyto(out.reshape(win.shape), win)
+        return out
 
 
-def _check_batch(batch: np.ndarray) -> None:
+def _check_batch(batch: np.ndarray, kernel: Kernel) -> None:
     if batch.ndim != 5:
         raise ShapeError(f"input must be rank-5 (n, x, y, z, c), got shape {batch.shape}")
+    if batch.shape[4] != kernel.c_in:
+        raise ShapeError(f"input channels {batch.shape[4]} != kernel c_in {kernel.c_in}")
+
+
+def _output_shape(batch: np.ndarray, kernel: Kernel, stride: int, padding: int) -> tuple:
+    return (batch.shape[0],) + tuple(
+        conv_output_extent(batch.shape[i + 1], kernel.k, padding, stride) for i in range(3)
+    ) + (kernel.c_out,)
 
 
 def correlate3d_batch(batch: np.ndarray, kernel: Kernel, stride: int = 1, padding: int = 0) -> np.ndarray:
     """Cross-correlate a batch ``(n, x, y, z, c_in)`` with a cubic kernel."""
-    _check_batch(batch)
-    if batch.shape[4] != kernel.c_in:
-        raise ShapeError(f"input channels {batch.shape[4]} != kernel c_in {kernel.c_in}")
-    k = kernel.k
-    win = _windows(batch, k, stride, padding)
-    if kernel.c_in == 1 and stride == 1:
+    _check_batch(batch, kernel)
+    out_shape = _output_shape(batch, kernel, stride, padding)
+    k, c_in, c_out = kernel.k, kernel.c_in, kernel.c_out
+    positions = math.prod(out_shape[:4])
+    weights = kernel.weights.reshape(k**3 * c_in, c_out)
+    if c_in == 1 and stride == 1:
         # Tap-major gather: each copied run is a contiguous stretch along z.
-        n, ox, oy, oz = win.shape[:4]
-        cols = win.transpose(5, 6, 7, 4, 0, 1, 2, 3).reshape(k**3, n * ox * oy * oz)
-        out = (cols.T @ kernel.weights.reshape(k**3, kernel.c_out)).reshape(n, ox, oy, oz, kernel.c_out)
+        cols = _window_matrix(batch, k, stride, padding, out_shape[1:4], (5, 6, 7, 4, 0, 1, 2, 3),
+                              (k**3, positions))
+        out = cols.T @ weights
     else:
-        out = np.tensordot(win, kernel.weights, axes=([5, 6, 7, 4], [0, 1, 2, 3]))
+        win = _window_matrix(batch, k, stride, padding, out_shape[1:4], (0, 1, 2, 3, 5, 6, 7, 4),
+                             (positions, k**3 * c_in))
+        out = np.dot(win, weights)
+    out = out.reshape(out_shape)
     out += kernel.bias
     return out
 
@@ -128,28 +187,25 @@ def correlate3d_vjp_batch(batch, kernel: Kernel, grad_out, stride: int = 1, padd
 
     Returns ``(grad_input, grad_weights, grad_bias)``.
     """
-    _check_batch(batch)
-    k, c_in = kernel.k, kernel.c_in
-    expect = (batch.shape[0],) + tuple(
-        conv_output_extent(batch.shape[i + 1], k, padding, stride) for i in range(3)
-    ) + (kernel.c_out,)
+    _check_batch(batch, kernel)
+    expect = _output_shape(batch, kernel, stride, padding)
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape} != forward output shape {expect}")
+    k, c_in = kernel.k, kernel.c_in
     n, ox, oy, oz, c_out = expect
+    rows = grad_out.reshape(-1, c_out)
 
-    win = _windows(batch, k, stride, padding)
-    # (n, ox, oy, oz, c_in, k, k, k) x (n, ox, oy, oz, c_out) over the batch axes
-    gw = np.tensordot(win, grad_out, axes=([0, 1, 2, 3], [0, 1, 2, 3]))
-    grad_weights = gw.transpose(1, 2, 3, 0, 4)
+    # Channel-major windows against the upstream gradient, summed over every output position.
+    win = _window_matrix(batch, k, stride, padding, (ox, oy, oz), (4, 5, 6, 7, 0, 1, 2, 3),
+                         (c_in * k**3, len(rows)))
+    grad_weights = np.dot(win, rows).reshape(c_in, k, k, k, c_out).transpose(1, 2, 3, 0, 4)
     grad_bias = grad_out.sum(axis=(0, 1, 2, 3))
 
-    padded_shape = (n,) + tuple(batch.shape[i + 1] + 2 * padding for i in range(3)) + (c_in,)
-    grad_padded = np.zeros(padded_shape, dtype=grad_out.dtype)
+    grad_padded = np.zeros(_padded_shape(batch, padding), dtype=grad_out.dtype)
     # Scatter one kernel offset at a time: k^3 GEMMs into one reused buffer,
     # each followed by a strided slice-add.
-    rows = grad_out.reshape(-1, c_out)
     w_t = np.ascontiguousarray(kernel.weights.transpose(0, 1, 2, 4, 3))  # (k, k, k, c_out, c_in)
-    buf = np.empty((rows.shape[0], c_in), dtype=np.result_type(rows, w_t))
+    (buf,) = _scratch(((len(rows), c_in), np.result_type(rows, w_t)))
     gi = buf.reshape(n, ox, oy, oz, c_in)
     for a in range(k):
         for b in range(k):

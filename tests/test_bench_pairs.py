@@ -2,6 +2,8 @@
 
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -81,6 +83,22 @@ def test_per_pair_table_shows_the_chosen_metric():
     assert len(header) == len(row)
     missing = bench_pairs.format_pairs([({}, {})], [1], metric="infer_p50_ms")
     assert missing.splitlines()[1].split()[2] == "-"
+
+
+def test_per_pair_table_shows_minor_faults_per_side():
+    pairs = [({"train_samples_per_s": 120.0, "minor_faults": 452310},
+              {"train_samples_per_s": 130.0, "minor_faults": 28114})]
+    header, row = bench_pairs.format_pairs(pairs, [7]).splitlines()
+    assert header.split().count("faults") == 2
+    assert row.split() == ["0", "7", "120", "-", "-", "452310", "130", "-", "-", "28114"]
+    assert len(header) == len(row)
+    assert bench_pairs.format_pairs([({}, {})], [1]).splitlines()[1].split()[-1] == "-"
+
+
+def test_child_minor_faults_count_a_finished_child():
+    before = bench_pairs.child_minor_faults()
+    subprocess.run([sys.executable, "-c", "b'1' * (8 << 20)"], check=True)
+    assert bench_pairs.child_minor_faults() > before
 
 
 def test_unknown_metric_is_rejected_before_any_run(capsys):

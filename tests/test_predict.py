@@ -89,12 +89,26 @@ def test_study_scores_at_the_training_batch(inference_batches):
     vols, labels = _dataset(15)
     plan = E.repeated_stratified_kfold(labels, k=3, reps=1, seed=3)
     assert all(len(v) == 15 for _, _, v in plan.runs())
-    report = E.run_rkfold(load_fixture("pet_8_mini"), vols, labels,
-                          T.HyperParams(epochs=1, batch_size=4, seed=3), plan)
-    assert not report.any_failed
-    assert max(inference_batches) <= 4
-    # Each run validates once per epoch and scores once: 3 runs x 2 x 15 samples.
-    assert sum(inference_batches) == 3 * 2 * 15
+    for epochs in (0, 1, 2):
+        inference_batches.clear()
+        report = E.run_rkfold(load_fixture("pet_8_mini"), vols, labels,
+                              T.HyperParams(epochs=epochs, batch_size=4, seed=3), plan)
+        assert not report.any_failed
+        assert max(inference_batches) <= 4
+        # Each run validates once per epoch and is scored from its last validation
+        # pass; a run that trained no epoch is scored by a pass of its own.
+        assert sum(inference_batches) == 3 * max(epochs, 1) * 15
+
+
+def test_curve_keeps_the_last_validation_pass():
+    vols, labels = _dataset(10)
+    val = np.arange(30) % 3 != 0
+    model = graph.build(load_fixture("pet_8_mini"), seed=1)
+    model, curve = T.train(model, (vols[~val], labels[~val]), (vols[val], labels[val]),
+                           T.HyperParams(epochs=2, batch_size=4, seed=1))
+    assert curve.val_probs.tobytes() == T.predict(model, vols[val], 4).tobytes()
+    _, unvalidated = T.train(model, (vols[~val], labels[~val]), hyper=T.HyperParams(epochs=1))
+    assert unvalidated.val_probs is None
 
 
 def test_test_eval_forwards_at_the_default_batch(inference_batches, tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from voxcnn import checkpoint, graph, records, train as T
+from voxcnn import checkpoint, fileio, graph, records, train as T
 from voxcnn.errors import (
     ChecksumError,
     DataError,
@@ -454,6 +454,33 @@ def test_load_checkpoint_draws_nothing(saved_mini, monkeypatch):
         assert p.values.dtype == np.float32
     graph.build(back.spec, seed=0)  # the spies do see a build's draws
     assert calls[0][-1] == "init" and "glorot_uniform" in calls
+
+
+def test_checkpoint_payloads_are_copied_once_into_owned_arrays(saved_mini, monkeypatch):
+    path, raw = saved_mini
+    file_bytes = np.frombuffer(raw, dtype=np.uint8)
+    # Reads are views of the file's bytes, so the array copy is the only copy.
+    r = fileio.Reader(raw, path)
+    assert r.take(4) == checkpoint.MAGIC
+    assert np.shares_memory(np.frombuffer(r.take(16), dtype=np.uint8), file_bytes)
+
+    monkeypatch.setattr(fileio, "read_bytes", lambda *args: raw)
+    back = checkpoint.load_checkpoint(path)
+    arrays = [p.values for p in back.params()]
+    arrays += [a for bn in graph.bn_layers(back) for a in (bn.moving_mean, bn.moving_var)]
+    for a in arrays:
+        assert a.flags.writeable and not np.shares_memory(a, file_bytes)
+        a += 1.0  # writing to a loaded array leaves the file's bytes alone
+    assert bytes(file_bytes) == raw
+
+    # One flipped byte in the first payload still fails that payload's CRC.
+    header, _ = _checkpoint_parts(raw)
+    first_payload = 10 + struct.unpack_from("<I", raw, 6)[0] + 4
+    bad = bytearray(raw)
+    bad[first_payload] ^= 0x01
+    monkeypatch.setattr(fileio, "read_bytes", lambda *args: bytes(bad))
+    with pytest.raises(ChecksumError, match=repr(header["params"][0]["name"])):
+        checkpoint.load_checkpoint(path)
 
 
 def test_checkpoint_trailing_bytes_raise_format_error(saved_mini):

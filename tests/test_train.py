@@ -297,6 +297,7 @@ def test_early_stopping_patience_zero_restores_first_epoch():
     stop = int(np.argmin(val_losses))
     assert len(curve.rows) < 8  # stopped early
     assert val_losses[stop + 1] > val_losses[stop]
+    assert curve.val_probs is None  # the last pass ran with parameters no longer held
 
     # The restored parameters reproduce the best epoch's validation loss.
     vols_val = vols[val_mask]

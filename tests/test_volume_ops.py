@@ -1,12 +1,19 @@
 """Low-level 3D correlation and pooling against brute-force oracles."""
 
+import os
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from voxcnn import volume as V
+from voxcnn import graph, volume as V
 from voxcnn.errors import ShapeError
+from voxcnn.fixtures import load_fixture
 from voxcnn.layers import Flatten, GlobalAvgPool3D
 
 
@@ -218,6 +225,123 @@ def test_correlate_kernels_match_references_on_random_floats(c_in, stride, dtype
             assert got.tobytes() == want.tobytes()
 
 
+def _conv_step(case):
+    """Forward and all three VJP results of one ``(batch, kernel, grad_out, stride, padding)`` case."""
+    batch, kernel, grad_out, stride, padding = case
+    return (V.correlate3d_batch(batch, kernel, stride, padding),
+            *V.correlate3d_vjp_batch(batch, kernel, grad_out, stride, padding))
+
+
+def _conv_cases(seed, count):
+    """Random float cases over both dtypes, one and several channels, strides 1 and 2."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        dtype, c_in, stride = (np.float32, np.float64)[i % 2], 1 + i % 3, 1 + (i // 3) % 2
+        batch, kernel, grad_out, padding = _random_conv_case(rng, c_in, stride, dtype, integers=False)
+        cases.append((batch, kernel, grad_out, stride, padding))
+    return cases
+
+
+def test_threads_running_convs_at_once_equal_serial_calls_bitwise():
+    """Each thread gathers into its own scratch buffer; none sees another's windows."""
+    cases = _conv_cases(3000, 12)
+    want = [_conv_step(case) for case in cases]
+    workers = (os.cpu_count() or 1) + 1
+    got = [[None] * len(cases) for _ in range(workers)]
+    start = threading.Barrier(workers)
+
+    def work(t):
+        start.wait()
+        for j in range(3 * len(cases)):
+            i = (j + 5 * t) % len(cases)  # every thread visits the shapes in its own order
+            got[t][i] = _conv_step(cases[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(workers)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for per_thread in got:
+        for results, expected in zip(per_thread, want):
+            assert [r.tobytes() for r in results] == [e.tobytes() for e in expected]
+
+
+def _scratch_history():
+    """In a thread of its own, so that the scratch buffer starts empty."""
+    rng = np.random.default_rng(11)
+
+    def case(n, extent, c_in, c_out, k, stride, padding, dtype):
+        batch = rng.standard_normal((n, extent, extent, extent, c_in)).astype(dtype)
+        kernel = V.Kernel(rng.standard_normal((k, k, k, c_in, c_out)).astype(dtype),
+                          rng.standard_normal(c_out).astype(dtype))
+        out = V.conv_output_extent(extent, k, padding, stride)
+        grad_out = rng.standard_normal((n, out, out, out, c_out)).astype(dtype)
+        return batch, kernel, grad_out, stride, padding
+
+    first = _conv_step(case(2, 6, 3, 2, 3, 1, 1, np.float32))
+    kept = [a.copy() for a in first]
+    buffer = V._thread.scratch
+    assert not any(np.shares_memory(a, buffer) for a in first)
+    later = [(case(4, 9, 2, 3, 3, 1, 1, np.float64), True),   # a larger window matrix
+             (case(1, 5, 1, 2, 2, 1, 0, np.float32), False),  # a smaller, tap-major one
+             (case(2, 7, 2, 2, 3, 2, 2, np.float32), False)]  # strided and padded
+    for conv, grows in later:
+        results = _conv_step(conv)
+        assert (V._thread.scratch is not buffer) == grows
+        buffer = V._thread.scratch
+        assert not any(np.shares_memory(a, buffer) for a in (*first, *results))
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in kept]
+
+
+def test_conv_results_never_share_the_scratch_buffer():
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(_scratch_history).result(timeout=60)
+
+
+def test_warm_conv_step_allocates_less_than_one_window_matrix():
+    """A repeated training step of ``pet_8_mini``'s second conv gathers into the kept buffer."""
+    model = graph.build(load_fixture("pet_8_mini"), seed=0)
+    conv = model.layers[1]
+    x = model.layers[0].forward(np.random.default_rng(1).standard_normal((8, 16, 16, 16, 1))
+                                .astype(np.float32))
+    kernel = V.Kernel(conv.w.values, conv.b.values)
+    window_bytes = 8 * 12**3 * 3**3 * 4 * x.itemsize  # (positions, taps x channels)
+    assert window_bytes == 5_971_968
+
+    def step():
+        out = V.correlate3d_batch(x, kernel, conv.stride, conv.padding)
+        return V.correlate3d_vjp_batch(x, kernel, out, conv.stride, conv.padding)
+
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < window_bytes
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pointwise_weight_gradient_equals_tensordot_bitwise(dtype):
+    """A 1x1x1 kernel at stride 1 multiplies the uncopied window view, as ``tensordot`` did."""
+    rng = np.random.default_rng(21)
+    batch = rng.standard_normal((3, 9, 8, 7, 5)).astype(dtype)
+    kernel = V.Kernel(rng.standard_normal((1, 1, 1, 5, 6)).astype(dtype), np.zeros(6, dtype))
+    grad_out = rng.standard_normal((3, 9, 8, 7, 6)).astype(dtype)
+    _, gw, _ = V.correlate3d_vjp_batch(batch, kernel, grad_out)
+    win = sliding_window_view(batch, (1, 1, 1), axis=(1, 2, 3))
+    want = np.tensordot(win, grad_out, axes=([0, 1, 2, 3], [0, 1, 2, 3])).transpose(1, 2, 3, 0, 4)
+    assert gw.tobytes() == want.tobytes()
+
+
 def test_maxpool_matches_brute_force_many_cases():
     rng = np.random.default_rng(43)
     cases = 0
@@ -392,6 +516,15 @@ def test_batched_kernels_reject_inputs_that_are_not_rank_5(shape):
         V.correlate3d_batch(np.zeros(shape), kern)
     with pytest.raises(ShapeError, match="rank-5"):
         V.correlate3d_vjp_batch(np.zeros(shape), kern, np.zeros((1, 2, 2, 2, 1)))
+
+
+def test_both_conv_kernels_reject_a_channel_count_the_kernel_does_not_take():
+    kern = V.Kernel(np.zeros((2, 2, 2, 1, 1)), np.zeros(1))
+    batch = np.zeros((1, 4, 4, 4, 3))
+    with pytest.raises(ShapeError, match="channels"):
+        V.correlate3d_batch(batch, kern)
+    with pytest.raises(ShapeError, match="channels"):
+        V.correlate3d_vjp_batch(batch, kern, np.zeros((1, 3, 3, 3, 1)))
 
 
 @pytest.mark.parametrize("stride", [0, -1])
