@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fileio
+from . import fileio, volume
 from .errors import (InputError, NumericError, require_bool, require_int, require_known_keys,
                      require_real)
 from .graph import bn_layers
@@ -229,6 +229,7 @@ def loss_and_grads(model, x, y_onehot, mode="train", rng=None, l2_lambda=None):
     return value, probs
 
 
+@volume.reusing_scratch()
 def predict(model, x, batch_size: int) -> np.ndarray:
     """Inference-mode class probabilities of ``x``, ``batch_size`` samples per forward.
 
@@ -276,6 +277,7 @@ def _restore(model, params, snap):
         bn.moving_var = mv.copy()
 
 
+@volume.reusing_scratch()
 def train(model, train_set, val_set=None, hyper: HyperParams | None = None,
           augmentor=None, early_stopping_patience: int | None = None):
     """Minibatch training with per-epoch exponential LR decay.

@@ -20,13 +20,17 @@ each followed by a strided slice-add, so its products and summation order
 are those of a per-tap ``tensordot`` loop.
 
 The temporaries (the zero-padded input, the window matrix and the per-tap
-product) live in one scratch buffer per thread, so a training step or a
-request maps no fresh pages for them.  The buffer keeps the size of the
-largest window matrix its thread has gathered, until the thread ends.
+product) are views of one scratch buffer per thread.  Inside a
+:func:`reusing_scratch` block, which wraps a training run or a batched
+prediction, the buffer is kept from call to call, so step after step maps no
+fresh pages; it then holds the largest set of temporaries its thread has
+needed, until the outermost block exits.  Outside any block each call's
+temporaries are fresh and freed at its return.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import threading
@@ -37,7 +41,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeError
 
-# Each thread's conv temporaries: one growable byte buffer, see _scratch.
+# Each thread's conv temporaries: one growable byte buffer (``scratch``), kept
+# while ``depth`` reusing_scratch blocks are open on the thread.
 _thread = threading.local()
 _ALIGN = 64  # bytes between the starts of arrays laid out in one buffer
 
@@ -48,6 +53,7 @@ __all__ = [
     "correlate3d_vjp_batch",
     "maxpool3d_batch",
     "maxpool3d_vjp_batch",
+    "reusing_scratch",
 ]
 
 
@@ -95,12 +101,33 @@ def conv_output_extent(extent: int, k: int, padding: int, stride: int) -> int:
     return out
 
 
-def _scratch(*layouts):
-    """Arrays of the given ``(shape, dtype)`` layouts, end to end in this thread's scratch buffer.
+@contextlib.contextmanager
+def reusing_scratch():
+    """Keep this thread's scratch buffer from one kernel call to the next while the block runs.
 
-    The buffer grows to the largest request its thread has made and is kept
-    for the thread's lifetime.  Every call hands out the same memory again,
-    so an array is valid until its thread's next call; no kernel returns one.
+    A training run or a batched prediction makes the same conv calls batch
+    after batch; inside this block they gather into one buffer instead of
+    allocating their temporaries afresh.  Blocks nest, and the outermost one
+    drops the buffer on exit, so nothing is held between runs.  Also usable
+    as a function decorator.
+    """
+    depth = getattr(_thread, "depth", 0)
+    _thread.depth = depth + 1
+    try:
+        yield
+    finally:
+        _thread.depth = depth
+        if not depth:
+            _thread.scratch = None
+
+
+def _scratch(*layouts):
+    """Arrays of the given ``(shape, dtype)`` layouts, end to end in one scratch buffer.
+
+    Inside a :func:`reusing_scratch` block the buffer is the thread's kept
+    one, grown when a request needs more, and every call hands out the same
+    memory again: an array is valid until its thread's next call, and no
+    kernel returns one.  Outside, the buffer is fresh.
     """
     offsets, end = [], 0
     for shape, dtype in layouts:
@@ -108,9 +135,21 @@ def _scratch(*layouts):
         end += -(-math.prod(shape) * dtype.itemsize // _ALIGN) * _ALIGN
     buf = getattr(_thread, "scratch", None)
     if buf is None or buf.size < end:
-        buf = _thread.scratch = np.empty(end, dtype=np.uint8)
+        buf = np.empty(end, dtype=np.uint8)
+        if getattr(_thread, "depth", 0):
+            _thread.scratch = buf
     return [np.ndarray(shape, dtype, buffer=buf, offset=offset)
             for (shape, dtype), offset in zip(layouts, offsets)]
+
+
+def _collapses(shape, strides) -> bool:
+    """Whether axes of ``shape`` and ``strides`` merge into one axis without a copy.
+
+    ``reshape``'s rule: apart from length-1 axes, each axis steps exactly
+    over the whole of the next one.
+    """
+    dims = [(e, s) for e, s in zip(shape, strides) if e != 1]
+    return all(outer == e * inner for (_, outer), (e, inner) in zip(dims, dims[1:]))
 
 
 def _padded_shape(batch: np.ndarray, padding: int) -> tuple:
@@ -123,9 +162,10 @@ def _window_matrix(batch: np.ndarray, k: int, stride: int, padding: int, extents
 
     ``extents`` are the output's ``(ox, oy, oz)``.  The strided window view
     ``(n, ox, oy, oz, c, k, k, k)`` is transposed to ``axes`` and reshaped
-    as ``tensordot`` would: a view where the layout allows one (a 1x1x1
-    kernel at stride 1), else a copy.  The copy and the zero-padded input
-    live in the thread's scratch buffer.
+    as ``tensordot`` would, its first four axes into the rows and its last
+    four into the columns: a view where the layout allows one (a 1x1x1
+    kernel at stride 1, or a kernel as large as the input), else a copy.
+    The copy and the zero-padded input are scratch arrays.
     """
     if padding:
         padded, out = _scratch((_padded_shape(batch, padding), batch.dtype), (shape, batch.dtype))
@@ -139,13 +179,12 @@ def _window_matrix(batch: np.ndarray, k: int, stride: int, padding: int, extents
     win = as_strided(batch, shape=(n, *extents, c, k, k, k),
                      strides=(sn, sx * stride, sy * stride, sz * stride, sc, sx, sy, sz),
                      writeable=False).transpose(axes)
-    try:
-        return np.reshape(win, shape, copy=False)
-    except ValueError:
-        if out is None:
-            (out,) = _scratch((shape, batch.dtype))
-        np.copyto(out.reshape(win.shape), win)
-        return out
+    if _collapses(win.shape[:4], win.strides[:4]) and _collapses(win.shape[4:], win.strides[4:]):
+        return win.reshape(shape)
+    if out is None:
+        (out,) = _scratch((shape, batch.dtype))
+    np.copyto(out.reshape(win.shape), win)
+    return out
 
 
 def _check_batch(batch: np.ndarray, kernel: Kernel) -> None:

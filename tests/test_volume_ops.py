@@ -1,17 +1,17 @@
 """Low-level 3D correlation and pooling against brute-force oracles."""
 
+import math
 import os
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from voxcnn import graph, volume as V
+from voxcnn import graph, train, volume as V
 from voxcnn.errors import ShapeError
 from voxcnn.fixtures import load_fixture
 from voxcnn.layers import Flatten, GlobalAvgPool3D
@@ -253,9 +253,10 @@ def test_threads_running_convs_at_once_equal_serial_calls_bitwise():
 
     def work(t):
         start.wait()
-        for j in range(3 * len(cases)):
-            i = (j + 5 * t) % len(cases)  # every thread visits the shapes in its own order
-            got[t][i] = _conv_step(cases[i])
+        with V.reusing_scratch():
+            for j in range(3 * len(cases)):
+                i = (j + 5 * t) % len(cases)  # every thread visits the shapes in its own order
+                got[t][i] = _conv_step(cases[i])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -273,8 +274,7 @@ def test_threads_running_convs_at_once_equal_serial_calls_bitwise():
             assert [r.tobytes() for r in results] == [e.tobytes() for e in expected]
 
 
-def _scratch_history():
-    """In a thread of its own, so that the scratch buffer starts empty."""
+def test_conv_results_never_share_the_kept_scratch_buffer():
     rng = np.random.default_rng(11)
 
     def case(n, extent, c_in, c_out, k, stride, padding, dtype):
@@ -285,24 +285,80 @@ def _scratch_history():
         grad_out = rng.standard_normal((n, out, out, out, c_out)).astype(dtype)
         return batch, kernel, grad_out, stride, padding
 
-    first = _conv_step(case(2, 6, 3, 2, 3, 1, 1, np.float32))
-    kept = [a.copy() for a in first]
-    buffer = V._thread.scratch
-    assert not any(np.shares_memory(a, buffer) for a in first)
-    later = [(case(4, 9, 2, 3, 3, 1, 1, np.float64), True),   # a larger window matrix
-             (case(1, 5, 1, 2, 2, 1, 0, np.float32), False),  # a smaller, tap-major one
-             (case(2, 7, 2, 2, 3, 2, 2, np.float32), False)]  # strided and padded
-    for conv, grows in later:
-        results = _conv_step(conv)
-        assert (V._thread.scratch is not buffer) == grows
+    with V.reusing_scratch():
+        first = _conv_step(case(2, 6, 3, 2, 3, 1, 1, np.float32))
+        kept = [a.copy() for a in first]
         buffer = V._thread.scratch
-        assert not any(np.shares_memory(a, buffer) for a in (*first, *results))
-        assert [a.tobytes() for a in first] == [a.tobytes() for a in kept]
+        assert not any(np.shares_memory(a, buffer) for a in first)
+        later = [(case(4, 9, 2, 3, 3, 1, 1, np.float64), True),   # a larger window matrix
+                 (case(1, 5, 1, 2, 2, 1, 0, np.float32), False),  # a smaller, tap-major one
+                 (case(2, 7, 2, 2, 3, 2, 2, np.float32), False)]  # strided and padded
+        for conv, grows in later:
+            results = _conv_step(conv)
+            assert (V._thread.scratch is not buffer) == grows
+            buffer = V._thread.scratch
+            assert not any(np.shares_memory(a, buffer) for a in (*first, *results))
+            assert [a.tobytes() for a in first] == [a.tobytes() for a in kept]
 
 
-def test_conv_results_never_share_the_scratch_buffer():
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pool.submit(_scratch_history).result(timeout=60)
+def test_scratch_is_kept_until_the_outermost_block_exits():
+    rng = np.random.default_rng(12)
+    batch = rng.standard_normal((2, 6, 6, 6, 3))
+    kernel = V.Kernel(rng.standard_normal((3, 3, 3, 3, 2)), np.zeros(2))
+    V.correlate3d_batch(batch, kernel)
+    assert getattr(V._thread, "scratch", None) is None  # outside a block nothing is kept
+    with V.reusing_scratch():
+        V.correlate3d_batch(batch, kernel)
+        buffer = V._thread.scratch
+        with V.reusing_scratch():
+            V.correlate3d_batch(batch, kernel)
+        assert V._thread.scratch is buffer
+    assert V._thread.scratch is None
+
+
+def test_training_and_prediction_keep_the_scratch_buffer_until_done(monkeypatch):
+    depths = []
+    forward = V.correlate3d_batch
+
+    def recording(*args):
+        depths.append(getattr(V._thread, "depth", 0))
+        return forward(*args)
+
+    monkeypatch.setattr(V, "correlate3d_batch", recording)
+    model = graph.build(load_fixture("pet_8_mini"), seed=0)
+    x = np.random.default_rng(2).standard_normal((4, 16, 16, 16, 1)).astype(np.float32)
+    train.train(model, (x, np.array([0, 1, 2, 0])), hyper=train.HyperParams(epochs=1, batch_size=2))
+    assert depths and all(depths)
+    assert getattr(V._thread, "scratch", None) is None
+    depths.clear()
+    train.predict(model, x, 2)
+    assert depths and all(depths)
+    assert getattr(V._thread, "scratch", None) is None
+
+
+@pytest.mark.parametrize("k, stride, padding", [(1, 1, 0), (1, 1, 1), (1, 2, 0), (2, 1, 0),
+                                                (3, 1, 1), (4, 1, 0), (3, 3, 0)])
+def test_window_matrix_is_a_view_exactly_when_reshape_gives_one(k, stride, padding):
+    """The view-or-copy choice is ``reshape``'s, so each GEMM sees ``tensordot``'s operands."""
+    rng = np.random.default_rng(22)
+    for n, extent, c in [(1, 4, 1), (2, 4, 3), (3, 5, 2), (1, 4, 4)]:
+        batch = rng.standard_normal((n, extent, extent, extent, c))
+        extents = (V.conv_output_extent(extent, k, padding, stride),) * 3
+        positions = n * math.prod(extents)
+        padded = np.pad(batch, [(0, 0)] + [(padding, padding)] * 3 + [(0, 0)])
+        view = sliding_window_view(padded, (k, k, k), axis=(1, 2, 3))[:, ::stride, ::stride, ::stride]
+        for axes, shape in [((0, 1, 2, 3, 5, 6, 7, 4), (positions, k**3 * c)),
+                            ((4, 5, 6, 7, 0, 1, 2, 3), (c * k**3, positions)),
+                            ((5, 6, 7, 4, 0, 1, 2, 3), (k**3 * c, positions))]:
+            win = view.transpose(axes)
+            want = win.reshape(shape)
+            collapses = V._collapses(win.shape[:4], win.strides[:4]) and \
+                V._collapses(win.shape[4:], win.strides[4:])
+            assert collapses == np.shares_memory(want, padded)
+            got = V._window_matrix(batch, k, stride, padding, extents, axes, shape)
+            assert got.tobytes() == want.tobytes()
+            if not padding:
+                assert np.shares_memory(got, batch) == collapses
 
 
 def test_warm_conv_step_allocates_less_than_one_window_matrix():
@@ -319,13 +375,14 @@ def test_warm_conv_step_allocates_less_than_one_window_matrix():
         out = V.correlate3d_batch(x, kernel, conv.stride, conv.padding)
         return V.correlate3d_vjp_batch(x, kernel, out, conv.stride, conv.padding)
 
-    step()
-    tracemalloc.start()
-    try:
+    with V.reusing_scratch():
         step()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     assert peak < window_bytes
 
 
