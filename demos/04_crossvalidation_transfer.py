@@ -33,7 +33,7 @@ print(f"mean {report.mean_accuracy:.3f} +- {report.std_accuracy:.3f}")
 # (512*3+3 = 1539 trainable weights); "pet" also removes the 512-channel
 # stage, classifying from 256 features (771 trainable weights).  Everything
 # retained is frozen, and its batch-norm layers are pinned to inference
-# statistics.
+# statistics.  A cut leaves its base unchanged, so one base serves both.
 
 base = graph.build(graph.build_resnet18_3d((32, 32, 32, 1)), seed=0)
 for recipe in ("mri", "pet"):
@@ -41,4 +41,3 @@ for recipe in ("mri", "pet"):
     total = sum(p.values.size for p in cut.params())
     trainable = sum(p.values.size for p in cut.params() if p.trainable)
     print(f"surgery {recipe!r}: {total:>10,} parameters, {trainable:,} trainable")
-    base = graph.build(graph.build_resnet18_3d((32, 32, 32, 1)), seed=0)

@@ -156,14 +156,6 @@ def random_flip(vol, axes, rng) -> np.ndarray:
     return np.ascontiguousarray(out) if out is not vol else vol
 
 
-def random_shift(vol, max_frac: float, rng, fill: float = 0.0) -> np.ndarray:
-    if not 0.0 <= max_frac < 1.0:
-        raise InputError("max_frac must be in [0, 1)")
-    if max_frac == 0:
-        return vol
-    return affine_resample(vol, shift_affine(*_draw_shift(rng, max_frac, vol.shape)), fill)
-
-
 def augment(vol: np.ndarray, config: AugmentConfig, sample_seed: int) -> np.ndarray:
     """Apply flip, rotation, zoom, shift (fixed order) with per-sample draws.
 

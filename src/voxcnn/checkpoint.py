@@ -37,8 +37,8 @@ def save_checkpoint(model, path):
     header = json.dumps({"spec": model.spec.to_dict(), "params": entries,
                          "bn": [{"pinned": bn.pinned} for bn in bns]}).encode("utf-8")
     parts = [MAGIC, struct.pack("<HI", VERSION, len(header))]
-    for payload in [header] + [values.tobytes() for _, _, values, _ in arrays]:
-        parts += fileio.with_crc(payload)
+    for payload in [header] + [np.ascontiguousarray(values) for _, _, values, _ in arrays]:
+        parts += fileio.with_crc(payload)  # an array's own buffer: the join is its one copy
     fileio.write_bytes(path, b"".join(parts))
 
 

@@ -83,7 +83,8 @@ class Reader:
             raise FormatError(f"{self.path}: {len(self.data) - self.pos} trailing bytes")
 
 
-def with_crc(payload: bytes) -> list[bytes]:
+def with_crc(payload) -> list:
+    """``payload`` (bytes, or a C-contiguous array's buffer) and its CRC-32."""
     return [payload, struct.pack("<I", zlib.crc32(payload))]
 
 

@@ -3,15 +3,16 @@
 A :class:`ModelSpec` is an ordered layer list (or a two-branch composite
 fused by concatenation).  ``summarize`` walks a spec purely symbolically;
 ``build`` materializes parameter tensors with Glorot-uniform initialization.
-Transfer surgery and two-branch fusion operate on built models.
 
 Layout rule: ``_slots`` states once, per layer kind, the arrays a layer
 holds (name suffix, role, shape and initial fill) in ``Model.params()``
 order, a batch norm's moving statistics last.  A residual block holds no
 array of its own: ``_block_parts`` expands it into named conv3d, batch_norm
 and activation sub-specs.  Summary counts, output shapes, and a model's
-arrays, whether ``build`` draws them or ``checkpoint`` loads them (both
-through ``assemble``), all derive from these two statements.
+arrays all derive from these two statements.  Every model is made by
+``assemble``, whether ``build`` draws its arrays, ``checkpoint`` loads them,
+or transfer surgery and two-branch fusion take them from built models; those
+two leave their input models unchanged.
 """
 
 from __future__ import annotations
@@ -481,18 +482,8 @@ class Model:
         """
         _backprop(self.layers, grad, _first_trainable(self.layers))
 
-    def freeze_all(self):
-        for p in self.params():
-            p.trainable = False
-        for bn in bn_layers(self):
-            bn.pinned = True
-
     def _walk_layers(self):
-        for lyr in self.layers:
-            if isinstance(lyr, L.ResidualBlock):
-                yield from lyr.main
-                yield from lyr.shortcut
-            yield lyr
+        return _walk(self.layers)
 
 
 class TwoBranchModel:
@@ -538,6 +529,15 @@ class TwoBranchModel:
         yield from self.head
 
 
+def _walk(layers):
+    """Each layer of a layer list, a residual block after its main path and its shortcut."""
+    for lyr in layers:
+        if isinstance(lyr, L.ResidualBlock):
+            yield from lyr.main
+            yield from lyr.shortcut
+        yield lyr
+
+
 def bn_layers(model) -> list[L.BatchNorm]:
     """The batch-norm layers of a model, residual blocks and branches included, in a fixed order."""
     return [lyr for lyr in model._walk_layers() if isinstance(lyr, L.BatchNorm)]
@@ -562,17 +562,13 @@ def assemble(spec: ModelSpec, take):
     if spec.is_two_branch:
         ma = _assemble_sequence(spec.branch_a, take)
         mb = _assemble_sequence(spec.branch_b, take)
-        return TwoBranchModel(spec, ma, mb, _fused_head(spec, take))
+        width = sum(_out_shape(b.spec.layers, b.spec.input_dims) for b in (ma, mb))
+        return TwoBranchModel(spec, ma, mb, _make_layers(_numbered(spec.head), width, "head", take))
     return _assemble_sequence(spec, take)
 
 
 def _assemble_sequence(spec: ModelSpec, take) -> Model:
     return Model(spec, _make_layers(_numbered(spec.layers), spec.input_dims, spec.name, take))
-
-
-def _fused_head(spec: ModelSpec, take) -> list[L.Layer]:
-    width = sum(_out_shape(branch.layers, branch.input_dims) for branch in (spec.branch_a, spec.branch_b))
-    return _make_layers(_numbered(spec.head), width, "head", take)
 
 
 # ---------------------------------------------------------------------------
@@ -619,12 +615,13 @@ def _is_resnet_like(spec: ModelSpec) -> bool:
 
 
 def surgery(model: Model, recipe: str, classes: int = 3, seed: int = 0) -> Model:
-    """Transfer-learning surgery on a built 3D ResNet-18.
+    """Transfer-learning surgery on a built 3D ResNet-18; ``model`` is left unchanged.
 
     ``mri``: drop only the final pool + classifier.  ``pet``: additionally
-    drop the last residual stage (its two blocks).  Retained parameters are
-    frozen and retained batch-norm layers are pinned to inference mode; a
-    fresh global-average-pool + dense softmax head is appended.
+    drop the last residual stage (its two blocks).  The retained layers are
+    rebuilt frozen, on read-only views of ``model``'s arrays, with their
+    batch-norm layers pinned to inference mode; a fresh global-average-pool
+    + dense softmax head is appended.
     """
     if recipe not in ("pet", "mri"):
         raise SpecError(f"unknown surgery recipe {recipe!r}")
@@ -632,38 +629,60 @@ def surgery(model: Model, recipe: str, classes: int = 3, seed: int = 0) -> Model
         raise SpecError("surgery requires a built resnet18_3d model")
 
     keep = len(model.spec.layers) - 2  # drop global_avg_pool3d + dense
-    if recipe == "pet":
-        blocks_dropped = 0
-        while keep > 0 and blocks_dropped < 2:
-            keep -= 1
-            if model.spec.layers[keep].kind == "residual_block":
-                blocks_dropped += 1
-        if blocks_dropped < 2:
+    if recipe == "pet":  # and the last two residual blocks, with the layers after them
+        blocks = [i for i, l in enumerate(model.spec.layers[:keep]) if l.kind == "residual_block"]
+        if len(blocks) < 2:
             raise SpecError("model does not contain two trailing residual blocks")
+        keep = blocks[-2]
 
-    kept_specs = list(model.spec.layers[:keep])
-    kept_layers = list(model.layers[:keep])
-
-    backbone = Model(ModelSpec("backbone", model.spec.input_dims, kept_specs), kept_layers)
-    backbone.freeze_all()
-
-    dtype = model.params()[0].values.dtype
-    head_specs = [
-        LayerSpec("global_avg_pool3d"),
-        LayerSpec("dense", units=classes, activation="softmax"),
-    ]
-    head_layers = _make_layers(_numbered(head_specs), _out_shape(kept_specs, model.spec.input_dims),
-                               f"{recipe}_head", _fresh_arrays(substream(seed, "init"), dtype))
-
-    new_spec = ModelSpec(f"{model.spec.name}_{recipe}_surgery", model.spec.input_dims,
-                         kept_specs + head_specs)
-    return Model(new_spec, kept_layers + head_layers)
+    head = [LayerSpec("global_avg_pool3d"), LayerSpec("dense", units=classes, activation="softmax")]
+    spec = ModelSpec(f"{model.spec.name}_{recipe}_surgery", model.spec.input_dims,
+                     model.spec.layers[:keep] + head)
+    return _assemble_reusing(spec, model.layers[:keep], True, seed)
 
 
 def fuse_two_branch(branch_a: Model, branch_b: Model, head: list[LayerSpec], seed: int = 0):
-    """Fuse two vector-terminated branch models by concatenation plus a head."""
+    """Fuse two vector-terminated branch models by concatenation plus a fresh head.
+
+    The branches are left unchanged: their frozen arrays are shared read-only, the others copied.
+    """
     spec = ModelSpec("two_branch", branch_a=branch_a.spec, branch_b=branch_b.spec, head=head)
-    summarize(spec)  # each branch must end in a vector
-    dtype = (branch_a.params() or branch_b.params())[0].values.dtype
-    head_layers = _fused_head(spec, _fresh_arrays(substream(seed, "init"), dtype))
-    return TwoBranchModel(spec, branch_a, branch_b, head_layers)
+    return _assemble_reusing(spec, branch_a.layers + branch_b.layers, False, seed)
+
+
+def _assemble_reusing(spec: ModelSpec, layers, freeze: bool, seed: int):
+    """A model of ``spec`` on the arrays of ``layers`` in slot order, then on fresh ones from ``seed``.
+
+    A frozen parameter or a pinned batch norm's statistic is shared as a read-only view, any other
+    array copied; flags and pins carry over, and ``freeze`` freezes and pins all that is reused.
+    """
+
+    def reused():
+        for lyr in _walk(layers):
+            if isinstance(lyr, L.ResidualBlock):
+                continue  # its arrays are those of its parts
+            for p in lyr.params:
+                yield p, p.values, freeze or not p.trainable
+            if isinstance(lyr, L.BatchNorm):
+                yield None, lyr.moving_mean, freeze or lyr.pinned
+                yield None, lyr.moving_var, freeze or lyr.pinned
+
+    arrays, dtype = reused(), [p for lyr in layers for p in lyr.params][0].values.dtype
+    fresh = _fresh_arrays(substream(seed, "init"), dtype)
+
+    def take(name, slot: Slot):
+        p, values, frozen = next(arrays, (None, None, None))
+        if values is None:
+            return fresh(name, slot)
+        if frozen:
+            values = values.view()
+            values.flags.writeable = False
+        else:
+            values = values.copy()
+        return values if p is None else L.ParamTensor(p.name, p.role, values, not frozen, p.l2)
+
+    model = assemble(spec, take)
+    old = [lyr for lyr in _walk(layers) if isinstance(lyr, L.BatchNorm)]
+    for bn, was in zip(bn_layers(model), old):
+        bn.pinned = freeze or was.pinned
+    return model

@@ -10,8 +10,9 @@ allocated, and backward masks with the output (``out > 0`` equals
 ``z > 0``).  Parameters live in :class:`ParamTensor` records so the
 optimizer, the freeze logic, and the L2 penalty can address them uniformly;
 a conv's weights are stored there only.  A layer is handed its records and
-moving statistics ready-made: ``graph`` makes them, fresh or from a
-checkpoint.
+moving statistics ready-made: ``graph`` makes them, fresh, from a checkpoint,
+or from the arrays of another model.  Layer objects are never shared between
+models; only a frozen array is, as a read-only view.
 
 Backward runs in the dtype of its incoming gradient, which the loss gives in
 the model's dtype: a float32 model trains in float32.  A model's backward

@@ -67,10 +67,9 @@ def write_record(record: PatientRecord, path):
     parts.append(sid)
     parts.append(struct.pack("<B", len(record.volumes)))
     for modality, vol in record.volumes:
-        vol = np.ascontiguousarray(np.asarray(vol, dtype="<f4"))
-        payload = vol.tobytes()
+        vol = np.ascontiguousarray(vol, dtype="<f4")
         parts.append(struct.pack("<B4IB", _MOD_CODE[modality], *vol.shape, _DTYPE_F32))
-        parts += fileio.with_crc(payload)
+        parts += fileio.with_crc(vol)  # the array's own buffer: the join is its one copy
     fileio.write_bytes(path, b"".join(parts))
 
 
@@ -107,12 +106,11 @@ class DatasetManifest:
     files: list[str]
     class_counts: dict[str, int]
     dims: dict[str, list[int]]
-    format_version: int = FORMAT_VERSION
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "files": self.files,
             "class_counts": self.class_counts,
             "dims": self.dims,
@@ -122,15 +120,6 @@ class DatasetManifest:
 
 def write_manifest(manifest: DatasetManifest, path):
     fileio.write_json(path, manifest.to_dict(), indent=1)
-
-
-def read_manifest(path) -> DatasetManifest:
-    d = fileio.read_json(path, FormatError, "manifest")
-    if not (isinstance(d, dict) and isinstance(d.get("files"), list)
-            and all(k in d for k in ("class_counts", "dims"))):
-        raise FormatError(f"{path}: manifest lacks its files, class_counts or dims entries")
-    return DatasetManifest(d["files"], d["class_counts"], d["dims"],
-                           d.get("format_version", FORMAT_VERSION), d.get("extras", {}))
 
 
 def read_directory(directory) -> tuple[list[str], list[PatientRecord]]:
@@ -154,11 +143,6 @@ def manifest_for(files: list[str], recs: list[PatientRecord]) -> DatasetManifest
                 raise StorageError(f"inconsistent {modality} dims: {dims[modality]} vs {d}")
             dims[modality] = d
     return DatasetManifest(files, counts, dims)
-
-
-def build_manifest(directory) -> DatasetManifest:
-    """Scan a record directory and rebuild its manifest from disk."""
-    return manifest_for(*read_directory(directory))
 
 
 def load_dataset(directory, modality="PET"):
@@ -227,12 +211,8 @@ def gen_synthetic(per_class: int, dims=(16, 16, 16), signal_strength: float = 1.
                     ],
                 )
             )
-    manifest = DatasetManifest(
-        files=[f"{r.subject_id}.rec" for r in records],
-        class_counts={"CN": per_class, "AD": per_class, "MCI": per_class},
-        dims={"PET": list(dims) + [1], "MRI": list(dims) + [1]},
-        extras={"seed": seed, "signal_strength": signal_strength, "noise_sigma": noise_sigma},
-    )
+    manifest = manifest_for([f"{r.subject_id}.rec" for r in records], records)
+    manifest.extras = {"seed": seed, "signal_strength": signal_strength, "noise_sigma": noise_sigma}
     if out_dir is not None:
         fileio.make_dirs(out_dir)
         for rec in records:

@@ -166,15 +166,15 @@ def exp_decay_lr(lr0: float, rate: float, epoch: int, total_epochs: int) -> floa
 
 
 class AdamState:
-    """Per-parameter first/second moment accumulators plus a step counter."""
+    """First/second moment accumulators of the trainable parameters plus a step counter."""
 
     def __init__(self, params: list[ParamTensor], beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {id(p): np.zeros_like(p.values) for p in params}
-        self.v = {id(p): np.zeros_like(p.values) for p in params}
+        self.m = {id(p): np.zeros_like(p.values) for p in params if p.trainable}
+        self.v = {id(p): np.zeros_like(p.values) for p in params if p.trainable}
 
 
 def adam_step(state: AdamState, params: list[ParamTensor], lr: float):
@@ -260,19 +260,18 @@ def _take(x, idx):
     return x[idx]
 
 
-def _snapshot(model, params):
-    """Copy everything inference depends on: parameters and BN moving stats."""
-    return (
-        [p.values.copy() for p in params],
-        [(bn.moving_mean.copy(), bn.moving_var.copy()) for bn in bn_layers(model)],
-    )
+def _snapshot(trained, moving):
+    """Copy what training changes and inference reads: the values of the ``trained``
+    parameters and the moving statistics of the ``moving`` batch norms."""
+    return ([p.values.copy() for p in trained],
+            [(bn.moving_mean.copy(), bn.moving_var.copy()) for bn in moving])
 
 
-def _restore(model, params, snap):
+def _restore(trained, moving, snap):
     values, bn_stats = snap
-    for p, v in zip(params, values):
+    for p, v in zip(trained, values):
         p.values[...] = v
-    for bn, (mm, mv) in zip(bn_layers(model), bn_stats):
+    for bn, (mm, mv) in zip(moving, bn_stats):
         bn.moving_mean = mm.copy()
         bn.moving_var = mv.copy()
 
@@ -306,6 +305,9 @@ def train(model, train_set, val_set=None, hyper: HyperParams | None = None,
 
     params = model.params()
     adam = AdamState(params)
+    # what early stopping saves: frozen arrays and pinned statistics never change
+    trained = [p for p in params if p.trainable]
+    moving = [bn for bn in bn_layers(model) if not bn.pinned]
     curve = LearningCurve()
     best_loss, best_snap, bad_epochs = np.inf, None, 0
 
@@ -341,17 +343,17 @@ def train(model, train_set, val_set=None, hyper: HyperParams | None = None,
 
         if early_stopping_patience is not None and val is not None:
             if row.val_loss < best_loss:
-                best_loss, best_snap, bad_epochs = row.val_loss, _snapshot(model, params), 0
+                best_loss, best_snap, bad_epochs = row.val_loss, _snapshot(trained, moving), 0
             else:
                 bad_epochs += 1
                 if bad_epochs > early_stopping_patience:
-                    _restore(model, params, best_snap)
+                    _restore(trained, moving, best_snap)
                     curve.val_probs = None
                     break
 
     if early_stopping_patience is not None and best_snap is not None and curve.rows:
         if curve.rows[-1].val_loss is not None and curve.rows[-1].val_loss > best_loss:
-            _restore(model, params, best_snap)
+            _restore(trained, moving, best_snap)
             curve.val_probs = None
     return model, curve
 

@@ -62,6 +62,14 @@ def build_f64(fixture_name, seed=1):
     return spec, graph.build(spec, seed=seed, dtype=np.float64)
 
 
+def freeze(model):
+    """Freeze every parameter of ``model`` and pin its batch norms, in place."""
+    for p in model.params():
+        p.trainable = False
+    for bn in graph.bn_layers(model):
+        bn.pinned = True
+
+
 def random_batch(spec, n=1, seed=0):
     rng = np.random.default_rng(seed)
     if spec.is_two_branch:

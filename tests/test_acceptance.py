@@ -196,7 +196,7 @@ def test_criterion_11_transfer_surgery():
     mri = graph.surgery(base, "mri", seed=1)
     ok = sum(p.values.size for p in mri.params() if p.trainable) == 1539
     ok &= 1539 < 2000
-    pet = graph.surgery(graph.build(spec, seed=9), "pet", seed=1)
+    pet = graph.surgery(base, "pet", seed=1)  # a cut leaves its base as it was
     ok &= sum(p.values.size for p in pet.params() if p.trainable) == 771
 
     frozen = [p for p in pet.params() if not p.trainable]

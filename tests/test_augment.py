@@ -179,18 +179,20 @@ def test_integer_shift_matches_roll_with_fill(shift):
 
 def test_zero_shift_is_identity():
     vol = random_volume()
-    rng = substream(5, "shift")
-    assert np.array_equal(A.random_shift(vol, 0.0, rng), vol)
+    assert np.array_equal(A.augment(vol, A.AugmentConfig(max_shift_frac=0.0), 5), vol)
 
 
 def test_shift_stays_within_configured_bound():
     vol = np.zeros((16, 16, 16, 1))
     vol[8, 8, 8, 0] = 1.0
-    rng = substream(6, "shift")
-    for _ in range(32):
-        out = A.random_shift(vol, 0.125, rng)  # at most 2 voxels on one axis
+    shift_only = A.AugmentConfig(max_shift_frac=0.125)  # at most 2 voxels on one axis
+    moved = 0
+    for seed in range(32):
+        out = A.augment(vol, shift_only, seed)
+        moved += not np.array_equal(out, vol)
         peak = np.unravel_index(np.argmax(out), out.shape)
         assert max(abs(p - 8) for p in peak[:3]) <= 2
+    assert moved  # the draws do shift
 
 
 def test_zoom_halves_ball_diameter():

@@ -71,8 +71,10 @@ def hyper_file(tmp_path_factory):
 
 
 def test_gen_synth_writes_records_and_manifest(cli_data):
-    manifest = records.read_manifest(cli_data / "manifest.json")
-    assert manifest.class_counts == {"CN": 6, "AD": 6, "MCI": 6}
+    manifest = json.loads((cli_data / "manifest.json").read_text())
+    assert manifest.pop("extras")["seed"] == 7
+    assert manifest == records.manifest_for(*records.read_directory(cli_data)).to_dict()
+    assert manifest["class_counts"] == {"CN": 6, "AD": 6, "MCI": 6}
     assert len(list(cli_data.glob("*.rec"))) == 18
 
 
@@ -464,8 +466,8 @@ def test_preprocess_reads_each_input_once(capsys, cli_data, tmp_path, monkeypatc
     assert code == 0
     inputs = [str(chain)] + [str(p) for p in sorted(cli_data.glob("*.rec"))]
     assert reads == {path: 1 for path in inputs}
-    manifest = records.read_manifest(out_dir / "manifest.json")
-    assert manifest.to_dict() == records.build_manifest(out_dir).to_dict()
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest == records.manifest_for(*records.read_directory(out_dir)).to_dict()
 
 
 def test_data_directory_without_records_exits_2(capsys, tmp_path):

@@ -2,7 +2,6 @@
 
 import ast
 import collections
-import json
 import os
 import pathlib
 import stat
@@ -42,16 +41,6 @@ def test_unreadable_input_raises_the_callers_class(tmp_path, content, word, erro
     with pytest.raises(error, match=word) as info:
         fileio.read_json(path, error, "config")
     assert type(info.value) is error
-
-
-def test_read_manifest_raises_format_error_on_bad_json_and_missing_files(tmp_path):
-    path = tmp_path / "manifest.json"
-    path.write_text('{"files": [')
-    with pytest.raises(FormatError, match="JSON"):
-        records.read_manifest(path)
-    path.write_text(json.dumps({"class_counts": {}, "dims": {}}))
-    with pytest.raises(FormatError, match="files"):
-        records.read_manifest(path)
 
 
 # ---------------------------------------------------------------------------

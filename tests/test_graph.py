@@ -1,5 +1,8 @@
 """Model construction: summaries, init, layer mechanics, residual nets, surgery."""
 
+import hashlib
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,8 @@ from voxcnn import graph, layers as L, train as T
 from voxcnn.errors import SpecError
 from voxcnn.fixtures import load_fixture
 from voxcnn.rng import substream
+
+from conftest import freeze, random_batch
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +374,77 @@ def test_surgery_pet_drops_last_stage(small_resnet):
     assert n_mri == 8 and n_pet == 6
 
 
+def _digest(values):
+    return values.dtype.str, values.shape, hashlib.sha256(np.ascontiguousarray(values)).hexdigest()
+
+
+def _state(model):
+    """Names, flags, pins and value hashes of every array of ``model``."""
+    return ([(p.name, p.role, p.trainable, p.l2, p.values.flags.writeable, _digest(p.values))
+             for p in model.params()],
+            [(bn.pinned, _digest(bn.moving_mean), _digest(bn.moving_var))
+             for bn in graph.bn_layers(model)])
+
+
+def test_surgery_leaves_its_base_unchanged(small_resnet):
+    before = _state(small_resnet)
+    assert all(p.trainable for p in small_resnet.params())
+    assert not any(bn.pinned for bn in graph.bn_layers(small_resnet))
+    cuts = [graph.surgery(small_resnet, recipe, seed=1) for recipe in ("mri", "pet")]
+    assert _state(small_resnet) == before
+
+    base_layers = {id(lyr) for lyr in small_resnet._walk_layers()}
+    for cut in cuts:
+        assert base_layers.isdisjoint(id(lyr) for lyr in cut._walk_layers())
+        frozen = [p for p in cut.params() if not p.trainable]
+        for p, q in zip(frozen, small_resnet.params()):  # the base's own arrays, read-only
+            assert p.name == q.name and np.shares_memory(p.values, q.values), p.name
+            assert not p.values.flags.writeable, p.name
+        assert all(bn.pinned for bn in graph.bn_layers(cut))
+        dense = f"{cut.spec.name}.{len(cut.spec.layers) - 1}_dense"
+        assert [p.name for p in cut.params() if p.trainable] == [f"{dense}.weights", f"{dense}.bias"]
+
+
+def test_cut_frozen_arrays_reject_in_place_writes(small_resnet):
+    cut = graph.surgery(small_resnet, "pet", seed=1)
+    frozen = next(p for p in cut.params() if not p.trainable)
+    with pytest.raises(ValueError, match="read-only"):
+        frozen.values += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        graph.bn_layers(cut)[0].moving_mean[...] = 0.0
+    head = cut.params()[-1]
+    head.values += 1.0  # the fresh head is the cut's own
+    assert head.values.flags.owndata
+
+
+def test_two_cuts_of_one_base_train_in_threads_as_in_series():
+    base = graph.build(graph.build_resnet18_3d((16, 16, 16, 1)), seed=0)
+    before = _state(base)
+    x = np.random.default_rng(3).standard_normal((6, 16, 16, 16, 1)).astype(np.float32)
+    y = np.array([0, 1, 2, 0, 1, 2])
+    jobs = [("mri", 1), ("pet", 2)]
+
+    def fit(recipe, seed):
+        cut = graph.surgery(base, recipe, seed=seed)
+        T.train(cut, (x, y), hyper=T.HyperParams(lr0=0.01, epochs=2, batch_size=3, seed=seed))
+        return _state(cut)
+
+    serial = [fit(*job) for job in jobs]
+    threaded = [None] * len(jobs)
+
+    def run(i):
+        threaded[i] = fit(*jobs[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=300)
+    assert not any(t.is_alive() for t in threads)
+    assert threaded == serial
+    assert _state(base) == before
+
+
 def test_surgery_rejects_non_resnet():
     model = graph.build(load_fixture("pet_8_mini"), seed=0)
     with pytest.raises(SpecError):
@@ -409,3 +485,22 @@ def test_fuse_rejects_volume_terminated_branches():
     b = graph.build(load_fixture("mri_9_mini"), seed=0)
     with pytest.raises(SpecError):
         graph.fuse_two_branch(a, b, [graph.LayerSpec("dense", units=3, activation="softmax")])
+
+
+def test_fuse_leaves_its_branches_unchanged():
+    spec = load_fixture("two_branch_mini")
+    a, b = graph.build(spec.branch_a, seed=1), graph.build(spec.branch_b, seed=2)
+    freeze(a)
+    before = [_state(a), _state(b)]
+    fused = graph.fuse_two_branch(a, b, spec.head, seed=3)
+    x = tuple(part.astype(np.float32) for part in random_batch(spec, n=4, seed=5))
+    T.train(fused, (x, np.array([0, 1, 2, 0])), hyper=T.HyperParams(epochs=2, batch_size=2, seed=3))
+    assert [_state(a), _state(b)] == before
+    assert _state(fused.branch_b) != before[1]  # the trainable branch did train, on copies
+
+    # Flags and pins carry over: a frozen array is shared read-only, a trainable one copied.
+    for p, q in zip(fused.branch_a.params(), a.params()):
+        assert not p.trainable and np.shares_memory(p.values, q.values), p.name
+    for p, q in zip(fused.branch_b.params(), b.params()):
+        assert p.trainable and not np.shares_memory(p.values, q.values), p.name
+    assert [bn.pinned for bn in graph.bn_layers(fused)] == [True, False]

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -21,6 +22,8 @@ from voxcnn.errors import (
 )
 from voxcnn.fixtures import load_fixture
 from voxcnn.rng import substream
+
+from conftest import freeze
 
 
 def make_record(seed=0, dims_pet=(79, 95, 68, 1), dims_mri=(121, 145, 121, 1)):
@@ -241,20 +244,20 @@ def test_damaged_record_raises_a_typed_error(tiny_record, tmp_path, data):
 # Manifests
 
 
-def test_manifest_counts_match_disk(tmp_path, synth_dataset):
-    manifest = records.build_manifest(synth_dataset)
+def test_manifest_counts_match_disk(synth_dataset):
+    manifest = records.manifest_for(*records.read_directory(synth_dataset))
     assert manifest.class_counts == {"CN": 8, "AD": 8, "MCI": 8}
     assert len(manifest.files) == 24
-    on_disk = records.read_manifest(synth_dataset / "manifest.json")
-    assert on_disk.class_counts == manifest.class_counts
-    assert on_disk.files == manifest.files
+    on_disk = json.loads((synth_dataset / "manifest.json").read_text())
+    assert on_disk.pop("extras") == {"seed": 7, "signal_strength": 1.0, "noise_sigma": 0.05}
+    assert on_disk == manifest.to_dict()
 
 
 def test_manifest_rejects_inconsistent_dims(tmp_path):
     records.write_record(make_record(0, (6, 6, 6, 1), (6, 6, 6, 1)), tmp_path / "a.rec")
     records.write_record(make_record(1, (8, 8, 8, 1), (6, 6, 6, 1)), tmp_path / "b.rec")
     with pytest.raises(StorageError):
-        records.build_manifest(tmp_path)
+        records.manifest_for(*records.read_directory(tmp_path))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +419,7 @@ def test_checkpoint_inconsistent_header_raises_format_error(saved_mini, edit):
 def _fused_model():
     spec = load_fixture("two_branch_mini")
     branch_a = graph.build(spec.branch_a, seed=1)
-    branch_a.freeze_all()
+    freeze(branch_a)
     head = [graph.LayerSpec("dense", units=3, activation="softmax")]
     return graph.fuse_two_branch(branch_a, graph.build(spec.branch_b, seed=2), head, seed=3)
 
@@ -438,6 +441,39 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path, make):
     checkpoint.save_checkpoint(make(), first)
     checkpoint.save_checkpoint(checkpoint.load_checkpoint(first), second)
     assert second.read_bytes() == first.read_bytes()
+
+
+def _traced_peak(fn):
+    """The largest traced allocation total while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_saves_copy_each_payload_once(tmp_path):
+    """Arrays go to the CRC and the join as their own buffers; the bytes are unchanged."""
+    spec = graph.spec_from_dict({"name": "wide", "input_dims": [16, 16, 16, 1], "layers": [
+        {"kind": "flatten"}, {"kind": "dense", "units": 256, "activation": "softmax"}]})
+    model = graph.build(spec, seed=0)
+    frozen = model.params()[0].values.view()  # a read-only array saves as any other
+    frozen.flags.writeable = False
+    model.params()[0].values = frozen
+    arrays = [p.values for p in model.params()]
+    payload = sum(a.nbytes for a in arrays)  # 4 MB
+    path = tmp_path / "wide.avc"
+    assert _traced_peak(lambda: checkpoint.save_checkpoint(model, path)) < 1.25 * payload
+    _, payloads = _checkpoint_parts(path.read_bytes())
+    assert payloads == b"".join(a.tobytes() + struct.pack("<I", zlib.crc32(a.tobytes()))
+                                for a in arrays)
+
+    vol = np.random.default_rng(1).standard_normal((64, 64, 64, 1)).astype(np.float32)  # 1 MB
+    rec_path = tmp_path / "big.rec"
+    rec = records.PatientRecord("big", 1, [("PET", vol)])
+    assert _traced_peak(lambda: records.write_record(rec, rec_path)) < 1.25 * vol.nbytes
+    assert rec_path.read_bytes().endswith(vol.tobytes() + struct.pack("<I", zlib.crc32(vol.tobytes())))
 
 
 def test_load_checkpoint_draws_nothing(saved_mini, monkeypatch):

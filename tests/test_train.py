@@ -8,7 +8,7 @@ from voxcnn.errors import InputError, NumericError
 from voxcnn.fixtures import load_fixture
 from voxcnn.rng import substream
 
-from conftest import build_f64, fd_gradient_check, random_batch
+from conftest import build_f64, fd_gradient_check, freeze, random_batch
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +306,27 @@ def test_early_stopping_patience_zero_restores_first_epoch():
     assert abs(T.cross_entropy(y_val, probs) - val_losses[stop]) < 1e-6
 
 
+def test_early_stopping_restores_the_best_epoch_of_a_pet_cut():
+    """Only the head trains and only it is saved and restored; the frozen,
+    read-only backbone and its pinned statistics stay as they were."""
+    vols, labels = tiny_dataset(4)
+    train_mask, val_mask = labels == 0, labels == 1
+    model = _pet_surgery_model()
+    frozen = [(p, p.values.copy()) for p in model.params() if not p.trainable]
+    hyper = T.HyperParams(lr0=0.05, epochs=8, batch_size=4, seed=3)
+    model, curve = T.train(model, (vols[train_mask], labels[train_mask]),
+                           (vols[val_mask], labels[val_mask]), hyper, early_stopping_patience=0)
+    val_losses = [r.val_loss for r in curve.rows]
+    stop = int(np.argmin(val_losses))
+    assert len(curve.rows) < 8 and val_losses[stop + 1] > val_losses[stop]
+    assert curve.val_probs is None
+
+    probs = model.forward(vols[val_mask], "inference")
+    assert abs(T.cross_entropy(T.one_hot(labels[val_mask], 3), probs) - val_losses[stop]) < 1e-6
+    for p, v in frozen:
+        assert not p.values.flags.writeable and np.array_equal(p.values, v), p.name
+
+
 def test_augmentor_applied_to_train_not_validation():
     calls = []
 
@@ -369,10 +390,11 @@ def test_float32_model_trains_in_float32(monkeypatch, make):
     assert len(states) == 1
     for p in model.params():
         assert p.values.dtype == np.float32, p.name
-        assert states[0].m[id(p)].dtype == states[0].v[id(p)].dtype == np.float32, p.name
         if p.trainable:
+            assert states[0].m[id(p)].dtype == states[0].v[id(p)].dtype == np.float32, p.name
             assert p.grad.dtype == np.float32, p.name
         else:
+            assert id(p) not in states[0].m and id(p) not in states[0].v, p.name  # never updated
             assert p.grad is None, p.name  # a frozen prefix is never back-propagated
 
 
@@ -383,7 +405,7 @@ def test_two_branch_with_a_frozen_branch_trains_the_other():
     finals = []
     for _ in range(2):
         model = graph.build(spec, seed=3)
-        model.branch_a.freeze_all()
+        freeze(model.branch_a)
         frozen = {id(p) for p in model.branch_a.params()}
         before = [p.values.copy() for p in model.params()]
         T.train(model, (x, np.array([0, 1, 2, 0])), hyper=hyper)
