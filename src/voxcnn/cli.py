@@ -75,6 +75,8 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if not 0.0 <= args.val_frac < 1.0:
+        raise InputError(f"--val-frac must be in [0, 1), got {args.val_frac}")
     spec = graph.load_spec(args.arch)
     hyper, augmentor = _load_hyper(args.hyper, args.seed)
     volumes, labels, _ = records.load_dataset(args.data, args.modality)
@@ -108,12 +110,7 @@ def cmd_rkfold(args) -> int:
                                  augmentor=augmentor, jobs=args.jobs)
     fileio.make_dirs(args.out_dir)
     _write_json(report.to_dict(), os.path.join(args.out_dir, "report.json"))
-    curve = T.LearningCurve([
-        T.CurveRow(r["epoch"], r["train_loss"], r["train_acc"],
-                   r.get("val_loss"), r.get("val_acc"))
-        for r in report.mean_curve
-    ])
-    curve.write_csv(os.path.join(args.out_dir, "mean_curve.csv"))
+    report.mean_curve.write_csv(os.path.join(args.out_dir, "mean_curve.csv"))
     failed = sum(r.failed for r in report.runs)
     print(f"{args.reps}x{args.k}-fold: {len(report.runs)} runs, {failed} failed, "
           f"mean accuracy {report.mean_accuracy:.4f} "
@@ -231,9 +228,17 @@ def cmd_surgery(args) -> int:
 # Parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as every other usage error does."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="voxcnn",
-                                description="Volumetric CNN experiments from the command line.")
+    p = _Parser(prog="voxcnn",
+                description="Volumetric CNN experiments from the command line.")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("inspect", help="print a per-layer summary of an architecture file")

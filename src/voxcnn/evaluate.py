@@ -7,12 +7,12 @@ three-class confusion matrix to AD-vs-rest.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import graph, train as T
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, require_int
 from .rng import substream
 
 CLASS_NAMES = ("CN", "AD", "MCI")
@@ -133,19 +133,49 @@ class RunResult:
     fold: int
     confusion: np.ndarray | None
     curve: T.LearningCurve | None
-    failed: bool = False
     error: str | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
+
+
+_CURVE_FIELDS = ("train_loss", "train_acc", "val_loss", "val_acc")
 
 
 @dataclass
 class EvalReport:
+    """A study's plan and runs; the accuracy and curve summaries use the runs that did not fail."""
+
     plan: FoldPlan
     runs: list[RunResult]
-    mean_accuracy: float
-    std_accuracy: float
-    mean_curve: list[dict]
-    any_failed: bool
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def any_failed(self) -> bool:
+        return any(r.failed for r in self.runs)
+
+    def _accuracies(self) -> list[float]:
+        return [accuracy(r.confusion) for r in self.runs if not r.failed]
+
+    @property
+    def mean_accuracy(self) -> float:
+        accs = self._accuracies()
+        return float(np.mean(accs)) if accs else float("nan")
+
+    @property
+    def std_accuracy(self) -> float:
+        accs = self._accuracies()
+        return float(np.std(accs)) if accs else float("nan")
+
+    @property
+    def mean_curve(self) -> T.LearningCurve:
+        """The epoch-wise mean of the curves, over the epochs that every run reached."""
+        epochs = zip(*(r.curve.rows for r in self.runs if not r.failed))
+        return T.LearningCurve([
+            T.CurveRow(e, *(float(np.mean([getattr(row, f) for row in rows])) for f in _CURVE_FIELDS))
+            for e, rows in enumerate(epochs)
+        ])
 
     def to_dict(self) -> dict:
         return {
@@ -164,7 +194,7 @@ class EvalReport:
                 }
                 for r in self.runs
             ],
-            "mean_curve": self.mean_curve,
+            "mean_curve": [asdict(row) for row in self.mean_curve.rows],
             "metadata": self.metadata,
         }
 
@@ -185,6 +215,9 @@ def run_rkfold(spec: graph.ModelSpec, volumes, labels, hyper: T.HyperParams,
     depend on scheduling.  A fold is scored from its last validation pass,
     which ran the trained model on the fold's validation samples.
     """
+    require_int("jobs", jobs)
+    if jobs < 1:
+        raise InputError(f"jobs must be >= 1, got {jobs}")
     labels = _check_labels(labels)
     all_idx = np.arange(len(labels))
 
@@ -208,43 +241,9 @@ def run_rkfold(spec: graph.ModelSpec, volumes, labels, hyper: T.HyperParams,
             cm = confusion_matrix(labels[val_idx], probs.argmax(axis=1))
             return RunResult(rep, fold, cm, curve)
         except NumericError as exc:
-            return RunResult(rep, fold, None, None, failed=True, error=str(exc))
+            return RunResult(rep, fold, None, None, error=str(exc))
 
-    work = list(plan.runs())
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda args: one_run(*args), work))
-    else:
-        results = [one_run(*args) for args in work]
-
-    ok = [r for r in results if not r.failed]
-    accs = [accuracy(r.confusion) for r in ok]
-    mean_curve = _average_curves([r.curve for r in ok])
-    return EvalReport(
-        plan=plan,
-        runs=results,
-        mean_accuracy=float(np.mean(accs)) if accs else float("nan"),
-        std_accuracy=float(np.std(accs)) if accs else float("nan"),
-        mean_curve=mean_curve,
-        any_failed=any(r.failed for r in results),
-        metadata={"seed": hyper.seed, "spec": spec.name, "epochs": hyper.epochs},
-    )
-
-
-def _average_curves(curves) -> list[dict]:
-    if not curves:
-        return []
-    n_epochs = min(len(c.rows) for c in curves)
-    out = []
-    for e in range(n_epochs):
-        rows = [c.rows[e] for c in curves]
-        out.append(
-            {
-                "epoch": e,
-                "train_loss": float(np.mean([r.train_loss for r in rows])),
-                "train_acc": float(np.mean([r.train_acc for r in rows])),
-                "val_loss": float(np.mean([r.val_loss for r in rows])),
-                "val_acc": float(np.mean([r.val_acc for r in rows])),
-            }
-        )
-    return out
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        runs = list(pool.map(lambda args: one_run(*args), plan.runs()))
+    return EvalReport(plan, runs,
+                      metadata={"seed": hyper.seed, "spec": spec.name, "epochs": hyper.epochs})

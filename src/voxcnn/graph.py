@@ -386,9 +386,23 @@ def format_summary(summary: Summary) -> str:
 # Materialization
 
 
+GLOROT_BLOCK = 1 << 16
+
+
 def glorot_uniform(rng, shape, fan_in, fan_out, dtype):
+    """Glorot-uniform values of ``shape`` in ``dtype``, drawn in float64.
+
+    The draws are cast into the output ``GLOROT_BLOCK`` values at a time, so
+    the float64 temporary is one block whatever the weight's size.  The
+    generator hands out its doubles in sequence: the values, and its state
+    after the draw, are those of one draw of the whole shape.
+    """
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for lo in range(0, flat.size, GLOROT_BLOCK):
+        flat[lo:lo + GLOROT_BLOCK] = rng.uniform(-limit, limit, size=min(GLOROT_BLOCK, flat.size - lo))
+    return out
 
 
 def _fresh_arrays(rng, dtype):

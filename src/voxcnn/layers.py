@@ -199,7 +199,6 @@ class BatchNorm(Layer):
         self.params = [gamma, beta]
 
     def forward(self, x, mode="inference", rng=None):
-        self._x = x
         axes = tuple(range(x.ndim - 1))
         if mode == "train" and not self.pinned:
             mean = x.mean(axis=axes)
@@ -215,7 +214,6 @@ class BatchNorm(Layer):
             mean = self.moving_mean
             var = self.moving_var
             self._batch_stats = False
-        self._mean = mean
         self._inv_std = 1.0 / np.sqrt(var + BN_EPS)
         self._xhat = (x - mean) * self._inv_std
         return self.gamma.values * self._xhat + self.beta.values
@@ -227,7 +225,7 @@ class BatchNorm(Layer):
         g_xhat = grad * self.gamma.values
         if not self._batch_stats:
             return g_xhat * self._inv_std
-        m = self._x.size // self._x.shape[-1]  # a Python int keeps grad's dtype
+        m = self._xhat.size // self._xhat.shape[-1]  # a Python int keeps grad's dtype
         return (
             self._inv_std
             / m

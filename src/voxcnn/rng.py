@@ -13,6 +13,8 @@ import zlib
 
 import numpy as np
 
+from .errors import InputError, require_int
+
 
 def _key_part(part) -> int:
     if isinstance(part, (int, np.integer)):
@@ -25,7 +27,13 @@ def _key_part(part) -> int:
 
 
 def substream(seed: int, *names) -> np.random.Generator:
-    """Return a generator for the substream identified by ``names``."""
+    """Return a generator for the substream identified by ``names``.
+
+    ``seed`` must be an integer >= 0; anything else raises :class:`InputError`.
+    """
+    require_int("seed", seed)
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     key = tuple(_key_part(p) for p in names)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 

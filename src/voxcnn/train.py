@@ -168,10 +168,7 @@ def exp_decay_lr(lr0: float, rate: float, epoch: int, total_epochs: int) -> floa
 class AdamState:
     """First/second moment accumulators of the trainable parameters plus a step counter."""
 
-    def __init__(self, params: list[ParamTensor], beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params: list[ParamTensor]):
         self.t = 0
         self.m = {id(p): np.zeros_like(p.values) for p in params if p.trainable}
         self.v = {id(p): np.zeros_like(p.values) for p in params if p.trainable}
@@ -184,7 +181,7 @@ def adam_step(state: AdamState, params: list[ParamTensor], lr: float):
     in place and would otherwise be cast or broadcast without a word.
     """
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     for p in params:
@@ -208,7 +205,7 @@ def adam_step(state: AdamState, params: list[ParamTensor], lr: float):
         v += (1 - b2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        p.values -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.values -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def loss(model, x, y_onehot, mode="train", rng=None, l2_lambda=None):
@@ -347,14 +344,13 @@ def train(model, train_set, val_set=None, hyper: HyperParams | None = None,
             else:
                 bad_epochs += 1
                 if bad_epochs > early_stopping_patience:
-                    _restore(trained, moving, best_snap)
-                    curve.val_probs = None
                     break
 
-    if early_stopping_patience is not None and best_snap is not None and curve.rows:
-        if curve.rows[-1].val_loss is not None and curve.rows[-1].val_loss > best_loss:
-            _restore(trained, moving, best_snap)
-            curve.val_probs = None
+    # The best epoch's parameters go back when training stopped early or ended worse than them.
+    if best_snap is not None and (bad_epochs > early_stopping_patience
+                                  or curve.rows[-1].val_loss > best_loss):
+        _restore(trained, moving, best_snap)
+        curve.val_probs = None
     return model, curve
 
 

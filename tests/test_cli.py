@@ -176,13 +176,16 @@ def test_augment_preview_command(capsys, cli_data, tmp_path):
     assert not np.array_equal(after.volume("PET"), before.volume("PET"))
 
 
-def test_surgery_command(capsys, tmp_path):
-    spec = graph.build_resnet18_3d((32, 32, 32, 1))
-    model = graph.build(spec, seed=0)
-    src = tmp_path / "resnet.avc"
-    checkpoint.save_checkpoint(model, src)
+@pytest.fixture(scope="module")
+def resnet_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("resnet") / "resnet.avc"
+    checkpoint.save_checkpoint(graph.build(graph.build_resnet18_3d((32, 32, 32, 1)), seed=0), path)
+    return path
+
+
+def test_surgery_command(capsys, resnet_checkpoint, tmp_path):
     out = tmp_path / "backbone.avc"
-    code, stdout, _ = run(capsys, "surgery", "--checkpoint", str(src),
+    code, stdout, _ = run(capsys, "surgery", "--checkpoint", str(resnet_checkpoint),
                           "--mode", "mri", "--seed", "2", "--out", str(out))
     assert code == 0
     assert "1,539 trainable" in stdout
@@ -494,4 +497,69 @@ def test_rkfold_with_zero_repetitions_exits_1(capsys, cli_data, hyper_file, tmp_
                        "--hyper", str(hyper_file), "--data", str(cli_data),
                        "--k", "3", "--reps", "0", "--out-dir", str(out_dir))
     assert code == 1 and "reps" in err
+    assert not out_dir.exists()
+
+
+def test_rkfold_writes_the_same_report_at_one_and_two_jobs(capsys, cli_data, hyper_file, tmp_path):
+    outs = []
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / f"rk{jobs}"
+        code, _, _ = run(capsys, "rkfold", "--arch", fixture_path("pet_8_mini"),
+                         "--hyper", str(hyper_file), "--data", str(cli_data),
+                         "--k", "3", "--reps", "1", "--jobs", jobs, "--out-dir", str(out_dir))
+        assert code == 0
+        outs.append(out_dir)
+    for name in ("report.json", "mean_curve.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["rkfold", "--arch", "x"],
+    ["train", "--arch", "a", "--hyper", "h", "--data", "d", "--out-dir", "o", "--val-frac", "abc"],
+    ["no-such-command"],
+])
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen-synth", "split", "surgery", "augment-preview", "train"])
+def test_negative_seed_exits_1(capsys, cli_data, hyper_file, resnet_checkpoint, tmp_path, command):
+    out = tmp_path / "out"
+    config = tmp_path / "aug.json"
+    config.write_text(json.dumps({"flip_x": True}))
+    argv = {
+        "gen-synth": ["--per-class", "1", "--out-dir", out],
+        "split": ["--data", cli_data, "--test-frac", "0.5", "--out", out],
+        "surgery": ["--checkpoint", resnet_checkpoint, "--mode", "mri", "--out", out],
+        "augment-preview": ["--record", next(iter(sorted(cli_data.glob("*.rec")))),
+                            "--config", config, "--out", out],
+        "train": ["--arch", fixture_path("pet_8_mini"), "--hyper", hyper_file,
+                  "--data", cli_data, "--out-dir", out],
+    }[command]
+    code, _, err = run(capsys, command, *argv, "--seed", "-1")
+    assert code == 1 and "seed must be >= 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_rkfold_with_fewer_than_one_job_exits_1(capsys, cli_data, hyper_file, tmp_path, jobs):
+    out_dir = tmp_path / "rk"
+    code, _, err = run(capsys, "rkfold", "--arch", fixture_path("pet_8_mini"),
+                       "--hyper", str(hyper_file), "--data", str(cli_data),
+                       "--k", "3", "--reps", "1", "--jobs", jobs, "--out-dir", str(out_dir))
+    assert code == 1 and "jobs must be >= 1" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("frac", ["-0.5", "1", "nan"])
+def test_train_with_a_validation_fraction_outside_its_range_exits_1(capsys, cli_data, hyper_file,
+                                                                      tmp_path, frac):
+    out_dir = tmp_path / "run"
+    code, _, err = run(capsys, "train", "--arch", fixture_path("pet_8_mini"),
+                       "--hyper", str(hyper_file), "--data", str(cli_data),
+                       "--val-frac", frac, "--out-dir", str(out_dir))
+    assert code == 1 and "--val-frac" in err
     assert not out_dir.exists()

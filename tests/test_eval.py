@@ -166,7 +166,7 @@ def test_run_rkfold_counts_and_report(tiny_data):
     assert len(report.runs) == 4
     assert not report.any_failed
     assert 0.0 <= report.mean_accuracy <= 1.0
-    assert len(report.mean_curve) == 2  # pointwise mean over epochs
+    assert len(report.mean_curve.rows) == 2  # pointwise mean over epochs
     d = report.to_dict()
     assert d["k"] == 2 and d["reps"] == 2 and len(d["runs"]) == 4
     # Each run's confusion matrix covers exactly its validation fold.
@@ -219,3 +219,36 @@ def test_a_study_whose_runs_all_fail_writes_valid_json(tiny_data, monkeypatch):
     d = report.to_dict()
     assert d["mean_accuracy"] is None and d["std_accuracy"] is None
     assert json.loads(json.dumps(d, allow_nan=False))["any_failed"] is True
+
+
+def test_run_rkfold_rejects_fewer_than_one_job(tiny_data):
+    vols, labels = tiny_data
+    plan = E.repeated_stratified_kfold(labels, k=2, reps=1, seed=5)
+    for jobs in (0, -3):
+        with pytest.raises(InputError, match="jobs"):
+            E.run_rkfold(load_fixture("pet_8_mini"), vols, labels, T.HyperParams(), plan, jobs=jobs)
+
+
+def _curve(*rows):
+    return T.LearningCurve([T.CurveRow(e, *row) for e, row in enumerate(rows)])
+
+
+def test_a_report_summarises_the_runs_that_did_not_fail():
+    plan = E.repeated_stratified_kfold(np.repeat(np.arange(3), 3), k=3, reps=1, seed=0)
+    error = "epoch 0 batch 0: non-finite loss"
+    runs = [
+        E.RunResult(0, 0, np.diag([1, 1, 1]), _curve((1.0, 0.5, 2.0, 0.25), (0.5, 0.75, 1.0, 0.5))),
+        E.RunResult(0, 1, None, None, error=error),
+        E.RunResult(0, 2, np.array([[1, 1, 0], [0, 1, 0], [0, 0, 0]]), _curve((3.0, 0.25, 4.0, 0.75))),
+    ]
+    report = E.EvalReport(plan, runs)
+    assert [r.failed for r in runs] == [False, True, False] and report.any_failed
+    assert report.mean_accuracy == np.mean([1.0, 2 / 3])
+    assert report.std_accuracy == np.std([1.0, 2 / 3])
+    # the epoch-wise mean, over the epochs that both runs reached
+    assert report.mean_curve.rows == [T.CurveRow(0, 2.0, 0.375, 3.0, 0.5)]
+    d = report.to_dict()
+    assert d["mean_curve"] == [{"epoch": 0, "train_loss": 2.0, "train_acc": 0.375,
+                                "val_loss": 3.0, "val_acc": 0.5}]
+    assert d["runs"][1] == {"rep": 0, "fold": 1, "failed": True, "error": error, "confusion": None}
+    assert d["mean_accuracy"] == report.mean_accuracy and d["any_failed"] is True

@@ -2,12 +2,13 @@
 
 import hashlib
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from voxcnn import graph, layers as L, train as T
-from voxcnn.errors import SpecError
+from voxcnn.errors import InputError, SpecError
 from voxcnn.fixtures import load_fixture
 from voxcnn.rng import substream
 
@@ -141,6 +142,40 @@ def test_glorot_bounds_for_conv_fans():
     assert np.abs(w).max() > 0.9 * bound  # uniform law actually fills the range
     biases = [p for p in model.params() if p.role.endswith("bias")]
     assert all(np.all(p.values == 0) for p in biases)
+
+
+@pytest.mark.parametrize("shape,dtype", [((3, 3, 3, 1, 8), np.float32),
+                                         ((3, 3, 3, 64, 64), np.float32),
+                                         ((70_003,), np.float64)])
+def test_glorot_block_draw_is_the_one_shot_draw(shape, dtype):
+    a, b = substream(1, "init"), substream(1, "init")
+    got = graph.glorot_uniform(a, shape, 10, 20, dtype)
+    limit = np.sqrt(6.0 / 30)
+    want = b.uniform(-limit, limit, size=shape).astype(dtype)
+    assert got.dtype == dtype and got.shape == shape and got.tobytes() == want.tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_glorot_draw_holds_no_float64_copy_of_the_weight():
+    rng = substream(0, "init")
+    tracemalloc.start()
+    try:
+        w = graph.glorot_uniform(rng, (3, 3, 3, 128, 256), 10, 20, np.float32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * w.nbytes
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_substream_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(InputError, match="seed"):
+        substream(seed, "init")
+
+
+def test_build_with_a_negative_seed_raises_input_error():
+    with pytest.raises(InputError, match="seed must be >= 0"):
+        graph.build(load_fixture("pet_8_mini"), seed=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -278,9 +278,12 @@ def test_empty_train_set_rejected():
         T.train(model, (np.zeros((0, 16, 16, 16, 1)), np.zeros(0, dtype=int)))
 
 
-def test_early_stopping_patience_zero_restores_first_epoch():
+def test_early_stopping_patience_zero_restores_first_epoch(monkeypatch):
     """Validation loss worsens monotonically here: training a model on one
     class while validating on another drives val loss up almost surely."""
+    restores = []
+    real_restore = T._restore
+    monkeypatch.setattr(T, "_restore", lambda *a: restores.append(1) or real_restore(*a))
     vols, labels = tiny_dataset(4)
     train_mask = labels == 0
     val_mask = labels == 1
@@ -298,6 +301,7 @@ def test_early_stopping_patience_zero_restores_first_epoch():
     assert len(curve.rows) < 8  # stopped early
     assert val_losses[stop + 1] > val_losses[stop]
     assert curve.val_probs is None  # the last pass ran with parameters no longer held
+    assert len(restores) == 1  # a stop after a worse epoch restores once
 
     # The restored parameters reproduce the best epoch's validation loss.
     vols_val = vols[val_mask]
