@@ -32,7 +32,7 @@ print(f"mean {report.mean_accuracy:.3f} +- {report.std_accuracy:.3f}")
 # "mri" keeps the whole backbone and replaces only the pooled classifier
 # (512*3+3 = 1539 trainable weights); "pet" also removes the 512-channel
 # stage, classifying from 256 features (771 trainable weights).  Everything
-# retained is frozen, and its batch-norm layers are pinned to inference
+# retained is frozen, which pins its batch-norm layers to inference
 # statistics.  A cut leaves its base unchanged, so one base serves both.
 
 base = graph.build(graph.build_resnet18_3d((32, 32, 32, 1)), seed=0)

@@ -1,11 +1,14 @@
-"""Model checkpoints: spec + parameter manifest + CRC-checked payloads.
+"""Model checkpoints: spec + dtype + trainable flags + CRC-checked payloads.
 
 Layout (little-endian): magic "AVC1" | version u16 | header_len u32 |
-header JSON | crc32 u32 of the header | per parameter: payload bytes,
-crc32 u32.  The header carries the model spec, and for each parameter its
-name, shape, dtype, trainable flag, and batch-norm pinning/moving
-statistics.  Loading raises a :class:`StorageError` subclass for every
-malformed file.
+header JSON | crc32 u32 of the header | per array: payload bytes, crc32 u32.
+The header is exactly ``{"spec", "dtype", "trainable"}``: the model spec, the
+one float dtype of every array, and one flag per parameter.  The payloads
+follow in the spec's slot order (``graph.arrays``), so each array's name,
+role, shape and L2 weight come from the spec, and a batch norm is pinned
+when its gamma and beta are frozen.  Format 2, whose header repeated those
+facts, raises :class:`VersionError`.  Loading raises a :class:`StorageError`
+subclass for every malformed file.
 """
 
 from __future__ import annotations
@@ -21,58 +24,47 @@ from .layers import ParamTensor
 from .errors import FormatError, ShapeError, SpecError, StorageError, VersionError
 
 MAGIC = b"AVC1"
-VERSION = 2
-_HEADER_KEYS = ("spec", "params", "bn")
+VERSION = 3
+_HEADER_KEYS = {"spec", "dtype", "trainable"}
 
 
 def save_checkpoint(model, path):
-    bns = graph.bn_layers(model)
-    arrays = [(p.name, p.role, p.values, {"trainable": bool(p.trainable), "l2": p.l2})
-              for p in model.params()]
-    arrays += [(f"bn{i}.moving_{tag}", "bn_state", values, {"trainable": False})
-               for i, bn in enumerate(bns)
-               for tag, values in (("mean", bn.moving_mean), ("var", bn.moving_var))]
-    entries = [{"name": name, "role": role, "shape": list(values.shape), "dtype": str(values.dtype),
-                **flags} for name, role, values, flags in arrays]
-    header = json.dumps({"spec": model.spec.to_dict(), "params": entries,
-                         "bn": [{"pinned": bn.pinned} for bn in bns]}).encode("utf-8")
+    arrays = [getattr(holder, attr) for holder, attr, _ in graph.arrays(model)]
+    dtypes = {a.dtype.name for a in arrays} or {"float32"}
+    if len(dtypes) > 1:
+        raise SpecError(f"a checkpoint holds arrays of one dtype, the model has {sorted(dtypes)}")
+    header = json.dumps({"spec": model.spec.to_dict(), "dtype": dtypes.pop(),
+                         "trainable": [bool(p.trainable) for p in model.params()]}).encode("utf-8")
     parts = [MAGIC, struct.pack("<HI", VERSION, len(header))]
-    for payload in [header] + [np.ascontiguousarray(values) for _, _, values, _ in arrays]:
+    for payload in [header] + [np.ascontiguousarray(a) for a in arrays]:
         parts += fileio.with_crc(payload)  # an array's own buffer: the join is its one copy
     fileio.write_bytes(path, b"".join(parts))
 
 
-def _parse_header(raw: bytes, path) -> dict:
+def _parse_header(raw: bytes, path):
+    """The spec, dtype and trainable flags of a header."""
     header = fileio.decode_json(raw, FormatError, f"{path}: header")
-    if not (isinstance(header, dict) and all(k in header for k in _HEADER_KEYS)
-            and isinstance(header["params"], list) and isinstance(header["bn"], list)):
-        raise FormatError(f"{path}: header lacks its spec, params or bn entries")
-    return header
-
-
-def _entry_layout(entry, path):
-    """(shape, dtype, payload bytes) of one header entry."""
+    if not (isinstance(header, dict) and header.keys() == _HEADER_KEYS
+            and isinstance(header["dtype"], str) and isinstance(header["trainable"], list)
+            and all(isinstance(flag, bool) for flag in header["trainable"])):
+        raise FormatError(f"{path}: header is not a spec, a dtype name and a list of trainable flags")
     try:
-        shape = tuple(entry["shape"])
-        dtype = np.dtype(entry["dtype"])
-        flags_ok = (isinstance(entry["name"], str) and isinstance(entry["role"], str)
-                    and isinstance(entry["trainable"], bool)
-                    and isinstance(entry.get("l2", 0.0), (int, float)))
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: malformed parameter entry: {exc}") from exc
-    if not (flags_ok and dtype.kind == "f" and all(isinstance(d, int) and d >= 0 for d in shape)):
-        raise FormatError(f"{path}: malformed parameter entry {entry.get('name')!r}")
-    return shape, dtype, math.prod(shape) * dtype.itemsize
+        dtype = np.dtype(header["dtype"])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: unknown dtype {header['dtype']!r}") from exc
+    if dtype.kind != "f":
+        raise FormatError(f"{path}: dtype {header['dtype']!r} is not a float type")
+    return header["spec"], dtype, header["trainable"]
 
 
 def load_checkpoint(path):
-    """Rebuild a model from a checkpoint's own entries; nothing is drawn at random.
+    """Rebuild a model from a checkpoint; nothing is drawn at random.
 
-    Names, values, trainable flags, L2 weights and BN state come from the
-    file, in the spec's layout order.  A short file raises
-    :class:`TruncationError`; a foreign, malformed or over-long one, or one
-    whose entries do not fit its spec, :class:`FormatError`; a damaged
-    header or payload :class:`ChecksumError`.
+    Each payload is read at its slot's shape, in slot order.  A short file
+    raises :class:`TruncationError`; a foreign, malformed or over-long one,
+    or one whose flags do not fit its spec, :class:`FormatError`; a damaged
+    header or payload, or one whose payloads do not fit its spec,
+    :class:`ChecksumError`.
     """
     r = fileio.Reader(fileio.read_bytes(path, StorageError, "checkpoint"), path)
     if r.take(4) != MAGIC:
@@ -80,39 +72,24 @@ def load_checkpoint(path):
     version, header_len = r.unpack("<HI")
     if version != VERSION:
         raise VersionError(f"{path}: unsupported checkpoint version {version}")
-    header = _parse_header(r.take_checked(header_len, "the header"), path)
-
-    loaded = []
-    for entry in header["params"]:
-        shape, dtype, nbytes = _entry_layout(entry, path)
-        payload = r.take_checked(nbytes, repr(entry["name"]))
-        loaded.append((entry, np.frombuffer(payload, dtype=dtype).reshape(shape).copy()))
-    r.expect_end()
-
-    # the parameters come first, in Model.params() order, then the moving statistics
-    n_params = sum(entry["role"] != "bn_state" for entry, _ in loaded)
-    params, stats = iter(loaded[:n_params]), iter(loaded[n_params:])
+    spec, dtype, flags = _parse_header(r.take_checked(header_len, "the header"), path)
+    flags = iter(flags)
 
     def take(name, slot):
-        entry, values = next(stats if slot.role == "bn_state" else params, (None, None))
-        if entry is None or entry["role"] != slot.role or values.shape != slot.shape:
-            raise FormatError(f"{path}: no entry fits {name} ({slot.role}, shape {list(slot.shape)})")
+        payload = r.take_checked(math.prod(slot.shape) * dtype.itemsize, repr(name))
+        values = np.frombuffer(payload, dtype=dtype).reshape(slot.shape).copy()
         if slot.role == "bn_state":
             return values
-        return ParamTensor(entry["name"], slot.role, values, entry["trainable"], entry.get("l2", 0.0))
+        trainable = next(flags, None)
+        if trainable is None:
+            raise FormatError(f"{path}: fewer trainable flags than the spec has parameters")
+        return ParamTensor(name, slot.role, values, trainable, slot.l2)
 
     try:
-        model = graph.assemble(graph.spec_from_dict(header["spec"]), take)
+        model = graph.assemble(graph.spec_from_dict(spec), take)
     except (SpecError, ShapeError) as exc:
         raise FormatError(f"{path}: bad model spec: {exc}") from exc
-    if next(params, None) is not None or next(stats, None) is not None:
-        raise FormatError(f"{path}: parameter count does not match spec")
-
-    bn_layers = graph.bn_layers(model)
-    if not (len(header["bn"]) == len(bn_layers)
-            and all(isinstance(b, dict) and isinstance(b.get("pinned"), bool) for b in header["bn"])):
-        raise FormatError(f"{path}: batch-norm entries do not match the model's "
-                          f"{len(bn_layers)} batch-norm layers")
-    for bn, b in zip(bn_layers, header["bn"]):
-        bn.pinned = b["pinned"]
+    if next(flags, None) is not None:
+        raise FormatError(f"{path}: more trainable flags than the spec has parameters")
+    r.expect_end()
     return model

@@ -56,7 +56,7 @@ def _parse_dims(text):
 def _metrics_dict(cm):
     sens, spec = evaluate.sensitivity_specificity(cm)
     return {
-        "class_order": list(evaluate.CLASS_NAMES),
+        "class_order": list(records.CLASS_NAMES),
         "confusion": cm.tolist(),
         "accuracy": evaluate.accuracy(cm),
         "sensitivity": sens,
@@ -160,7 +160,7 @@ def cmd_split(args) -> int:
         "test": [ids[i] for i in test_idx],
         "test_class_counts": {
             name: int((labels[test_idx] == c).sum())
-            for c, name in enumerate(evaluate.CLASS_NAMES)
+            for c, name in enumerate(records.CLASS_NAMES)
         },
     }
     _write_json(doc, args.out)

@@ -13,10 +13,10 @@ import numpy as np
 
 from . import graph, train as T
 from .errors import InputError, NumericError, require_int
+from .records import CLASS_NAMES
 from .rng import substream
 
-CLASS_NAMES = ("CN", "AD", "MCI")
-N_CLASSES = 3
+N_CLASSES = len(CLASS_NAMES)
 AD = 1
 
 

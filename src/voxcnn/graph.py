@@ -12,7 +12,9 @@ and activation sub-specs.  Summary counts, output shapes, and a model's
 arrays all derive from these two statements.  Every model is made by
 ``assemble``, whether ``build`` draws its arrays, ``checkpoint`` loads them,
 or transfer surgery and two-branch fusion take them from built models; those
-two leave their input models unchanged.
+two leave their input models unchanged, and every array is named by its slot
+in the spec it is assembled for.  ``arrays`` walks a model's arrays in the
+same slot order, each with whether training leaves it alone.
 """
 
 from __future__ import annotations
@@ -552,9 +554,27 @@ def _walk(layers):
         yield lyr
 
 
-def bn_layers(model) -> list[L.BatchNorm]:
-    """The batch-norm layers of a model, residual blocks and branches included, in a fixed order."""
-    return [lyr for lyr in model._walk_layers() if isinstance(lyr, L.BatchNorm)]
+def arrays(model):
+    """Each array of ``model`` in slot order, as ``(holder, attribute, frozen)``.
+
+    The holder is a ``ParamTensor`` (attribute ``values``) or a ``BatchNorm``
+    (``moving_mean``, ``moving_var``).  An array is frozen when training
+    leaves it alone: a parameter that does not train, or a statistic of a
+    pinned batch norm.  Read an array when it is needed: a batch norm rebinds
+    its statistics at every train step.
+    """
+    return _held_arrays(model._walk_layers())
+
+
+def _held_arrays(walked):
+    for lyr in walked:
+        if isinstance(lyr, L.ResidualBlock):
+            continue  # its arrays are those of its parts
+        for p in lyr.params:
+            yield p, "values", not p.trainable
+        if isinstance(lyr, L.BatchNorm):
+            yield lyr, "moving_mean", lyr.pinned
+            yield lyr, "moving_var", lyr.pinned
 
 
 def build(spec: ModelSpec, seed: int = 0, dtype=np.float32):
@@ -633,9 +653,10 @@ def surgery(model: Model, recipe: str, classes: int = 3, seed: int = 0) -> Model
 
     ``mri``: drop only the final pool + classifier.  ``pet``: additionally
     drop the last residual stage (its two blocks).  The retained layers are
-    rebuilt frozen, on read-only views of ``model``'s arrays, with their
-    batch-norm layers pinned to inference mode; a fresh global-average-pool
-    + dense softmax head is appended.
+    rebuilt frozen, on read-only views of ``model``'s arrays, which pins their
+    batch norms to inference mode; a fresh global-average-pool + dense
+    softmax head is appended.  Every array is named by its slot in the cut's
+    spec.
     """
     if recipe not in ("pet", "mri"):
         raise SpecError(f"unknown surgery recipe {recipe!r}")
@@ -658,8 +679,12 @@ def surgery(model: Model, recipe: str, classes: int = 3, seed: int = 0) -> Model
 def fuse_two_branch(branch_a: Model, branch_b: Model, head: list[LayerSpec], seed: int = 0):
     """Fuse two vector-terminated branch models by concatenation plus a fresh head.
 
-    The branches are left unchanged: their frozen arrays are shared read-only, the others copied.
+    The branches' parameters must share one dtype, the fused model's.  The branches are left
+    unchanged: their frozen arrays are shared read-only, the others copied.
     """
+    dtypes = {p.values.dtype.name for m in (branch_a, branch_b) for p in m.params()}
+    if len(dtypes) != 1:
+        raise SpecError(f"fusion needs branch parameters of one dtype, got dtypes {sorted(dtypes)}")
     spec = ModelSpec("two_branch", branch_a=branch_a.spec, branch_b=branch_b.spec, head=head)
     return _assemble_reusing(spec, branch_a.layers + branch_b.layers, False, seed)
 
@@ -667,36 +692,25 @@ def fuse_two_branch(branch_a: Model, branch_b: Model, head: list[LayerSpec], see
 def _assemble_reusing(spec: ModelSpec, layers, freeze: bool, seed: int):
     """A model of ``spec`` on the arrays of ``layers`` in slot order, then on fresh ones from ``seed``.
 
-    A frozen parameter or a pinned batch norm's statistic is shared as a read-only view, any other
-    array copied; flags and pins carry over, and ``freeze`` freezes and pins all that is reused.
+    A frozen array is shared as a read-only view, any other copied; flags carry over, and
+    ``freeze`` freezes all that is reused, which pins its batch norms.
     """
-
-    def reused():
-        for lyr in _walk(layers):
-            if isinstance(lyr, L.ResidualBlock):
-                continue  # its arrays are those of its parts
-            for p in lyr.params:
-                yield p, p.values, freeze or not p.trainable
-            if isinstance(lyr, L.BatchNorm):
-                yield None, lyr.moving_mean, freeze or lyr.pinned
-                yield None, lyr.moving_var, freeze or lyr.pinned
-
-    arrays, dtype = reused(), [p for lyr in layers for p in lyr.params][0].values.dtype
-    fresh = _fresh_arrays(substream(seed, "init"), dtype)
+    reused = _held_arrays(_walk(layers))
+    fresh = _fresh_arrays(substream(seed, "init"),
+                          next(p for lyr in layers for p in lyr.params).values.dtype)
 
     def take(name, slot: Slot):
-        p, values, frozen = next(arrays, (None, None, None))
-        if values is None:
+        holder, attr, frozen = next(reused, (None, None, None))
+        if holder is None:
             return fresh(name, slot)
+        values, frozen = getattr(holder, attr), freeze or frozen
         if frozen:
             values = values.view()
             values.flags.writeable = False
         else:
             values = values.copy()
-        return values if p is None else L.ParamTensor(p.name, p.role, values, not frozen, p.l2)
+        if slot.role == "bn_state":
+            return values
+        return L.ParamTensor(name, slot.role, values, not frozen, slot.l2)
 
-    model = assemble(spec, take)
-    old = [lyr for lyr in _walk(layers) if isinstance(lyr, L.BatchNorm)]
-    for bn, was in zip(bn_layers(model), old):
-        bn.pinned = freeze or was.pinned
-    return model
+    return assemble(spec, take)

@@ -9,7 +9,9 @@ backward.  Relu writes in place into the pre-activation its layer has just
 allocated, and backward masks with the output (``out > 0`` equals
 ``z > 0``).  Parameters live in :class:`ParamTensor` records so the
 optimizer, the freeze logic, and the L2 penalty can address them uniformly;
-a conv's weights are stored there only.  A layer is handed its records and
+a conv's weights are stored there only.  What training may change is stated
+by the records' ``trainable`` flags alone: a batch norm whose gamma and beta
+are frozen is pinned.  A layer is handed its records and
 moving statistics ready-made: ``graph`` makes them, fresh, from a checkpoint,
 or from the arrays of another model.  Layer objects are never shared between
 models; only a frozen array is, as a read-only view.
@@ -186,17 +188,21 @@ class BatchNorm(Layer):
     """Per-channel batch normalization with moving statistics.
 
     ``moving <- momentum * moving + (1 - momentum) * batch`` on every train
-    forward.  A ``pinned`` layer behaves as inference regardless of mode and
-    never updates its moving statistics (transfer-surgery contract).
+    forward.  A layer is ``pinned`` when it is frozen, neither gamma nor beta
+    trainable (Keras's rule for a frozen batch norm): it then behaves as
+    inference regardless of mode and never updates its moving statistics.
     """
 
     def __init__(self, gamma: ParamTensor, beta: ParamTensor, moving_mean, moving_var, momentum=0.99):
         super().__init__()
         self.momentum = momentum
-        self.pinned = False
         self.gamma, self.beta = gamma, beta
         self.moving_mean, self.moving_var = moving_mean, moving_var
         self.params = [gamma, beta]
+
+    @property
+    def pinned(self) -> bool:
+        return not (self.gamma.trainable or self.beta.trainable)
 
     def forward(self, x, mode="inference", rng=None):
         axes = tuple(range(x.ndim - 1))

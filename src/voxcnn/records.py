@@ -20,7 +20,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from . import fileio
-from .errors import DataError, FormatError, InputError, StorageError, VersionError
+from .errors import DataError, FormatError, InputError, StorageError, VersionError, require_real
 from .rng import substream
 
 MAGIC = b"AVR1"
@@ -28,19 +28,20 @@ FORMAT_VERSION = 1
 MODALITIES = ("PET", "MRI", "OTHER")
 _MOD_CODE = {name: i for i, name in enumerate(MODALITIES)}
 _DTYPE_F32 = 0
+CLASS_NAMES = ("CN", "AD", "MCI")  # a record's label indexes this
 
 
 @dataclass
 class PatientRecord:
     subject_id: str
-    label: int  # 0=CN, 1=AD, 2=MCI
+    label: int  # an index into CLASS_NAMES
     volumes: list[tuple[str, np.ndarray]]
 
     def __post_init__(self):
         if not self.subject_id:
             raise InputError("subject_id must be non-empty")
-        if not 0 <= self.label <= 2:
-            raise InputError("label must be 0 (CN), 1 (AD), or 2 (MCI)")
+        if not 0 <= self.label < len(CLASS_NAMES):
+            raise InputError(f"label must be an index into {CLASS_NAMES}")
         if not self.volumes:
             raise InputError("record needs at least one volume")
         mods = [m for m, _ in self.volumes]
@@ -133,10 +134,10 @@ def read_directory(directory) -> tuple[list[str], list[PatientRecord]]:
 
 def manifest_for(files: list[str], recs: list[PatientRecord]) -> DatasetManifest:
     """The manifest of records ``recs`` stored as ``files``; raises StorageError on mixed dims."""
-    counts = {"CN": 0, "AD": 0, "MCI": 0}
+    counts = dict.fromkeys(CLASS_NAMES, 0)
     dims: dict[str, list[int]] = {}
     for rec in recs:
-        counts[("CN", "AD", "MCI")[rec.label]] += 1
+        counts[CLASS_NAMES[rec.label]] += 1
         for modality, vol in rec.volumes:
             d = list(vol.shape)
             if modality in dims and dims[modality] != d:
@@ -191,6 +192,10 @@ def gen_synthetic(per_class: int, dims=(16, 16, 16), signal_strength: float = 1.
     dims = tuple(int(d) for d in dims)
     if min(dims) < 8:
         raise InputError("dims must be at least 8 per axis")
+    require_real("signal_strength", signal_strength)
+    require_real("noise_sigma", noise_sigma)
+    if noise_sigma < 0:
+        raise InputError("noise_sigma must be >= 0")
     records = []
     for cls in range(3):
         for i in range(per_class):

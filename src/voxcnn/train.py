@@ -11,7 +11,7 @@ import numpy as np
 from . import fileio, volume
 from .errors import (InputError, NumericError, require_bool, require_int, require_known_keys,
                      require_real)
-from .graph import bn_layers
+from .graph import arrays
 from .layers import ParamTensor, softmax
 from .rng import sample_seed, substream
 
@@ -257,20 +257,16 @@ def _take(x, idx):
     return x[idx]
 
 
-def _snapshot(trained, moving):
-    """Copy what training changes and inference reads: the values of the ``trained``
-    parameters and the moving statistics of the ``moving`` batch norms."""
-    return ([p.values.copy() for p in trained],
-            [(bn.moving_mean.copy(), bn.moving_var.copy()) for bn in moving])
+def _snapshot(model):
+    """Copy what training changes and inference reads: every array of ``model`` that is not frozen."""
+    return [getattr(holder, attr).copy() for holder, attr, frozen in arrays(model) if not frozen]
 
 
-def _restore(trained, moving, snap):
-    values, bn_stats = snap
-    for p, v in zip(trained, values):
-        p.values[...] = v
-    for bn, (mm, mv) in zip(moving, bn_stats):
-        bn.moving_mean = mm.copy()
-        bn.moving_var = mv.copy()
+def _restore(model, snap):
+    """Rebind ``model``'s arrays that are not frozen to those of ``snap``, in slot order."""
+    trained = ((holder, attr) for holder, attr, frozen in arrays(model) if not frozen)
+    for (holder, attr), values in zip(trained, snap):
+        setattr(holder, attr, values)
 
 
 @volume.reusing_scratch()
@@ -302,9 +298,6 @@ def train(model, train_set, val_set=None, hyper: HyperParams | None = None,
 
     params = model.params()
     adam = AdamState(params)
-    # what early stopping saves: frozen arrays and pinned statistics never change
-    trained = [p for p in params if p.trainable]
-    moving = [bn for bn in bn_layers(model) if not bn.pinned]
     curve = LearningCurve()
     best_loss, best_snap, bad_epochs = np.inf, None, 0
 
@@ -340,7 +333,7 @@ def train(model, train_set, val_set=None, hyper: HyperParams | None = None,
 
         if early_stopping_patience is not None and val is not None:
             if row.val_loss < best_loss:
-                best_loss, best_snap, bad_epochs = row.val_loss, _snapshot(trained, moving), 0
+                best_loss, best_snap, bad_epochs = row.val_loss, _snapshot(model), 0
             else:
                 bad_epochs += 1
                 if bad_epochs > early_stopping_patience:
@@ -349,7 +342,7 @@ def train(model, train_set, val_set=None, hyper: HyperParams | None = None,
     # The best epoch's parameters go back when training stopped early or ended worse than them.
     if best_snap is not None and (bad_epochs > early_stopping_patience
                                   or curve.rows[-1].val_loss > best_loss):
-        _restore(trained, moving, best_snap)
+        _restore(model, best_snap)
         curve.val_probs = None
     return model, curve
 

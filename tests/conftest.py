@@ -10,7 +10,7 @@ thrown away.
 import numpy as np
 import pytest
 
-from voxcnn import graph, train as T
+from voxcnn import graph, layers as L, train as T
 from voxcnn.rng import substream
 
 
@@ -62,12 +62,15 @@ def build_f64(fixture_name, seed=1):
     return spec, graph.build(spec, seed=seed, dtype=np.float64)
 
 
+def bn_layers(model):
+    """The batch-norm layers of a model, residual blocks and branches included, in slot order."""
+    return [lyr for lyr in model._walk_layers() if isinstance(lyr, L.BatchNorm)]
+
+
 def freeze(model):
-    """Freeze every parameter of ``model`` and pin its batch norms, in place."""
+    """Freeze every parameter of ``model`` in place, which pins its batch norms."""
     for p in model.params():
         p.trainable = False
-    for bn in graph.bn_layers(model):
-        bn.pinned = True
 
 
 def random_batch(spec, n=1, seed=0):

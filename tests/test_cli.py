@@ -2,6 +2,7 @@
 
 import collections
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -240,6 +241,26 @@ def test_truncated_checkpoint_exits_2(capsys, cli_data, tmp_path):
     code, _, err = run(capsys, "test-eval", "--checkpoint", str(ckpt),
                        "--data", str(cli_data), "--out", str(tmp_path / "m.json"))
     assert code == 2 and "truncated" in err
+
+
+def test_version_2_checkpoint_exits_2(capsys, cli_data, mini_checkpoint, tmp_path):
+    """A file of format 2, whose header repeated its spec's layout, is refused by its version."""
+    raw = mini_checkpoint.read_bytes()
+    ckpt = tmp_path / "v2.avc"
+    ckpt.write_bytes(raw[:4] + struct.pack("<H", 2) + raw[6:])
+    code, _, err = run(capsys, "test-eval", "--checkpoint", str(ckpt),
+                       "--data", str(cli_data), "--out", str(tmp_path / "m.json"))
+    assert code == 2 and "version 2" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--signal-strength", "nan"), ("--noise-sigma", "inf"),
+                                        ("--noise-sigma", "-1")])
+def test_gen_synth_rejects_a_non_finite_or_negative_setting(capsys, tmp_path, flag, value):
+    out = tmp_path / "data"
+    code, _, err = run(capsys, "gen-synth", "--per-class", "1", "--out-dir", str(out), flag, value)
+    assert code == 1 and flag[2:].replace("-", "_") in err
+    assert not out.exists()  # no record and no manifest
 
 
 def test_rkfold_reports_failed_runs(capsys, cli_data, tmp_path):

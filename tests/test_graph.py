@@ -12,7 +12,7 @@ from voxcnn.errors import InputError, SpecError
 from voxcnn.fixtures import load_fixture
 from voxcnn.rng import substream
 
-from conftest import freeze, random_batch
+from conftest import bn_layers, freeze, random_batch
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +229,28 @@ def test_batchnorm_backward_keeps_float32():
 
 
 def test_pinned_batchnorm_ignores_train_mode():
+    """Freezing gamma and beta pins a batch norm: train mode then normalizes as inference does."""
     bn = _bn(1, dtype=np.float64)
-    bn.pinned = True
+    bn.gamma.trainable = bn.beta.trainable = False
+    assert bn.pinned
     x = np.random.default_rng(2).standard_normal((4, 2, 2, 2, 1))
     y = bn.forward(x, "train")
     assert np.array_equal(bn.moving_mean, np.zeros(1))
     assert np.array_equal(bn.moving_var, np.ones(1))
     assert np.allclose(y, x / np.sqrt(1 + 1e-3))
+
+
+@pytest.mark.parametrize("frozen", [(), ("gamma",), ("beta",)], ids=["none", "gamma", "beta"])
+def test_batchnorm_with_a_trainable_parameter_follows_train_mode(frozen):
+    bn = _bn(1, momentum=0.9, dtype=np.float64)
+    for name in frozen:
+        getattr(bn, name).trainable = False
+    assert not bn.pinned
+    x = np.random.default_rng(2).standard_normal((4, 2, 2, 2, 1))
+    y = bn.forward(x, "train")
+    assert np.allclose(bn.moving_mean, 0.1 * x.mean())
+    assert np.allclose(bn.moving_var, 0.9 + 0.1 * x.var())
+    assert np.allclose(y, (x - x.mean()) / np.sqrt(x.var() + 1e-3))
 
 
 def test_dropout_monte_carlo_keep_rate():
@@ -418,13 +433,13 @@ def _state(model):
     return ([(p.name, p.role, p.trainable, p.l2, p.values.flags.writeable, _digest(p.values))
              for p in model.params()],
             [(bn.pinned, _digest(bn.moving_mean), _digest(bn.moving_var))
-             for bn in graph.bn_layers(model)])
+             for bn in bn_layers(model)])
 
 
 def test_surgery_leaves_its_base_unchanged(small_resnet):
     before = _state(small_resnet)
     assert all(p.trainable for p in small_resnet.params())
-    assert not any(bn.pinned for bn in graph.bn_layers(small_resnet))
+    assert not any(bn.pinned for bn in bn_layers(small_resnet))
     cuts = [graph.surgery(small_resnet, recipe, seed=1) for recipe in ("mri", "pet")]
     assert _state(small_resnet) == before
 
@@ -433,9 +448,11 @@ def test_surgery_leaves_its_base_unchanged(small_resnet):
         assert base_layers.isdisjoint(id(lyr) for lyr in cut._walk_layers())
         frozen = [p for p in cut.params() if not p.trainable]
         for p, q in zip(frozen, small_resnet.params()):  # the base's own arrays, read-only
-            assert p.name == q.name and np.shares_memory(p.values, q.values), p.name
+            # named by the cut's own spec, so a saved and reloaded cut keeps its names
+            assert p.name == cut.spec.name + q.name[len(small_resnet.spec.name):], p.name
+            assert np.shares_memory(p.values, q.values), p.name
             assert not p.values.flags.writeable, p.name
-        assert all(bn.pinned for bn in graph.bn_layers(cut))
+        assert all(bn.pinned for bn in bn_layers(cut))
         dense = f"{cut.spec.name}.{len(cut.spec.layers) - 1}_dense"
         assert [p.name for p in cut.params() if p.trainable] == [f"{dense}.weights", f"{dense}.bias"]
 
@@ -446,7 +463,7 @@ def test_cut_frozen_arrays_reject_in_place_writes(small_resnet):
     with pytest.raises(ValueError, match="read-only"):
         frozen.values += 1.0
     with pytest.raises(ValueError, match="read-only"):
-        graph.bn_layers(cut)[0].moving_mean[...] = 0.0
+        bn_layers(cut)[0].moving_mean[...] = 0.0
     head = cut.params()[-1]
     head.values += 1.0  # the fresh head is the cut's own
     assert head.values.flags.owndata
@@ -522,6 +539,21 @@ def test_fuse_rejects_volume_terminated_branches():
         graph.fuse_two_branch(a, b, [graph.LayerSpec("dense", units=3, activation="softmax")])
 
 
+def test_fuse_rejects_branches_of_different_dtypes():
+    spec = load_fixture("two_branch_mini")
+    a = graph.build(spec.branch_a, seed=1, dtype=np.float32)
+    b = graph.build(spec.branch_b, seed=2, dtype=np.float64)
+    with pytest.raises(SpecError, match="dtypes"):
+        graph.fuse_two_branch(a, b, spec.head)
+    fused = graph.fuse_two_branch(a, graph.build(spec.branch_b, seed=2, dtype=np.float32), spec.head)
+    assert {p.values.dtype for p in fused.params()} == {np.dtype(np.float32)}
+
+    pool = graph.build(graph.spec_from_dict({"name": "pool", "input_dims": [8, 8, 8, 1],
+                                             "layers": [{"kind": "global_avg_pool3d"}]}))
+    with pytest.raises(SpecError, match="dtypes"):  # no parameter states a dtype
+        graph.fuse_two_branch(pool, pool, spec.head)
+
+
 def test_fuse_leaves_its_branches_unchanged():
     spec = load_fixture("two_branch_mini")
     a, b = graph.build(spec.branch_a, seed=1), graph.build(spec.branch_b, seed=2)
@@ -538,4 +570,4 @@ def test_fuse_leaves_its_branches_unchanged():
         assert not p.trainable and np.shares_memory(p.values, q.values), p.name
     for p, q in zip(fused.branch_b.params(), b.params()):
         assert p.trainable and not np.shares_memory(p.values, q.values), p.name
-    assert [bn.pinned for bn in graph.bn_layers(fused)] == [True, False]
+    assert [bn.pinned for bn in bn_layers(fused)] == [True, False]

@@ -15,6 +15,7 @@ from voxcnn.errors import (
     DataError,
     FormatError,
     InputError,
+    SpecError,
     StorageError,
     TruncationError,
     VersionError,
@@ -23,7 +24,7 @@ from voxcnn.errors import (
 from voxcnn.fixtures import load_fixture
 from voxcnn.rng import substream
 
-from conftest import freeze
+from conftest import bn_layers, freeze
 
 
 def make_record(seed=0, dims_pet=(79, 95, 68, 1), dims_mri=(121, 145, 121, 1)):
@@ -397,23 +398,65 @@ def test_checkpoint_malformed_header_raises_format_error(saved_mini, header_byte
         checkpoint.load_checkpoint(path)
 
 
+def test_checkpoint_header_holds_the_spec_one_dtype_and_a_flag_per_parameter(saved_mini):
+    path, raw = saved_mini
+    header, _ = _checkpoint_parts(raw)
+    model = checkpoint.load_checkpoint(path)
+    assert checkpoint.VERSION == 3
+    assert sorted(header) == ["dtype", "spec", "trainable"]
+    assert header["dtype"] == "float32"
+    assert header["trainable"] == [True] * len(model.params())
+    assert header["spec"] == load_fixture("pet_8_mini").to_dict()
+
+
 @pytest.mark.parametrize("edit", [
-    lambda h: h["params"][0].pop("dtype"),
-    lambda h: h["params"][0].update(shape=[-1]),
-    lambda h: h["params"][0].update(trainable="yes"),
-    lambda h: h["bn"].pop(),
-    lambda h: h["bn"].append({"pinned": False}),
+    lambda h: h.pop("dtype"),
+    lambda h: h.update(dtype="int32"),
+    lambda h: h["trainable"].__setitem__(0, "yes"),
+    lambda h: h["trainable"].pop(),
+    lambda h: h["trainable"].append(False),
     lambda h: h["spec"]["layers"][0].update(kind="nope"),
-    lambda h: h["params"][0].update(name=3),
-    lambda h: h["params"][0].update(role="dense_weights"),
+    lambda h: h.update(dtype=3),
+    lambda h: h["trainable"].__setitem__(0, 1),
+    lambda h: h.pop("spec"),
+    lambda h: h.pop("trainable"),
+    lambda h: h.update(dtype="nope"),
+    lambda h: h.update(dtype=None),
+    lambda h: h.update(trainable=True),
+    lambda h: h.update(bn=[]),
 ])
 def test_checkpoint_inconsistent_header_raises_format_error(saved_mini, edit):
+    """A header lacking a key or holding another, a non-float dtype, a non-bool flag, or too few
+    or too many flags for the spec's parameters."""
     path, raw = saved_mini
     header, payloads = _checkpoint_parts(raw)
     edit(header)
     path.write_bytes(_checkpoint_bytes(json.dumps(header).encode("utf-8"), payloads))
     with pytest.raises(FormatError):
         checkpoint.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["spec"]["layers"][0].update(filters=5),
+    lambda h: h["spec"]["layers"][-1].update(units=2),
+    lambda h: h["spec"]["layers"].pop(3),  # the batch norm, and with it four arrays
+    lambda h: h.update(dtype="float64"),
+], ids=["wider-first-conv", "narrower-head", "no-batch-norm", "float64"])
+def test_checkpoint_whose_payloads_do_not_fit_its_spec_raises_storage_error(saved_mini, edit):
+    path, raw = saved_mini
+    header, payloads = _checkpoint_parts(raw)
+    edit(header)
+    path.write_bytes(_checkpoint_bytes(json.dumps(header).encode("utf-8"), payloads))
+    with pytest.raises(StorageError):
+        checkpoint.load_checkpoint(path)
+
+
+def test_save_rejects_a_model_of_mixed_dtypes(tmp_path):
+    model = graph.build(load_fixture("pet_8_mini"), seed=6)
+    model.params()[-1].values = model.params()[-1].values.astype(np.float64)
+    with pytest.raises(SpecError, match="one dtype"):
+        checkpoint.save_checkpoint(model, tmp_path / "mixed.avc")
+    assert not (tmp_path / "mixed.avc").exists()
 
 
 def _fused_model():
@@ -429,17 +472,29 @@ def _pet_surgery_resnet():
     return graph.surgery(base, "pet", seed=1)
 
 
+def _frozen_branch_model():
+    model = graph.build(load_fixture("two_branch_mini"), seed=6)
+    freeze(model.branch_b)
+    return model
+
+
 @pytest.mark.parametrize("make", [
     lambda: graph.build(load_fixture("pet_8_mini"), seed=6),
     lambda: graph.build(load_fixture("pet_8_mini"), seed=6, dtype=np.float64),
     lambda: graph.build(load_fixture("two_branch_mini"), seed=6),
+    _frozen_branch_model,
     _fused_model,
     _pet_surgery_resnet,
-], ids=["pet_8_mini-float32", "pet_8_mini-float64", "two_branch_mini", "fused", "pet-surgery-resnet18"])
+], ids=["pet_8_mini-float32", "pet_8_mini-float64", "two_branch_mini", "two_branch_mini-frozen-b",
+        "fused", "pet-surgery-resnet18"])
 def test_checkpoint_save_load_save_is_byte_identical(tmp_path, make):
+    """The same bytes, and the same names, flags, pins and values, after a load."""
     first, second = tmp_path / "first.avc", tmp_path / "second.avc"
-    checkpoint.save_checkpoint(make(), first)
-    checkpoint.save_checkpoint(checkpoint.load_checkpoint(first), second)
+    model = make()
+    checkpoint.save_checkpoint(model, first)
+    loaded = checkpoint.load_checkpoint(first)
+    assert _model_state(loaded) == _model_state(model)
+    checkpoint.save_checkpoint(loaded, second)
     assert second.read_bytes() == first.read_bytes()
 
 
@@ -502,20 +557,18 @@ def test_checkpoint_payloads_are_copied_once_into_owned_arrays(saved_mini, monke
 
     monkeypatch.setattr(fileio, "read_bytes", lambda *args: raw)
     back = checkpoint.load_checkpoint(path)
-    arrays = [p.values for p in back.params()]
-    arrays += [a for bn in graph.bn_layers(back) for a in (bn.moving_mean, bn.moving_var)]
+    arrays = [getattr(holder, attr) for holder, attr, _ in graph.arrays(back)]
     for a in arrays:
         assert a.flags.writeable and not np.shares_memory(a, file_bytes)
         a += 1.0  # writing to a loaded array leaves the file's bytes alone
     assert bytes(file_bytes) == raw
 
     # One flipped byte in the first payload still fails that payload's CRC.
-    header, _ = _checkpoint_parts(raw)
     first_payload = 10 + struct.unpack_from("<I", raw, 6)[0] + 4
     bad = bytearray(raw)
     bad[first_payload] ^= 0x01
     monkeypatch.setattr(fileio, "read_bytes", lambda *args: bytes(bad))
-    with pytest.raises(ChecksumError, match=repr(header["params"][0]["name"])):
+    with pytest.raises(ChecksumError, match=repr(back.params()[0].name)):
         checkpoint.load_checkpoint(path)
 
 
@@ -529,9 +582,11 @@ def test_checkpoint_trailing_bytes_raise_format_error(saved_mini):
 def test_checkpoint_other_version_raises_version_error(saved_mini):
     path, raw = saved_mini
     header, payloads = _checkpoint_parts(raw)
-    path.write_bytes(_checkpoint_bytes(json.dumps(header).encode("utf-8"), payloads, version=1))
-    with pytest.raises(VersionError):
-        checkpoint.load_checkpoint(path)
+    header_bytes = json.dumps(header).encode("utf-8")
+    for version in (1, 2, 4):  # 2 is the format whose header repeated the spec's layout
+        path.write_bytes(_checkpoint_bytes(header_bytes, payloads, version=version))
+        with pytest.raises(VersionError, match=f"version {version}"):
+            checkpoint.load_checkpoint(path)
 
 
 TINY_CKPT_SPEC = {
@@ -547,7 +602,7 @@ TINY_CKPT_SPEC = {
 
 
 def _model_state(model):
-    bns = graph.bn_layers(model)
+    bns = bn_layers(model)
     return (
         model.spec.to_dict(),
         [(p.name, p.trainable, p.l2, p.values.dtype.str, p.values.tobytes()) for p in model.params()],
