@@ -219,7 +219,7 @@ def run_rkfold(spec: graph.ModelSpec, volumes, labels, hyper: T.HyperParams,
     if jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs}")
     labels = _check_labels(labels)
-    all_idx = np.arange(len(labels))
+    all_idx = np.arange(T.sample_count(volumes, labels))
 
     def one_run(rep, fold, val_idx) -> RunResult:
         train_idx = np.setdiff1d(all_idx, val_idx)

@@ -461,19 +461,20 @@ def _first_trainable(layers) -> int:
                 len(layers))
 
 
-def _backprop(layers, grad, stop):
-    """Run ``backward`` from the last layer down to ``layers[stop]``; returns its input gradient."""
-    for lyr in reversed(layers[stop:]):
-        grad = lyr.backward(grad)
-    return grad
-
-
 class Model:
-    """A materialized sequential model."""
+    """A materialized sequential model.
+
+    ``forward`` keeps the saved values of the layers from the first trainable
+    one on, in every mode (an inference forward may be back-propagated), and
+    ``backward`` drops them.  The frozen layers in front keep nothing and
+    never run ``backward``: their input gradients would feed nothing.
+    Inference forwards read nothing kept and may run concurrently.
+    """
 
     def __init__(self, spec: ModelSpec, layers: list[L.Layer]):
         self.spec = spec
         self.layers = layers
+        self._saved = []
 
     def params(self) -> list[L.ParamTensor]:
         return [p for lyr in self.layers for p in lyr.params]
@@ -486,17 +487,13 @@ class Model:
         params = self.params()
         if params:  # a float32 model computes in float32 whatever its input's dtype
             h = h.astype(params[0].values.dtype, copy=False)
-        for lyr in self.layers:
-            h = lyr.forward(h, mode, rng)
+        h, self._saved = L.run(self.layers, h, mode, rng, _first_trainable(self.layers))
         return h
 
     def backward(self, grad):
-        """Leave parameter gradients on the layers from the first trainable one on.
-
-        The layers in front of it are frozen, and their input gradients would
-        feed nothing, so they are not run.
-        """
-        _backprop(self.layers, grad, _first_trainable(self.layers))
+        """Leave parameter gradients on the layers from the first trainable one on."""
+        saved, self._saved = self._saved, []
+        L.back(self.layers, saved, grad)
 
     def _walk_layers(self):
         return _walk(self.layers)
@@ -512,6 +509,7 @@ class TwoBranchModel:
         self.head = head_layers
         # columns of branch A's features
         self._split = _out_shape(spec.branch_a.layers, spec.branch_a.input_dims)
+        self._saved = []  # the head's, as a Model keeps its own
 
     def params(self) -> list[L.ParamTensor]:
         return self.branch_a.params() + self.branch_b.params() + [
@@ -521,10 +519,9 @@ class TwoBranchModel:
     def forward(self, batch_pair, mode="inference", rng=None):
         xa, xb = batch_pair
         fa = self.branch_a.forward(xa, mode, rng)
-        fb = self.branch_b.forward(xb, mode, rng)
-        h = np.concatenate([fa, fb], axis=1)
-        for lyr in self.head:
-            h = lyr.forward(h, mode, rng)
+        h = np.concatenate([fa, self.branch_b.forward(xb, mode, rng)], axis=1)
+        keep = 0 if self._trained() else _first_trainable(self.head)
+        h, self._saved = L.run(self.head, h, mode, rng, keep)
         return h
 
     def backward(self, grad):
@@ -533,11 +530,15 @@ class TwoBranchModel:
         A branch with no trainable parameter is skipped; when neither branch
         trains, the head stops at its own first trainable layer.
         """
-        branches = ((self.branch_a, slice(None, self._split)), (self.branch_b, slice(self._split, None)))
-        trained = [(m, cols) for m, cols in branches if any(p.trainable for p in m.params())]
-        g = _backprop(self.head, grad, 0 if trained else _first_trainable(self.head))
-        for m, cols in trained:
+        saved, self._saved = self._saved, []
+        g = L.back(self.head, saved, grad)
+        for m, cols in self._trained():
             m.backward(g[:, cols])
+
+    def _trained(self):
+        """(branch, its feature columns) of each branch with a trainable parameter."""
+        branches = ((self.branch_a, slice(None, self._split)), (self.branch_b, slice(self._split, None)))
+        return [(m, cols) for m, cols in branches if any(p.trainable for p in m.params())]
 
     def _walk_layers(self):
         yield from self.branch_a._walk_layers()

@@ -1,25 +1,26 @@
 """Layer objects with explicit forward/backward passes.
 
-Every layer keeps what its backward pass needs during ``forward``, in every
-mode (an inference-mode forward may still be back-propagated); a model
-therefore belongs to one worker at a time.  Forward keeps references to
-arrays it computes anyway, its input and its output, and no more: work that
-only backward reads, such as routing a max pool's gradient, runs in
-backward.  Relu writes in place into the pre-activation its layer has just
-allocated, and backward masks with the output (``out > 0`` equals
-``z > 0``).  Parameters live in :class:`ParamTensor` records so the
-optimizer, the freeze logic, and the L2 penalty can address them uniformly;
-a conv's weights are stored there only.  What training may change is stated
-by the records' ``trainable`` flags alone: a batch norm whose gamma and beta
-are frozen is pinned.  A layer is handed its records and
-moving statistics ready-made: ``graph`` makes them, fresh, from a checkpoint,
-or from the arrays of another model.  Layer objects are never shared between
-models; only a frozen array is, as a read-only view.
-
-Backward runs in the dtype of its incoming gradient, which the loss gives in
-the model's dtype: a float32 model trains in float32.  A model's backward
-stops at its first layer with a trainable parameter (see ``graph.Model``), so
-the layers of a frozen prefix never run ``backward``.
+A layer keeps no per-call state: ``forward(x, mode, rng)`` returns ``(out,
+saved)``, and ``backward(saved, grad)`` reads only ``saved``.  A layer holds
+its parameters and a batch norm's moving statistics, nothing else, so
+inference forwards may run concurrently on one model; training is still one
+worker per model, since it rebinds moving statistics and leaves gradients on
+the parameters.  :func:`run` takes a layer list forward, saving from a given
+layer on, and :func:`back` takes those layers back.  Forward saves arrays it
+computes anyway, its input and its output, and no more: work that only
+backward reads, such as routing a max pool's gradient, runs in backward.
+Relu writes in place into the pre-activation its layer has just allocated,
+and backward masks with the output (``out > 0`` equals ``z > 0``).
+Parameters live in :class:`ParamTensor` records so the optimizer, the freeze
+logic, and the L2 penalty can address them uniformly; a conv's weights are
+stored there only.  What training may change is stated by the records'
+``trainable`` flags alone: a batch norm whose gamma and beta are frozen is
+pinned.  A layer is handed its records and moving statistics ready-made:
+``graph`` makes them, fresh, from a checkpoint, or from the arrays of another
+model.  Layer objects are never shared between models; only a frozen array
+is, as a read-only view.  Backward runs in the dtype of its incoming
+gradient, which the loss gives in the model's dtype: a float32 model trains
+in float32.
 """
 
 from __future__ import annotations
@@ -98,10 +99,29 @@ class Layer:
         self.params = []
 
     def forward(self, x, mode="inference", rng=None):
+        """Returns ``(out, saved)``."""
         raise NotImplementedError
 
-    def backward(self, grad):
+    def backward(self, saved, grad):
+        """Returns the input gradient; leaves parameter gradients on ``params``."""
         raise NotImplementedError
+
+
+def run(layers, x, mode, rng, keep_from=0):
+    """``x`` through ``layers`` in turn: the output, and the saved values of ``layers[keep_from:]``."""
+    saved = []
+    for i, lyr in enumerate(layers):
+        x, s = lyr.forward(x, mode, rng)
+        if i >= keep_from:
+            saved.append(s)
+    return x, saved
+
+
+def back(layers, saved, grad):
+    """``grad`` back through the last ``len(saved)`` of ``layers``: the first one's input gradient."""
+    for lyr, s in zip(reversed(layers), reversed(saved)):
+        grad = lyr.backward(s, grad)
+    return grad
 
 
 class Conv3D(Layer):
@@ -114,17 +134,15 @@ class Conv3D(Layer):
         self.params = [w, b]
 
     def forward(self, x, mode="inference", rng=None):
-        self._x = x
         z = V.correlate3d_batch(x, V.Kernel(self.w.values, self.b.values), self.stride, self.padding)
-        self._out = _apply_activation(self.activation, z, in_place=True)
-        return self._out
+        out = _apply_activation(self.activation, z, in_place=True)
+        return out, (x, out)
 
-    def backward(self, grad):
-        gz = _activation_vjp(self.activation, self._out, grad)
+    def backward(self, saved, grad):
+        x, out = saved
+        gz = _activation_vjp(self.activation, out, grad)
         kernel = V.Kernel(self.w.values, self.b.values)
-        gx, gw, gb = V.correlate3d_vjp_batch(self._x, kernel, gz, self.stride, self.padding)
-        self.w.grad = gw
-        self.b.grad = gb
+        gx, self.w.grad, self.b.grad = V.correlate3d_vjp_batch(x, kernel, gz, self.stride, self.padding)
         return gx
 
 
@@ -135,32 +153,29 @@ class MaxPool3D(Layer):
         self.stride = stride
 
     def forward(self, x, mode="inference", rng=None):
-        self._x = x
-        self._out = V.maxpool3d_batch(x, self.window, self.stride)
-        return self._out
+        out = V.maxpool3d_batch(x, self.window, self.stride)
+        return out, (x, out)
 
-    def backward(self, grad):
-        return V.maxpool3d_vjp_batch(self._x, self._out, grad, self.window, self.stride)
+    def backward(self, saved, grad):
+        return V.maxpool3d_vjp_batch(*saved, grad, self.window, self.stride)
 
 
 class GlobalAvgPool3D(Layer):
     def forward(self, x, mode="inference", rng=None):
-        self._shape = x.shape
-        return x.mean(axis=(1, 2, 3))
+        return x.mean(axis=(1, 2, 3)), x.shape
 
-    def backward(self, grad):
-        n, x, y, z, c = self._shape
+    def backward(self, shape, grad):
+        n, x, y, z, c = shape
         scale = 1.0 / (x * y * z)
-        return np.broadcast_to(grad[:, None, None, None, :] * scale, self._shape).copy()
+        return np.broadcast_to(grad[:, None, None, None, :] * scale, shape).copy()
 
 
 class Flatten(Layer):
     def forward(self, x, mode="inference", rng=None):
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, grad):
-        return grad.reshape(self._shape)
+    def backward(self, shape, grad):
+        return grad.reshape(shape)
 
 
 class Dense(Layer):
@@ -173,13 +188,13 @@ class Dense(Layer):
     def forward(self, x, mode="inference", rng=None):
         if x.ndim != 2:
             raise ShapeError(f"dense layer expects a (n, features) matrix, got {x.shape}")
-        self._x = x
-        self._out = _apply_activation(self.activation, x @ self.w.values + self.b.values, in_place=True)
-        return self._out
+        out = _apply_activation(self.activation, x @ self.w.values + self.b.values, in_place=True)
+        return out, (x, out)
 
-    def backward(self, grad):
-        gz = _activation_vjp(self.activation, self._out, grad)
-        self.w.grad = self._x.T @ gz
+    def backward(self, saved, grad):
+        x, out = saved
+        gz = _activation_vjp(self.activation, out, grad)
+        self.w.grad = x.T @ gz
         self.b.grad = gz.sum(axis=0)
         return gz @ self.w.values.T
 
@@ -188,9 +203,10 @@ class BatchNorm(Layer):
     """Per-channel batch normalization with moving statistics.
 
     ``moving <- momentum * moving + (1 - momentum) * batch`` on every train
-    forward.  A layer is ``pinned`` when it is frozen, neither gamma nor beta
-    trainable (Keras's rule for a frozen batch norm): it then behaves as
-    inference regardless of mode and never updates its moving statistics.
+    forward, which rebinds the moving statistics.  A layer is ``pinned`` when
+    it is frozen, neither gamma nor beta trainable (Keras's rule for a frozen
+    batch norm): it then behaves as inference regardless of mode and never
+    updates its moving statistics.
     """
 
     def __init__(self, gamma: ParamTensor, beta: ParamTensor, moving_mean, moving_var, momentum=0.99):
@@ -206,37 +222,30 @@ class BatchNorm(Layer):
 
     def forward(self, x, mode="inference", rng=None):
         axes = tuple(range(x.ndim - 1))
-        if mode == "train" and not self.pinned:
+        batch_stats = mode == "train" and not self.pinned
+        if batch_stats:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
-            self.moving_mean = (self.momentum * self.moving_mean + (1 - self.momentum) * mean).astype(
-                self.moving_mean.dtype
-            )
-            self.moving_var = (self.momentum * self.moving_var + (1 - self.momentum) * var).astype(
-                self.moving_var.dtype
-            )
-            self._batch_stats = True
+            mom = self.momentum
+            self.moving_mean = (mom * self.moving_mean + (1 - mom) * mean).astype(self.moving_mean.dtype)
+            self.moving_var = (mom * self.moving_var + (1 - mom) * var).astype(self.moving_var.dtype)
         else:
             mean = self.moving_mean
             var = self.moving_var
-            self._batch_stats = False
-        self._inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        self._xhat = (x - mean) * self._inv_std
-        return self.gamma.values * self._xhat + self.beta.values
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = (x - mean) * inv_std
+        return self.gamma.values * xhat + self.beta.values, (xhat, inv_std, batch_stats)
 
-    def backward(self, grad):
+    def backward(self, saved, grad):
+        xhat, inv_std, batch_stats = saved
         axes = tuple(range(grad.ndim - 1))
-        self.gamma.grad = (grad * self._xhat).sum(axis=axes)
+        self.gamma.grad = (grad * xhat).sum(axis=axes)
         self.beta.grad = grad.sum(axis=axes)
         g_xhat = grad * self.gamma.values
-        if not self._batch_stats:
-            return g_xhat * self._inv_std
-        m = self._xhat.size // self._xhat.shape[-1]  # a Python int keeps grad's dtype
-        return (
-            self._inv_std
-            / m
-            * (m * g_xhat - g_xhat.sum(axis=axes) - self._xhat * (g_xhat * self._xhat).sum(axis=axes))
-        )
+        if not batch_stats:
+            return g_xhat * inv_std
+        m = xhat.size // xhat.shape[-1]  # a Python int keeps grad's dtype
+        return inv_std / m * (m * g_xhat - g_xhat.sum(axis=axes) - xhat * (g_xhat * xhat).sum(axis=axes))
 
 
 class Dropout(Layer):
@@ -249,19 +258,17 @@ class Dropout(Layer):
         self.rate = rate
 
     def forward(self, x, mode="inference", rng=None):
+        """The saved value is the scaled mask, or None where dropout is the identity."""
         if mode != "train" or self.rate == 0.0:
-            self._mask = None
-            return x
+            return x, None
         if rng is None:
             raise SpecError("dropout in train mode requires an rng")
         keep = 1.0 - self.rate
-        self._mask = (rng.random(x.shape) >= self.rate).astype(x.dtype) / keep
-        return x * self._mask
+        mask = (rng.random(x.shape) >= self.rate).astype(x.dtype) / keep
+        return x * mask, mask
 
-    def backward(self, grad):
-        if self._mask is None:
-            return grad
-        return grad * self._mask
+    def backward(self, mask, grad):
+        return grad if mask is None else grad * mask
 
 
 class Activation(Layer):
@@ -270,11 +277,11 @@ class Activation(Layer):
         self.name = name
 
     def forward(self, x, mode="inference", rng=None):
-        self._out = _apply_activation(self.name, x)  # x belongs to the layer before
-        return self._out
+        out = _apply_activation(self.name, x)  # x belongs to the layer before
+        return out, out
 
-    def backward(self, grad):
-        return _activation_vjp(self.name, self._out, grad)
+    def backward(self, out, grad):
+        return _activation_vjp(self.name, out, grad)
 
 
 class ResidualBlock(Layer):
@@ -293,21 +300,12 @@ class ResidualBlock(Layer):
         self.params = [p for lyr in self.main + self.shortcut for p in lyr.params]
 
     def forward(self, x, mode="inference", rng=None):
-        h = x
-        for lyr in self.main:
-            h = lyr.forward(h, mode, rng)
-        s = x
-        for lyr in self.shortcut:
-            s = lyr.forward(s, mode, rng)
+        h, main = run(self.main, x, mode, rng)
+        s, shortcut = run(self.shortcut, x, mode, rng)
         if h.shape != s.shape:
             raise ShapeError(f"residual path {h.shape} does not match shortcut {s.shape}")
-        return h + s
+        return h + s, (main, shortcut)
 
-    def backward(self, grad):
-        gm = grad
-        for lyr in reversed(self.main):
-            gm = lyr.backward(gm)
-        gs = grad
-        for lyr in reversed(self.shortcut):
-            gs = lyr.backward(gs)
-        return gm + gs
+    def backward(self, saved, grad):
+        main, shortcut = saved
+        return back(self.main, main, grad) + back(self.shortcut, shortcut, grad)

@@ -113,8 +113,23 @@ def cross_entropy_grad(y_onehot: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return np.where(inside, -y / pc, 0.0) / n
 
 
+def sample_count(x, labels=None) -> int:
+    """The number of samples in ``x``, a stack or a ``(PET, MRI)`` pair of stacks, and in ``labels``.
+
+    Raises ``InputError`` unless every part holds the same number.
+    """
+    parts = (x if isinstance(x, tuple) else (x,)) + (() if labels is None else (labels,))
+    counts = [len(part) for part in parts]
+    if len(set(counts)) != 1:
+        what = "volumes" if labels is None else "volumes and labels"
+        raise InputError(f"{what} hold different numbers of samples: {counts}")
+    return counts[0]
+
+
 def one_hot(labels: np.ndarray, classes: int = 3) -> np.ndarray:
     labels = np.asarray(labels)
+    if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+        raise InputError(f"labels must be a vector of integers, got {labels.dtype}{list(labels.shape)}")
     if labels.min() < 0 or labels.max() >= classes:
         raise InputError(f"labels must be in [0, {classes})")
     out = np.zeros((len(labels), classes))
@@ -178,7 +193,9 @@ def adam_step(state: AdamState, params: list[ParamTensor], lr: float):
     """One bias-corrected Adam update; frozen parameters are untouched.
 
     A gradient must have its parameter's shape and dtype: the update is done
-    in place and would otherwise be cast or broadcast without a word.
+    in place and would otherwise be cast or broadcast without a word.  A
+    read-only array, which a cut shares with the model it was cut from, is
+    copied before its first update, so fine-tuning leaves that model unchanged.
     """
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -197,6 +214,8 @@ def adam_step(state: AdamState, params: list[ParamTensor], lr: float):
             )
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for {p.name}")
+        if not p.values.flags.writeable:
+            p.values = p.values.copy()
         m = state.m[id(p)]
         v = state.v[id(p)]
         m *= b1
@@ -234,7 +253,7 @@ def predict(model, x, batch_size: int) -> np.ndarray:
     two-branch model.  Bounding the batch bounds memory: an inference pass
     at the training batch size never needs more than a training step.
     """
-    n = len(x[0]) if isinstance(x, tuple) else len(x)
+    n = sample_count(x)
     if n == 0:
         raise InputError("no samples to predict")
     if batch_size < 1:
@@ -287,13 +306,13 @@ def train(model, train_set, val_set=None, hyper: HyperParams | None = None,
     """
     hyper = hyper or HyperParams()
     x_train, y_train = train_set
-    n = len(y_train)
+    n = sample_count(x_train, y_train)
     if n == 0:
         raise InputError("training set is empty")
     classes = model.spec.head[-1].units if model.spec.is_two_branch else model.spec.layers[-1].units
     y_oh = one_hot(y_train, classes)
     val = None
-    if val_set is not None and len(val_set[1]) > 0:
+    if val_set is not None and sample_count(*val_set) > 0:
         val = (val_set[0], one_hot(val_set[1], classes))
 
     params = model.params()

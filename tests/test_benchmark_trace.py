@@ -3,9 +3,9 @@
 ``perfbench/run.py --trace 1`` wraps voxcnn's functions and methods and reads
 the per-layer metrics that ``BENCHMARK.json`` names from the spans.  This test
 puts ``perfbench/`` on ``sys.path`` as it stands, traces one epoch of
-training and a checkpoint round trip, and checks the metrics and the
-operation-count gate, so a change under ``src/`` that breaks either fails
-here.
+training and a checkpoint round trip, and one two-branch training step, and
+checks the metrics and the operation-count gate, so a change under ``src/``
+that breaks either fails here.
 """
 
 import json
@@ -15,6 +15,9 @@ import numpy as np
 
 from voxcnn import checkpoint, graph, records, train as T
 from voxcnn.fixtures import load_fixture
+from voxcnn.rng import substream
+
+from conftest import random_batch
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,3 +51,25 @@ def test_traced_training_yields_every_per_layer_metric(monkeypatch, tmp_path):
     for name in ("volume.correlate3d.calls", "volume.conv.gmac", "graph.backward.busy_s",
                  "checkpoint.save.mb", "checkpoint.load.mb"):
         assert metrics[name]["value"] > 0, name
+
+
+def test_traced_two_branch_step_counts_each_branch_forward_and_backward(monkeypatch):
+    """Both branches' convolutions are traced: one forward and one VJP (twice the MACs) per sample."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import instrument
+    import opcount
+    from tracing import Tracer
+
+    spec = load_fixture("two_branch_mini")
+    model = graph.build(spec, seed=1)
+    n = 3
+    x = random_batch(spec, n=n, seed=2)
+    tracer = Tracer()
+    inst = instrument.Instrument(tracer)
+    try:
+        T.loss_and_grads(model, x, T.one_hot(np.arange(n) % 3, 3), "train", substream(1, "dropout"))
+    finally:
+        inst.restore()
+
+    gmac = instrument.layer_metrics(tracer, inst, 1)["volume.conv.gmac"]["value"]
+    assert gmac == 3 * n * (opcount.forward_macs(spec.branch_a) + opcount.forward_macs(spec.branch_b)) / 1e9

@@ -229,6 +229,15 @@ def test_run_rkfold_rejects_fewer_than_one_job(tiny_data):
             E.run_rkfold(load_fixture("pet_8_mini"), vols, labels, T.HyperParams(), plan, jobs=jobs)
 
 
+@pytest.mark.parametrize("extra", [2, -2], ids=["more_volumes", "fewer_volumes"])
+def test_run_rkfold_rejects_volumes_and_labels_of_different_counts(tiny_data, extra):
+    vols, labels = tiny_data
+    vols = np.concatenate([vols, vols[:extra]]) if extra > 0 else vols[:extra]
+    plan = E.repeated_stratified_kfold(labels, k=2, reps=1, seed=5)
+    with pytest.raises(InputError, match="different numbers of samples"):
+        E.run_rkfold(load_fixture("pet_8_mini"), vols, labels, T.HyperParams(), plan)
+
+
 def _curve(*rows):
     return T.LearningCurve([T.CurveRow(e, *row) for e, row in enumerate(rows)])
 

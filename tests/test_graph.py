@@ -1,6 +1,8 @@
 """Model construction: summaries, init, layer mechanics, residual nets, surgery."""
 
 import hashlib
+import os
+import sys
 import threading
 import tracemalloc
 
@@ -206,7 +208,7 @@ def test_batchnorm_train_output_is_standardized():
     rng = np.random.default_rng(1)
     x = 3.0 + 2.0 * rng.standard_normal((8, 2, 2, 2, 3))
     bn = _bn(3, dtype=np.float64)
-    y = bn.forward(x, "train")
+    y, _ = bn.forward(x, "train")
     assert np.allclose(y.mean(axis=(0, 1, 2, 3)), 0, atol=1e-10)
     # eps=1e-3 shrinks the unit variance slightly; just check the ballpark
     assert np.allclose(y.var(axis=(0, 1, 2, 3)), 1.0, atol=1e-2)
@@ -216,15 +218,15 @@ def test_batchnorm_inference_uses_moving_stats():
     bn = _bn(1, dtype=np.float64)
     bn.moving_mean[:] = 2.0
     bn.moving_var[:] = 4.0
-    y = bn.forward(np.full((1, 1, 1, 1, 1), 4.0), "inference")
+    y, _ = bn.forward(np.full((1, 1, 1, 1, 1), 4.0), "inference")
     assert np.allclose(y, (4.0 - 2.0) / np.sqrt(4.0 + 1e-3))
 
 
 def test_batchnorm_backward_keeps_float32():
     bn = _bn(4)
     x = np.random.default_rng(3).standard_normal((2, 3, 3, 3, 4)).astype(np.float32)
-    bn.forward(x, "train")
-    g = bn.backward(np.ones_like(x))
+    _, saved = bn.forward(x, "train")
+    g = bn.backward(saved, np.ones_like(x))
     assert g.dtype == bn.gamma.grad.dtype == bn.beta.grad.dtype == np.float32
 
 
@@ -234,7 +236,7 @@ def test_pinned_batchnorm_ignores_train_mode():
     bn.gamma.trainable = bn.beta.trainable = False
     assert bn.pinned
     x = np.random.default_rng(2).standard_normal((4, 2, 2, 2, 1))
-    y = bn.forward(x, "train")
+    y, _ = bn.forward(x, "train")
     assert np.array_equal(bn.moving_mean, np.zeros(1))
     assert np.array_equal(bn.moving_var, np.ones(1))
     assert np.allclose(y, x / np.sqrt(1 + 1e-3))
@@ -247,7 +249,7 @@ def test_batchnorm_with_a_trainable_parameter_follows_train_mode(frozen):
         getattr(bn, name).trainable = False
     assert not bn.pinned
     x = np.random.default_rng(2).standard_normal((4, 2, 2, 2, 1))
-    y = bn.forward(x, "train")
+    y, _ = bn.forward(x, "train")
     assert np.allclose(bn.moving_mean, 0.1 * x.mean())
     assert np.allclose(bn.moving_var, 0.9 + 0.1 * x.var())
     assert np.allclose(y, (x - x.mean()) / np.sqrt(x.var() + 1e-3))
@@ -259,7 +261,7 @@ def test_dropout_monte_carlo_keep_rate():
     drop = L.Dropout(rate)
     rng = substream(5, "dropout-mc")
     x = np.ones((10_000, 10))
-    y = drop.forward(x, "train", rng)
+    y, _ = drop.forward(x, "train", rng)
     kept = y != 0
     n = x.size
     p = 1 - rate
@@ -267,24 +269,26 @@ def test_dropout_monte_carlo_keep_rate():
     assert abs(kept.mean() - p) < 3 * sigma
     assert np.allclose(y[kept], 1.0 / p)
     # Inference is the identity.
-    assert np.array_equal(drop.forward(x, "inference"), x)
+    y, mask = drop.forward(x, "inference")
+    assert y is x and mask is None
 
 
 def test_dropout_backward_uses_same_mask():
     drop = L.Dropout(0.5)
     x = np.ones((4, 8))
-    y = drop.forward(x, "train", substream(1, "d"))
-    g = drop.backward(np.ones_like(x))
+    y, mask = drop.forward(x, "train", substream(1, "d"))
+    g = drop.backward(mask, np.ones_like(x))
     assert np.array_equal(g, y)
+    assert drop.backward(None, g) is g  # an identity forward saves no mask
 
 
 def test_softmax_layer_vjp_matches_jacobian():
     rng = np.random.default_rng(3)
     z = rng.standard_normal((1, 4))
     act = L.Activation("softmax")
-    out = act.forward(z)
+    out, saved = act.forward(z)
     g = rng.standard_normal((1, 4))
-    got = act.backward(g)
+    got = act.backward(saved, g)
     s = out[0]
     jac = np.diag(s) - np.outer(s, s)
     assert np.allclose(got[0], jac @ g[0], atol=1e-12)
@@ -324,12 +328,11 @@ def test_residual_block_is_sum_of_paths():
     assert block.shortcut != []  # channel/stride change: projection shortcut
     x = np.random.default_rng(5).standard_normal((2, 6, 6, 6, 2))
     y = model.forward(x, "inference")
-    h = x
+    h, s = x, x
     for lyr in block.main:
-        h = lyr.forward(h, "inference")
-    s = x
+        h, _ = lyr.forward(h, "inference")
     for lyr in block.shortcut:
-        s = lyr.forward(s, "inference")
+        s, _ = lyr.forward(s, "inference")
     assert np.allclose(y, h + s, atol=1e-12)
 
 
@@ -401,9 +404,9 @@ def test_backward_never_runs_the_frozen_prefix(small_resnet, monkeypatch):
     def spy(layer):
         backward = layer.backward
 
-        def wrapped(grad):
+        def wrapped(saved, grad):
             called.append(layer)
-            return backward(grad)
+            return backward(saved, grad)
 
         return wrapped
 
@@ -521,7 +524,7 @@ def test_two_branch_forward_is_concat_plus_head():
     fb = model.branch_b.forward(xb, "inference")
     h = np.concatenate([fa, fb], axis=1)
     for lyr in model.head:
-        h = lyr.forward(h, "inference")
+        h, _ = lyr.forward(h, "inference")
     assert np.allclose(out, h, atol=1e-12)
 
 
@@ -571,3 +574,101 @@ def test_fuse_leaves_its_branches_unchanged():
     for p, q in zip(fused.branch_b.params(), b.params()):
         assert p.trainable and not np.shares_memory(p.values, q.values), p.name
     assert [bn.pinned for bn in bn_layers(fused)] == [True, False]
+
+
+# ---------------------------------------------------------------------------
+# Per-call state: forward returns what backward reads
+
+
+@pytest.fixture(scope="module")
+def resnet16():
+    return graph.build(graph.build_resnet18_3d((16, 16, 16, 1)), seed=9)
+
+
+def _model(name, base):
+    """A float32 model: a fixture built from seed 1, or ``pet_cut``, a ``pet`` cut of ``base``."""
+    return graph.surgery(base, "pet", seed=1) if name == "pet_cut" else graph.build(load_fixture(name), seed=1)
+
+
+def _float32_batch(spec, n, seed):
+    x = random_batch(spec, n=n, seed=seed)
+    return tuple(part.astype(np.float32) for part in x) if isinstance(x, tuple) else x.astype(np.float32)
+
+
+MODELS = ["pet_8_mini", "pet_cut", "two_branch_mini"]
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_no_layer_holds_per_call_state(name, resnet16):
+    """After a training step and an inference forward, every layer holds what it was built with.
+
+    A batch norm that trains rebinds its moving statistics; nothing else is set or rebound.
+    """
+    model = _model(name, resnet16)
+    built = [(lyr, dict(vars(lyr))) for lyr in model._walk_layers()]
+    x = _float32_batch(model.spec, 3, seed=4)
+
+    def assert_unchanged():
+        for lyr, attrs in built:
+            assert vars(lyr).keys() == attrs.keys(), type(lyr).__name__
+            for key, value in vars(lyr).items():
+                if not (isinstance(lyr, L.BatchNorm) and key in ("moving_mean", "moving_var")):
+                    assert value is attrs[key], (type(lyr).__name__, key)
+
+    T.loss_and_grads(model, x, T.one_hot(np.array([0, 1, 2]), 3), "train", substream(0, "dropout"))
+    assert_unchanged()
+    model.forward(x, "inference")
+    assert_unchanged()
+    assert not hasattr(graph, "_backprop")
+
+
+def test_a_cut_keeps_saved_values_for_its_dense_head_only(resnet16):
+    cut = _model("pet_cut", resnet16)
+    probs = cut.forward(_float32_batch(cut.spec, 2, seed=4), "train")
+    (saved,) = cut._saved  # the frozen prefix and the global pool keep nothing
+    x, out = saved
+    assert out is probs and x.shape == (2, cut.layers[-1].w.values.shape[0])
+    cut.backward(T.cross_entropy_grad(T.one_hot(np.array([0, 2]), 3), probs))
+    assert cut._saved == []
+    assert all(p.grad is not None for p in cut.layers[-1].params)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_concurrent_inference_forwards_give_the_serial_answers(name, resnet16):
+    model = _model(name, resnet16)
+    workers = (os.cpu_count() or 1) + 1  # more threads than cores
+    inputs = [_float32_batch(model.spec, 2, seed=s) for s in range(workers)]
+    serial = [model.forward(x, "inference").tobytes() for x in inputs]
+    answers = [[] for _ in range(workers)]
+    start = threading.Barrier(workers)
+
+    def serve(i):
+        start.wait()
+        for r in range(6):
+            answers[i].append(model.forward(inputs[(i + r) % workers], "inference").tobytes())
+
+    threads = [threading.Thread(target=serve, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so that a value shared between calls would show
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert answers == [[serial[(i + r) % workers] for r in range(6)] for i in range(workers)]
+
+
+def test_fine_tuning_an_unfrozen_cut_trains_copies_and_leaves_its_base_unchanged(resnet16):
+    before = _state(resnet16)
+    cut = _model("pet_cut", resnet16)
+    for p in cut.params():
+        p.trainable = True  # the reused arrays are still read-only views of the base
+    start = [p.values.copy() for p in cut.params()]
+    x = _float32_batch(cut.spec, 3, seed=4)
+    T.train(cut, (x, np.array([0, 1, 2])), hyper=T.HyperParams(epochs=1, batch_size=3, seed=1))
+    for p, values in zip(cut.params(), start):
+        assert p.values.flags.writeable and not np.array_equal(p.values, values), p.name
+    assert _state(resnet16) == before

@@ -366,6 +366,47 @@ def test_hyperparams_validation():
 
 
 # ---------------------------------------------------------------------------
+# Sample counts
+
+
+def test_sample_count_is_shared_by_every_part():
+    vols, labels = tiny_dataset(2)
+    assert T.sample_count(vols) == T.sample_count((vols, vols), labels) == 6
+    for x, y in [(vols, labels[:5]), ((vols, vols[:5]), None), ((vols, vols), labels[:5])]:
+        with pytest.raises(InputError, match="different numbers of samples"):
+            T.sample_count(x, y)
+
+
+@pytest.mark.parametrize("extra", [2, -2], ids=["more_volumes", "fewer_volumes"])
+def test_train_rejects_volumes_and_labels_of_different_counts(extra):
+    vols, labels = tiny_dataset(2)
+    vols = np.concatenate([vols, vols[:extra]]) if extra > 0 else vols[:extra]
+    model = graph.build(load_fixture("pet_8_mini"), seed=1)
+    with pytest.raises(InputError, match="different numbers of samples"):
+        T.train(model, (vols, labels), hyper=T.HyperParams(epochs=1))
+    vols, labels = tiny_dataset(2)
+    with pytest.raises(InputError, match="different numbers of samples"):
+        T.train(model, (vols, labels), (vols[:3], labels[:4]), hyper=T.HyperParams(epochs=1))
+
+
+def test_a_pet_mri_pair_of_unequal_lengths_raises_input_error():
+    spec = load_fixture("two_branch_mini")
+    model = graph.build(spec, seed=1)
+    xa, xb = random_batch(spec, n=4, seed=5)
+    with pytest.raises(InputError, match="different numbers of samples"):
+        T.predict(model, (xa, xb[:3]), 2)
+    with pytest.raises(InputError, match="different numbers of samples"):
+        T.train(model, ((xa, xb[:3]), np.array([0, 1, 2, 0])), hyper=T.HyperParams(epochs=1))
+
+
+def test_one_hot_rejects_labels_that_are_not_integers():
+    assert T.one_hot(np.array([2, 0]), 3).tolist() == [[0, 0, 1], [1, 0, 0]]
+    for labels in (np.array([0.0, 1.0]), np.array([True, False]), np.array([[0, 1]])):
+        with pytest.raises(InputError, match="vector of integers"):
+            T.one_hot(labels, 3)
+
+
+# ---------------------------------------------------------------------------
 # float32 training and the frozen-prefix early stop
 
 
@@ -457,7 +498,8 @@ def test_relu_layers_keep_the_output_only():
         assert not hasattr(lyr, "_z") and not hasattr(lyr, "kernel"), type(lyr).__name__
     x = np.array([[-1.0, 0.0, 2.0, np.nan]])
     act = L.Activation("relu")
-    out = act.forward(x)
+    out, saved = act.forward(x)
+    assert saved is out
     assert np.array_equal(x, [[-1.0, 0.0, 2.0, np.nan]], equal_nan=True)
     assert np.array_equal(out, [[0.0, 0.0, 2.0, np.nan]], equal_nan=True)
-    assert np.array_equal(act.backward(np.ones_like(x)), [[0.0, 0.0, 1.0, 0.0]])
+    assert np.array_equal(act.backward(saved, np.ones_like(x)), [[0.0, 0.0, 1.0, 0.0]])

@@ -365,8 +365,8 @@ def test_warm_conv_step_allocates_less_than_one_window_matrix():
     """A repeated training step of ``pet_8_mini``'s second conv gathers into the kept buffer."""
     model = graph.build(load_fixture("pet_8_mini"), seed=0)
     conv = model.layers[1]
-    x = model.layers[0].forward(np.random.default_rng(1).standard_normal((8, 16, 16, 16, 1))
-                                .astype(np.float32))
+    x, _ = model.layers[0].forward(np.random.default_rng(1).standard_normal((8, 16, 16, 16, 1))
+                                   .astype(np.float32))
     kernel = V.Kernel(conv.w.values, conv.b.values)
     window_bytes = 8 * 12**3 * 3**3 * 4 * x.itemsize  # (positions, taps x channels)
     assert window_bytes == 5_971_968
@@ -544,14 +544,15 @@ def test_correlate_vjp_is_linear_in_upstream_gradient():
 def test_global_avg_pool_and_flatten():
     rng = np.random.default_rng(10)
     vol = rng.standard_normal((4, 3, 5, 6))
-    gap = GlobalAvgPool3D().forward(vol[None])[0]
-    assert gap.shape == (6,)
-    assert np.allclose(gap, vol.mean(axis=(0, 1, 2)))
+    gap, shape = GlobalAvgPool3D().forward(vol[None])
+    assert gap.shape == (1, 6) and shape == (1,) + vol.shape
+    assert np.allclose(gap[0], vol.mean(axis=(0, 1, 2)))
 
-    flat = Flatten().forward(vol[None])[0]
-    assert flat.shape == (4 * 3 * 5 * 6,)
+    flat, shape = Flatten().forward(vol[None])
+    assert flat.shape == (1, 4 * 3 * 5 * 6) and shape == (1,) + vol.shape
     # Round trip: flatten is a plain row-major (channel-fastest) reshape.
-    assert np.array_equal(flat.reshape(vol.shape), vol)
+    assert np.array_equal(flat[0].reshape(vol.shape), vol)
+    assert np.array_equal(Flatten().backward(shape, flat), vol[None])
 
 
 def test_kernel_shape_validation():
