@@ -118,7 +118,7 @@ def run(layers, x, mode, rng, keep_from=0):
 
 
 def back(layers, saved, grad):
-    """``grad`` back through the last ``len(saved)`` of ``layers``: the first one's input gradient."""
+    """Back-propagate ``grad`` through the last ``len(saved)`` of ``layers``: their input gradient."""
     for lyr, s in zip(reversed(layers), reversed(saved)):
         grad = lyr.backward(s, grad)
     return grad

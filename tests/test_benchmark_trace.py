@@ -72,4 +72,5 @@ def test_traced_two_branch_step_counts_each_branch_forward_and_backward(monkeypa
         inst.restore()
 
     gmac = instrument.layer_metrics(tracer, inst, 1)["volume.conv.gmac"]["value"]
-    assert gmac == 3 * n * (opcount.forward_macs(spec.branch_a) + opcount.forward_macs(spec.branch_b)) / 1e9
+    macs = opcount.forward_macs(spec.branch_a) + opcount.forward_macs(spec.branch_b)
+    assert gmac == 3 * n * macs / 1e9

@@ -587,7 +587,9 @@ def resnet16():
 
 def _model(name, base):
     """A float32 model: a fixture built from seed 1, or ``pet_cut``, a ``pet`` cut of ``base``."""
-    return graph.surgery(base, "pet", seed=1) if name == "pet_cut" else graph.build(load_fixture(name), seed=1)
+    if name == "pet_cut":
+        return graph.surgery(base, "pet", seed=1)
+    return graph.build(load_fixture(name), seed=1)
 
 
 def _float32_batch(spec, n, seed):
