@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fileio, graph
 from .layers import ParamTensor
-from .errors import FormatError, ShapeError, SpecError, StorageError, VersionError
+from .errors import FormatError, SpecError, StorageError, VersionError
 
 MAGIC = b"AVC1"
 VERSION = 3
@@ -87,7 +87,7 @@ def load_checkpoint(path):
 
     try:
         model = graph.assemble(graph.spec_from_dict(spec), take)
-    except (SpecError, ShapeError) as exc:
+    except SpecError as exc:
         raise FormatError(f"{path}: bad model spec: {exc}") from exc
     if next(flags, None) is not None:
         raise FormatError(f"{path}: more trainable flags than the spec has parameters")

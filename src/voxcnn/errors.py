@@ -8,12 +8,12 @@ class VoxcnnError(Exception):
     """Base class for all package errors."""
 
 
-class ShapeError(VoxcnnError):
-    """Array dimensions incompatible with the requested operation."""
-
-
 class SpecError(VoxcnnError):
     """A model/layer specification is malformed or does not compose."""
+
+
+class ShapeError(SpecError):
+    """Array dimensions incompatible with the requested operation; a kind of spec error."""
 
 
 class InputError(VoxcnnError):

@@ -20,13 +20,6 @@ N_CLASSES = len(CLASS_NAMES)
 AD = 1
 
 
-def _check_labels(labels) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= N_CLASSES):
-        raise InputError(f"labels must be in [0, {N_CLASSES})")
-    return labels
-
-
 def stratified_split(labels, test_frac: float, seed: int):
     """Class-proportional (train, test) index split.
 
@@ -36,7 +29,7 @@ def stratified_split(labels, test_frac: float, seed: int):
     """
     if not 0.0 < test_frac < 1.0:
         raise InputError("test_frac must be in (0, 1)")
-    labels = _check_labels(labels)
+    labels = T.check_labels(labels, N_CLASSES)
     n = len(labels)
     target = round(test_frac * n)
     classes, counts = np.unique(labels, return_counts=True)
@@ -75,7 +68,7 @@ class FoldPlan:
 
 def repeated_stratified_kfold(labels, k: int, reps: int, seed: int) -> FoldPlan:
     """Class-proportional k-fold partitions, repeated with fresh shuffles."""
-    labels = _check_labels(labels)
+    labels = T.check_labels(labels, N_CLASSES)
     classes, counts = np.unique(labels, return_counts=True)
     if k < 2:
         raise InputError("k must be >= 2")
@@ -98,8 +91,8 @@ def repeated_stratified_kfold(labels, k: int, reps: int, seed: int) -> FoldPlan:
 
 def confusion_matrix(y_true, y_pred) -> np.ndarray:
     """3x3 counts; rows are the real class, columns the predicted class."""
-    y_true = _check_labels(y_true)
-    y_pred = _check_labels(y_pred)
+    y_true = T.check_labels(y_true, N_CLASSES)
+    y_pred = T.check_labels(y_pred, N_CLASSES)
     if len(y_true) != len(y_pred):
         raise InputError("label vectors must have equal length")
     cm = np.zeros((N_CLASSES, N_CLASSES), dtype=int)
@@ -218,7 +211,7 @@ def run_rkfold(spec: graph.ModelSpec, volumes, labels, hyper: T.HyperParams,
     require_int("jobs", jobs)
     if jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs}")
-    labels = _check_labels(labels)
+    labels = T.check_labels(labels, N_CLASSES)
     all_idx = np.arange(T.sample_count(volumes, labels))
 
     def one_run(rep, fold, val_idx) -> RunResult:

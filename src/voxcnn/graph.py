@@ -517,6 +517,8 @@ class TwoBranchModel:
         ]
 
     def forward(self, batch_pair, mode="inference", rng=None):
+        if not (isinstance(batch_pair, tuple) and len(batch_pair) == 2):
+            raise SpecError("a two-branch model takes a (PET, MRI) pair of batches")
         xa, xb = batch_pair
         fa = self.branch_a.forward(xa, mode, rng)
         h = np.concatenate([fa, self.branch_b.forward(xb, mode, rng)], axis=1)

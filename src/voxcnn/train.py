@@ -126,12 +126,18 @@ def sample_count(x, labels=None) -> int:
     return counts[0]
 
 
-def one_hot(labels: np.ndarray, classes: int = 3) -> np.ndarray:
+def check_labels(labels, classes: int = 3) -> np.ndarray:
+    """``labels`` as an array; raises ``InputError`` unless it is a vector of integers in [0, classes)."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
         raise InputError(f"labels must be a vector of integers, got {labels.dtype}{list(labels.shape)}")
-    if labels.min() < 0 or labels.max() >= classes:
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
         raise InputError(f"labels must be in [0, {classes})")
+    return labels
+
+
+def one_hot(labels: np.ndarray, classes: int = 3) -> np.ndarray:
+    labels = check_labels(labels, classes)
     out = np.zeros((len(labels), classes))
     out[np.arange(len(labels)), labels] = 1.0
     return out
@@ -256,6 +262,7 @@ def predict(model, x, batch_size: int) -> np.ndarray:
     n = sample_count(x)
     if n == 0:
         raise InputError("no samples to predict")
+    require_int("batch_size", batch_size)
     if batch_size < 1:
         raise InputError("batch_size must be >= 1")
     return np.concatenate([model.forward(_take(x, slice(lo, lo + batch_size)), "inference")

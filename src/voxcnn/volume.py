@@ -2,8 +2,15 @@
 
 A volume is a rank-4 ``numpy`` array with axes ``(x, y, z, c)``, stored
 row-major with the channel axis fastest.  The kernels take a batch, a rank-5
-array ``(n, x, y, z, c)``, and raise ``ShapeError`` for any other rank; the
-layer graph is their only caller.
+array ``(n, x, y, z, c)``; the layer graph is their only caller.
+
+Convolution and pooling share one shape law, :func:`conv_output_extent`
+(pooling at padding 0), which the layer graph's summary also uses.  A
+:class:`Kernel` is a bare ``(weights, bias)`` pair, checked at each call.
+Any input a kernel cannot take raises ``ShapeError``: another rank, a stride
+or window below 1, a window that does not fit, or a kernel that is not
+cubic, has an empty dimension, a bias of another length or another
+channel count than the input.
 
 Each kernel's results are a pure function of its inputs, and no result
 shares memory with anything but its inputs.  Accumulation precision follows
@@ -34,7 +41,7 @@ import contextlib
 import itertools
 import math
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -57,48 +64,49 @@ __all__ = [
 ]
 
 
-@dataclass
-class Kernel:
-    """Cubic correlation kernel: weights ``(k, k, k, c_in, c_out)``, bias ``(c_out,)``."""
+class Kernel(NamedTuple):
+    """Cubic correlation kernel: weights ``(k, k, k, c_in, c_out)``, bias ``(c_out,)``.
+
+    A bare pair: each conv kernel checks it against its input at the call.
+    """
 
     weights: np.ndarray
     bias: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights)
-        if w.ndim != 5 or not (w.shape[0] == w.shape[1] == w.shape[2]):
-            raise ShapeError(f"kernel weights must be (k, k, k, c_in, c_out), got {w.shape}")
-        if w.shape[0] < 1 or w.shape[3] < 1 or w.shape[4] < 1:
-            raise ShapeError("kernel dims must all be >= 1")
-        b = np.asarray(self.bias)
-        if b.shape != (w.shape[4],):
-            raise ShapeError(f"bias must have shape ({w.shape[4]},), got {b.shape}")
-        self.weights = w
-        self.bias = b
-
-    @property
-    def k(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def c_in(self) -> int:
-        return self.weights.shape[3]
-
-    @property
-    def c_out(self) -> int:
-        return self.weights.shape[4]
 
 
 def conv_output_extent(extent: int, k: int, padding: int, stride: int) -> int:
     """Shape law: floor((in + 2*padding - k) / stride) + 1."""
     if stride < 1:
         raise ShapeError(f"stride must be >= 1, got {stride}")
+    if k < 1:
+        raise ShapeError(f"window must be >= 1, got {k}")
     out = (extent + 2 * padding - k) // stride + 1
     if out < 1:
         raise ShapeError(
             f"window {k} does not fit extent {extent} with padding {padding}"
         )
     return out
+
+
+def _window_extents(batch: np.ndarray, k: int, stride: int, padding: int) -> tuple:
+    """``(n, ox, oy, oz)`` of ``k``-wide windows over a rank-5 batch, by the shape law."""
+    if batch.ndim != 5:
+        raise ShapeError(f"input must be rank-5 (n, x, y, z, c), got shape {batch.shape}")
+    return batch.shape[:1] + tuple(conv_output_extent(e, k, padding, stride) for e in batch.shape[1:4])
+
+
+def _conv_shape(batch: np.ndarray, kernel: Kernel, stride: int, padding: int) -> tuple:
+    """The output shape of correlating ``batch`` with ``kernel``, once both are checked."""
+    w, b = kernel
+    if w.ndim != 5 or not (w.shape[0] == w.shape[1] == w.shape[2]) or 0 in w.shape:
+        raise ShapeError(f"kernel weights must be (k, k, k, c_in, c_out), each >= 1, got {w.shape}")
+    k, _, _, c_in, c_out = w.shape
+    if b.shape != (c_out,):
+        raise ShapeError(f"bias must have shape ({c_out},), got {b.shape}")
+    extents = _window_extents(batch, k, stride, padding)
+    if batch.shape[4] != c_in:
+        raise ShapeError(f"input channels {batch.shape[4]} != kernel c_in {c_in}")
+    return extents + (c_out,)
 
 
 @contextlib.contextmanager
@@ -187,24 +195,10 @@ def _window_matrix(batch: np.ndarray, k: int, stride: int, padding: int, extents
     return out
 
 
-def _check_batch(batch: np.ndarray, kernel: Kernel) -> None:
-    if batch.ndim != 5:
-        raise ShapeError(f"input must be rank-5 (n, x, y, z, c), got shape {batch.shape}")
-    if batch.shape[4] != kernel.c_in:
-        raise ShapeError(f"input channels {batch.shape[4]} != kernel c_in {kernel.c_in}")
-
-
-def _output_shape(batch: np.ndarray, kernel: Kernel, stride: int, padding: int) -> tuple:
-    return (batch.shape[0],) + tuple(
-        conv_output_extent(batch.shape[i + 1], kernel.k, padding, stride) for i in range(3)
-    ) + (kernel.c_out,)
-
-
 def correlate3d_batch(batch: np.ndarray, kernel: Kernel, stride: int = 1, padding: int = 0) -> np.ndarray:
     """Cross-correlate a batch ``(n, x, y, z, c_in)`` with a cubic kernel."""
-    _check_batch(batch, kernel)
-    out_shape = _output_shape(batch, kernel, stride, padding)
-    k, c_in, c_out = kernel.k, kernel.c_in, kernel.c_out
+    out_shape = _conv_shape(batch, kernel, stride, padding)
+    k, _, _, c_in, c_out = kernel.weights.shape
     positions = math.prod(out_shape[:4])
     weights = kernel.weights.reshape(k**3 * c_in, c_out)
     if c_in == 1 and stride == 1:
@@ -226,11 +220,10 @@ def correlate3d_vjp_batch(batch, kernel: Kernel, grad_out, stride: int = 1, padd
 
     Returns ``(grad_input, grad_weights, grad_bias)``.
     """
-    _check_batch(batch, kernel)
-    expect = _output_shape(batch, kernel, stride, padding)
+    expect = _conv_shape(batch, kernel, stride, padding)
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape} != forward output shape {expect}")
-    k, c_in = kernel.k, kernel.c_in
+    k, _, _, c_in, _ = kernel.weights.shape
     n, ox, oy, oz, c_out = expect
     rows = grad_out.reshape(-1, c_out)
 
@@ -277,11 +270,7 @@ def maxpool3d_batch(batch: np.ndarray, window: int, stride: int) -> np.ndarray:
     a NaN anywhere in a window gives NaN.  Which tap won is backward work:
     :func:`maxpool3d_vjp_batch` finds it from the same input.
     """
-    n, x, y, z, c = batch.shape
-    for extent in (x, y, z):
-        if window > extent:
-            raise ShapeError(f"pool window {window} exceeds spatial extent {extent}")
-    taps = _taps(batch, window, stride, [(e - window) // stride + 1 for e in (x, y, z)])
+    taps = _taps(batch, window, stride, _window_extents(batch, window, stride, 0)[1:])
     out = taps[0].copy()
     for tap in taps[1:]:
         np.maximum(out, tap, out=out)
@@ -321,8 +310,7 @@ def maxpool3d_vjp_batch(batch: np.ndarray, out: np.ndarray, grad_out: np.ndarray
     Each window's gradient goes to its first maximum in scan order (a tie
     routes to the earliest tap); overlapping windows accumulate.
     """
-    n, x, y, z, c = batch.shape
-    expect = (n,) + tuple((e - window) // stride + 1 for e in (x, y, z)) + (c,)
+    expect = _window_extents(batch, window, stride, 0) + batch.shape[4:]
     if out.shape != expect or grad_out.shape != expect:
         raise ShapeError(f"pooled shape {out.shape} and grad_out shape {grad_out.shape} "
                          f"must both be {expect} for input {batch.shape}")

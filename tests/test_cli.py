@@ -9,7 +9,7 @@ import pytest
 
 from voxcnn import checkpoint, fileio, graph, records
 from voxcnn.cli import main
-from voxcnn.fixtures import fixture_path
+from voxcnn.fixtures import available, fixture_path
 
 
 def run(capsys, *argv):
@@ -48,6 +48,49 @@ def test_inspect_malformed_file_exits_1(capsys, tmp_path):
 def test_inspect_missing_file_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "inspect", str(tmp_path / "nope.json"))
     assert code == 1 and err != ""
+
+
+def _specs_at_16_cubed():
+    """(id, spec document) of every shipped architecture, and of each branch of a two-branch one,
+    with every input_dims set to 16^3."""
+    for name in available():
+        doc = json.loads(fixture_path(name).read_text())
+        branches = doc.get("two_branch", {})
+        for part in [doc, *branches.values()]:
+            if "input_dims" in part:
+                part["input_dims"][:3] = [16, 16, 16]
+        yield name, doc
+        for key in ("branch_a", "branch_b"):
+            if key in branches:
+                yield f"{name}.{key}", branches[key]
+
+
+@pytest.mark.parametrize("doc", [pytest.param(doc, id=i) for i, doc in _specs_at_16_cubed()])
+def test_inspect_every_architecture_at_16_cubed_exits_0_or_1(capsys, tmp_path, doc):
+    arch = tmp_path / "arch.json"
+    arch.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "inspect", arch)
+    assert (code, err) == (0, "") or (code == 1 and err.startswith("error:")), (code, err)
+
+
+@pytest.fixture(scope="module")
+def pet_3_at_16_cubed(tmp_path_factory):
+    arch = tmp_path_factory.mktemp("arch") / "pet_3.json"
+    arch.write_text(json.dumps(dict(_specs_at_16_cubed())["pet_3"]))
+    return arch
+
+
+@pytest.mark.parametrize("command", ["inspect", "train"])
+def test_architecture_whose_windows_do_not_fit_its_input_exits_1(capsys, cli_data, hyper_file,
+                                                                 pet_3_at_16_cubed, tmp_path,
+                                                                 command):
+    out_dir = tmp_path / "out"
+    argv = {"inspect": ["inspect", pet_3_at_16_cubed],
+            "train": ["train", "--arch", pet_3_at_16_cubed, "--hyper", hyper_file,
+                      "--data", cli_data, "--out-dir", out_dir]}[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err == "error: window 5 does not fit extent 1 with padding 0\n"
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +392,21 @@ def mini_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "model.avc"
     checkpoint.save_checkpoint(graph.build(graph.load_spec(fixture_path("pet_8_mini")), seed=0), path)
     return path
+
+
+@pytest.mark.parametrize("command", ["train", "rkfold", "test-eval"])
+def test_two_branch_model_fed_one_modality_exits_1(capsys, cli_data, hyper_file, tmp_path, command):
+    spec = graph.load_spec(fixture_path("two_branch_mini"))
+    ckpt = tmp_path / "two_branch.avc"
+    checkpoint.save_checkpoint(graph.build(spec, seed=0), ckpt)
+    model = ["--arch", fixture_path("two_branch_mini"), "--hyper", hyper_file, "--data", cli_data]
+    out = tmp_path / "out"
+    argv = {"train": ["train", *model, "--out-dir", out],
+            "rkfold": ["rkfold", *model, "--k", "2", "--reps", "1", "--out-dir", out],
+            "test-eval": ["test-eval", "--checkpoint", ckpt, "--data", cli_data, "--out", out]}[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("error:") and "(PET, MRI) pair" in err
+    assert list(tmp_path.iterdir()) == [ckpt]
 
 
 def _argv_with(flag, path, out, cli_data, hyper_file, mini_checkpoint):

@@ -145,6 +145,16 @@ def test_confusion_matrix_rejects_out_of_range_labels():
         E.confusion_matrix(np.array([0, 3]), np.array([0, 0]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: E.stratified_split(np.array([0.5, 1.5] * 3), 0.5, 0),
+    lambda: E.repeated_stratified_kfold(np.array([0.5, 1.5] * 4), 2, 1, 0),
+    lambda: E.confusion_matrix(np.array([0.5, 1]), np.array([0, 1])),
+], ids=["stratified_split", "repeated_stratified_kfold", "confusion_matrix"])
+def test_labels_that_are_not_integers_raise_input_error(call):
+    with pytest.raises(InputError, match="vector of integers"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # run_rkfold
 

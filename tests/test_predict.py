@@ -71,8 +71,9 @@ def test_predict_rejects_empty_input_and_bad_batch():
     model = graph.build(load_fixture("pet_8_mini"), seed=2)
     with pytest.raises(InputError, match="no samples"):
         T.predict(model, np.zeros((0, 16, 16, 16, 1), np.float32), 4)
-    with pytest.raises(InputError, match="batch_size"):
-        T.predict(model, random_batch(model.spec, n=2), 0)
+    for batch_size in (0, 2.5, True):
+        with pytest.raises(InputError, match="batch_size"):
+            T.predict(model, random_batch(model.spec, n=2), batch_size)
 
 
 def test_training_validates_at_the_training_batch(inference_batches):

@@ -76,16 +76,16 @@ def reference_correlate(batch, kernel, stride, padding):
     """The window-matrix forward: ``tensordot`` over the strided window view, channel-major."""
     if padding:
         batch = np.pad(batch, [(0, 0)] + [(padding, padding)] * 3 + [(0, 0)])
-    k = kernel.k
+    k = kernel.weights.shape[0]
     win = sliding_window_view(batch, (k, k, k), axis=(1, 2, 3))[:, ::stride, ::stride, ::stride]
     return np.tensordot(win, kernel.weights, axes=([5, 6, 7, 4], [0, 1, 2, 3])) + kernel.bias
 
 
 def reference_correlate_vjp_input(batch, kernel, grad_out, stride, padding):
     """The input gradient as a k^3 loop of ``tensordot`` products and strided slice-adds."""
-    k = kernel.k
+    k, _, _, c_in, _ = kernel.weights.shape
     n, ox, oy, oz, _ = grad_out.shape
-    padded = np.zeros((n,) + tuple(e + 2 * padding for e in batch.shape[1:4]) + (kernel.c_in,),
+    padded = np.zeros((n,) + tuple(e + 2 * padding for e in batch.shape[1:4]) + (c_in,),
                       dtype=grad_out.dtype)
     for a in range(k):
         for b in range(k):
@@ -556,10 +556,40 @@ def test_global_avg_pool_and_flatten():
 
 
 def test_kernel_shape_validation():
+    batch = np.zeros((1, 4, 4, 4, 1))
+    for kern in (V.Kernel(np.zeros((3, 3, 2, 1, 4)), np.zeros(4)),  # non-cubic
+                 V.Kernel(np.zeros((3, 3, 3, 1, 4)), np.zeros(2)),  # bias mismatch
+                 V.Kernel(np.zeros((0, 0, 0, 1, 4)), np.zeros(4))):  # empty
+        with pytest.raises(ShapeError, match="kernel|bias"):
+            V.correlate3d_batch(batch, kern)
+        with pytest.raises(ShapeError, match="kernel|bias"):
+            V.correlate3d_vjp_batch(batch, kern, np.zeros((1, 2, 2, 2, 4)))
+
+
+_KERNEL_CALLS = {
+    # name: call(batch, window, stride) of each volume kernel with a window of that width
+    "correlate": lambda b, w, s: V.correlate3d_batch(
+        b, V.Kernel(np.zeros((w, w, w, 1, 1)), np.zeros(1)), s),
+    "correlate_vjp": lambda b, w, s: V.correlate3d_vjp_batch(
+        b, V.Kernel(np.zeros((w, w, w, 1, 1)), np.zeros(1)), np.zeros((1, 3, 3, 3, 1)), s),
+    "maxpool": lambda b, w, s: V.maxpool3d_batch(b, w, s),
+    "maxpool_vjp": lambda b, w, s: V.maxpool3d_vjp_batch(
+        b, np.zeros((1, 3, 3, 3, 1)), np.zeros((1, 3, 3, 3, 1)), w, s),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_KERNEL_CALLS))
+@pytest.mark.parametrize("shape,window,stride", [
+    ((4, 4, 4, 1), 2, 1),
+    ((1, 1, 4, 4, 4, 1), 2, 1),
+    ((1, 4, 4, 4, 1), 2, 0),
+    ((1, 4, 4, 4, 1), 2, -1),
+    ((1, 4, 4, 4, 1), 0, 1),
+    ((1, 4, 4, 4, 1), 5, 1),
+], ids=["rank-4", "rank-6", "stride-0", "stride-minus-1", "window-0", "window-too-large"])
+def test_every_volume_kernel_raises_shape_error_on_a_shape_it_cannot_take(call, shape, window, stride):
     with pytest.raises(ShapeError):
-        V.Kernel(np.zeros((3, 3, 2, 1, 4)), np.zeros(4))  # non-cubic
-    with pytest.raises(ShapeError):
-        V.Kernel(np.zeros((3, 3, 3, 1, 4)), np.zeros(2))  # bias mismatch
+        _KERNEL_CALLS[call](np.zeros(shape), window, stride)
 
 
 def test_rank_validation():
