@@ -110,7 +110,7 @@ SPECS["mri_9_mini"] = ModelSpec("mri_9_mini", MINI_INPUT, [
     LayerSpec("global_avg_pool3d"), drop(0.2), dense(8), dense(3, "softmax"),
 ])
 
-SPECS["resnet18_3d"] = build_resnet18_3d((64, 128, 128, 1), classes=3)
+SPECS["resnet18_3d"] = build_resnet18_3d((64, 128, 128, 1))
 
 # Two-branch fusion: the deep PET conv branch and the residual MRI branch,
 # classifiers removed, concatenated into a softmax head.

@@ -6,7 +6,10 @@ The header is exactly ``{"spec", "dtype", "trainable"}``: the model spec, the
 one float dtype of every array, and one flag per parameter.  The payloads
 follow in the spec's slot order (``graph.arrays``), so each array's name,
 role, shape and L2 weight come from the spec, and a batch norm is pinned
-when its gamma and beta are frozen.  Format 2, whose header repeated those
+when its gamma and beta are frozen.  The spec holds the fields its layer
+kinds read (``graph._FIELDS``); a header that sets another field at its
+default, such as a max pool's ``"padding": 0``, still loads, and a re-save
+leaves it out.  Format 2, whose header repeated those
 facts, raises :class:`VersionError`.  Loading raises a :class:`StorageError`
 subclass for every malformed file.
 """

@@ -69,7 +69,7 @@ def require_bool(name: str, value, error=InputError):
         raise error(f"{name} must be true or false, got {value!r}")
 
 
-def require_known_keys(what: str, d: dict, known):
+def require_known_keys(what: str, d: dict, known, error=InputError):
     unknown = [k for k in d if k not in known]
     if unknown:
-        raise InputError(f"unknown {what} {', '.join(map(repr, unknown))}")
+        raise error(f"unknown {what} {', '.join(map(repr, unknown))}")

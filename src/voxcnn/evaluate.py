@@ -108,12 +108,12 @@ def accuracy(cm: np.ndarray) -> float:
     return float(np.trace(cm) / total)
 
 
-def sensitivity_specificity(cm: np.ndarray, positive_class: int = AD):
-    """(sensitivity, specificity) after collapsing to positive-vs-rest."""
+def sensitivity_specificity(cm: np.ndarray):
+    """(sensitivity, specificity) after collapsing to AD-vs-rest."""
     cm = np.asarray(cm)
-    tp = cm[positive_class, positive_class]
-    fn = cm[positive_class].sum() - tp
-    fp = cm[:, positive_class].sum() - tp
+    tp = cm[AD, AD]
+    fn = cm[AD].sum() - tp
+    fp = cm[:, AD].sum() - tp
     tn = cm.sum() - tp - fn - fp
     if tp + fn == 0:
         raise InputError("no samples of the positive class")

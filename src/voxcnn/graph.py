@@ -4,17 +4,20 @@ A :class:`ModelSpec` is an ordered layer list (or a two-branch composite
 fused by concatenation).  ``summarize`` walks a spec purely symbolically;
 ``build`` materializes parameter tensors with Glorot-uniform initialization.
 
-Layout rule: ``_slots`` states once, per layer kind, the arrays a layer
-holds (name suffix, role, shape and initial fill) in ``Model.params()``
-order, a batch norm's moving statistics last.  A residual block holds no
-array of its own: ``_block_parts`` expands it into named conv3d, batch_norm
-and activation sub-specs.  Summary counts, output shapes, and a model's
-arrays all derive from these two statements.  Every model is made by
-``assemble``, whether ``build`` draws its arrays, ``checkpoint`` loads them,
-or transfer surgery and two-branch fusion take them from built models; those
-two leave their input models unchanged, and every array is named by its slot
-in the spec it is assembled for.  ``arrays`` walks a model's arrays in the
-same slot order, each with whether training leaves it alone.
+Field rule: ``_FIELDS`` states once, per layer kind, the :class:`LayerSpec`
+fields the kind needs and those it may set.  Any other field must keep its
+default, or the spec raises :class:`SpecError`, and ``to_dict`` writes the
+read fields only.  Layout rule: ``_slots`` states once, per layer kind, the
+arrays a layer holds (name suffix, role, shape, initial fill and L2 weight)
+in ``Model.params()`` order, a batch norm's moving statistics last.  A
+residual block holds no array of its own: ``_block_parts`` expands it into
+named conv3d, batch_norm and activation sub-specs.  Summary counts, output
+shapes, and a model's arrays all derive from these statements.  Every model
+is made by ``assemble``, whether ``build`` draws its arrays, ``checkpoint``
+loads them, or transfer surgery takes them from a built model, which it
+leaves unchanged; every array is named by its slot in the spec it is
+assembled for.  ``arrays`` walks a model's arrays in the same slot order,
+each with whether training leaves it alone.
 """
 
 from __future__ import annotations
@@ -26,32 +29,25 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fileio, layers as L
-from .errors import SpecError, require_int, require_real
+from .errors import SpecError, require_int, require_known_keys, require_real
+from .records import CLASS_NAMES
 from .rng import substream
 
-LAYER_KINDS = {
-    "conv3d",
-    "maxpool3d",
-    "global_avg_pool3d",
-    "flatten",
-    "dense",
-    "batch_norm",
-    "dropout",
-    "activation",
-    "residual_block",
-}
-
 ACTIVATIONS = {"relu", "sigmoid", "softmax", "linear"}
+# kind -> (the fields it needs, the fields it may set); every other field keeps its default
+_FIELDS = {
+    "conv3d": (("filters", "k"), ("stride", "padding", "activation", "l2")),
+    "maxpool3d": (("window",), ("stride",)),
+    "global_avg_pool3d": ((), ()),
+    "flatten": ((), ()),
+    "dense": (("units",), ("activation", "l2")),
+    "batch_norm": ((), ("momentum",)),
+    "dropout": (("rate",), ()),
+    "activation": (("activation",), ()),
+    "residual_block": (("filters",), ("stride", "momentum", "l2")),
+}
 _INT_FIELDS = ("filters", "k", "stride", "padding", "window", "units")
 _REAL_FIELDS = ("rate", "momentum", "l2")
-# the integer fields each kind needs, all >= 1; to_dict writes the stride and
-# padding of a kind with a stride even at their defaults
-_AT_LEAST_ONE = {
-    "conv3d": ("filters", "k", "stride"),
-    "maxpool3d": ("window", "stride"),
-    "dense": ("units",),
-    "residual_block": ("filters", "stride"),
-}
 
 
 @dataclass
@@ -69,35 +65,40 @@ class LayerSpec:
     l2: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in _FIELDS:
             raise SpecError(f"unknown layer kind {self.kind!r}")
+        needs, may = _FIELDS[self.kind]
+        for f in fields(self)[1:]:
+            if f.name not in needs + may and getattr(self, f.name) != f.default:
+                raise SpecError(f"{self.kind} takes no {f.name}")
+        for name in needs:
+            if getattr(self, name) is None:
+                raise SpecError(f"{self.kind} needs {name}")
         if self.activation is not None and self.activation not in ACTIVATIONS:
             raise SpecError(f"unknown activation {self.activation!r}")
         for names, require in ((_INT_FIELDS, require_int), (_REAL_FIELDS, require_real)):
             for name in names:
                 if getattr(self, name) is not None:
                     require(f"{self.kind} {name}", getattr(self, name), SpecError)
-        for name in _AT_LEAST_ONE.get(self.kind, ()):
-            if getattr(self, name) is None or getattr(self, name) < 1:
+        for name in ("filters", "k", "stride", "window", "units"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise SpecError(f"{self.kind} needs {name} >= 1")
         if self.padding < 0 or self.l2 < 0:
             raise SpecError(f"{self.kind} padding and l2 must be >= 0")
-        if self.kind == "dropout" and (self.rate is None or not 0.0 <= self.rate < 1.0):
+        if self.kind == "dropout" and not 0.0 <= self.rate < 1.0:
             raise SpecError("dropout rate must be in [0, 1)")
-        if self.kind == "activation" and self.activation is None:
-            raise SpecError("activation layer needs an activation name")
-        if self.kind in ("batch_norm", "residual_block"):
+        if "momentum" in may:
             if self.momentum is None:
                 self.momentum = 0.99
             if not 0.0 < self.momentum < 1.0:
                 raise SpecError(f"{self.kind} momentum must be in (0, 1)")
 
     def to_dict(self) -> dict:
-        """The set fields, less a zero ``l2`` and a default stride or padding on an unstrided kind."""
-        unstrided = "stride" not in _AT_LEAST_ONE.get(self.kind, ())
-        return {f.name: v for f in fields(self)
-                if (v := getattr(self, f.name)) is not None and not (f.name == "l2" and v == 0.0)
-                and not (unstrided and f.name in ("stride", "padding") and v == f.default)}
+        """The kind and the fields it reads that are set, less a zero ``l2``."""
+        needs, may = _FIELDS[self.kind]
+        read = ("kind",) + needs + may
+        return {f.name: v for f in fields(self) if f.name in read
+                and (v := getattr(self, f.name)) is not None and not (f.name == "l2" and v == 0.0)}
 
 
 @dataclass
@@ -146,13 +147,16 @@ def spec_from_dict(d: dict) -> ModelSpec:
         raise SpecError(f"model spec must be a JSON object, got {type(d).__name__}")
     try:
         if "two_branch" in d:
+            require_known_keys("two-branch model spec key", d, ("name", "two_branch"), SpecError)
             tb = d["two_branch"]
+            require_known_keys("two_branch key", tb, ("branch_a", "branch_b", "head"), SpecError)
             return ModelSpec(
                 name=d.get("name", "two_branch"),
                 branch_a=spec_from_dict(tb["branch_a"]),
                 branch_b=spec_from_dict(tb["branch_b"]),
                 head=[LayerSpec(**l) for l in tb["head"]],
             )
+        require_known_keys("model spec key", d, ("name", "input_dims", "layers"), SpecError)
         return ModelSpec(
             name=d.get("name", "model"),
             input_dims=d["input_dims"],
@@ -609,11 +613,11 @@ def _assemble_sequence(spec: ModelSpec, take) -> Model:
 
 
 # ---------------------------------------------------------------------------
-# ResNet-18-3D, transfer surgery, two-branch fusion
+# ResNet-18-3D and transfer surgery
 
 
-def build_resnet18_3d(input_dims, classes: int = 3, bn_momentum: float = 0.99) -> ModelSpec:
-    """Canonical 18-layer residual spec with 3D ops.
+def build_resnet18_3d(input_dims) -> ModelSpec:
+    """Canonical 18-layer residual spec with 3D ops, one softmax output per class.
 
     Stem: 7x7x7 conv stride 2 (pad 3) + BN + relu + 3x3x3 max pool stride 2;
     four stages of two residual blocks with channels 64/128/256/512, the
@@ -621,20 +625,18 @@ def build_resnet18_3d(input_dims, classes: int = 3, bn_momentum: float = 0.99) -
     global average pool; dense softmax head.
     """
     layers = [
-        LayerSpec("conv3d", filters=64, k=7, stride=2, padding=3, activation=None),
-        LayerSpec("batch_norm", momentum=bn_momentum),
+        LayerSpec("conv3d", filters=64, k=7, stride=2, padding=3),
+        LayerSpec("batch_norm"),
         LayerSpec("activation", activation="relu"),
         LayerSpec("maxpool3d", window=3, stride=2),
     ]
     for stage, channels in enumerate((64, 128, 256, 512)):
         for block in range(2):
             stride = 2 if (stage > 0 and block == 0) else 1
-            layers.append(
-                LayerSpec("residual_block", filters=channels, stride=stride, momentum=bn_momentum)
-            )
+            layers.append(LayerSpec("residual_block", filters=channels, stride=stride))
             layers.append(LayerSpec("activation", activation="relu"))
     layers.append(LayerSpec("global_avg_pool3d"))
-    layers.append(LayerSpec("dense", units=classes, activation="softmax"))
+    layers.append(LayerSpec("dense", units=len(CLASS_NAMES), activation="softmax"))
     spec = ModelSpec("resnet18_3d", input_dims, layers)
     summarize(spec)  # raises SpecError if the input is too small for the stem
     return spec
@@ -651,15 +653,15 @@ def _is_resnet_like(spec: ModelSpec) -> bool:
     )
 
 
-def surgery(model: Model, recipe: str, classes: int = 3, seed: int = 0) -> Model:
+def surgery(model: Model, recipe: str, seed: int = 0) -> Model:
     """Transfer-learning surgery on a built 3D ResNet-18; ``model`` is left unchanged.
 
     ``mri``: drop only the final pool + classifier.  ``pet``: additionally
     drop the last residual stage (its two blocks).  The retained layers are
     rebuilt frozen, on read-only views of ``model``'s arrays, which pins their
     batch norms to inference mode; a fresh global-average-pool + dense
-    softmax head is appended.  Every array is named by its slot in the cut's
-    spec.
+    softmax head as wide as ``model``'s own is appended, its arrays drawn
+    from ``seed``.  Every array is named by its slot in the cut's spec.
     """
     if recipe not in ("pet", "mri"):
         raise SpecError(f"unknown surgery recipe {recipe!r}")
@@ -673,47 +675,21 @@ def surgery(model: Model, recipe: str, classes: int = 3, seed: int = 0) -> Model
             raise SpecError("model does not contain two trailing residual blocks")
         keep = blocks[-2]
 
-    head = [LayerSpec("global_avg_pool3d"), LayerSpec("dense", units=classes, activation="softmax")]
+    head = [LayerSpec("global_avg_pool3d"),
+            LayerSpec("dense", units=model.spec.layers[-1].units, activation="softmax")]
     spec = ModelSpec(f"{model.spec.name}_{recipe}_surgery", model.spec.input_dims,
                      model.spec.layers[:keep] + head)
-    return _assemble_reusing(spec, model.layers[:keep], True, seed)
-
-
-def fuse_two_branch(branch_a: Model, branch_b: Model, head: list[LayerSpec], seed: int = 0):
-    """Fuse two vector-terminated branch models by concatenation plus a fresh head.
-
-    The branches' parameters must share one dtype, the fused model's.  The branches are left
-    unchanged: their frozen arrays are shared read-only, the others copied.
-    """
-    dtypes = {p.values.dtype.name for m in (branch_a, branch_b) for p in m.params()}
-    if len(dtypes) != 1:
-        raise SpecError(f"fusion needs branch parameters of one dtype, got dtypes {sorted(dtypes)}")
-    spec = ModelSpec("two_branch", branch_a=branch_a.spec, branch_b=branch_b.spec, head=head)
-    return _assemble_reusing(spec, branch_a.layers + branch_b.layers, False, seed)
-
-
-def _assemble_reusing(spec: ModelSpec, layers, freeze: bool, seed: int):
-    """A model of ``spec`` on the arrays of ``layers`` in slot order, then on fresh ones from ``seed``.
-
-    A frozen array is shared as a read-only view, any other copied; flags carry over, and
-    ``freeze`` freezes all that is reused, which pins its batch norms.
-    """
-    reused = _held_arrays(_walk(layers))
-    fresh = _fresh_arrays(substream(seed, "init"),
-                          next(p for lyr in layers for p in lyr.params).values.dtype)
+    reused = _held_arrays(_walk(model.layers[:keep]))
+    fresh = _fresh_arrays(substream(seed, "init"), model.params()[0].values.dtype)
 
     def take(name, slot: Slot):
-        holder, attr, frozen = next(reused, (None, None, None))
+        holder, attr, _ = next(reused, (None, None, None))
         if holder is None:
             return fresh(name, slot)
-        values, frozen = getattr(holder, attr), freeze or frozen
-        if frozen:
-            values = values.view()
-            values.flags.writeable = False
-        else:
-            values = values.copy()
+        values = getattr(holder, attr).view()
+        values.flags.writeable = False
         if slot.role == "bn_state":
             return values
-        return L.ParamTensor(name, slot.role, values, not frozen, slot.l2)
+        return L.ParamTensor(name, slot.role, values, False, slot.l2)
 
     return assemble(spec, take)

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter1d
 
 from . import fileio
-from .errors import DataError, InputError, SpecError, require_int, require_real
+from .errors import DataError, InputError, SpecError, require_int, require_known_keys, require_real
 
 TOP_FRACTION = 0.01
 
@@ -102,9 +102,14 @@ def resize(vol: np.ndarray, target_dims) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Op chains
 
-_OPS = {"imax_normalize", "standardize", "minmax", "clamp", "resize"}
-_REQUIRED = {"clamp": ("lo", "hi"), "resize": ("target_dims",)}
-_REAL_FIELDS = {"clamp": ("lo", "hi"), "imax_normalize": ("top_fraction",)}
+# op -> (the fields it needs, the fields it may set), besides "op"
+_OPS = {
+    "imax_normalize": ((), ("top_fraction",)),
+    "standardize": ((), ()),
+    "minmax": ((), ()),
+    "clamp": (("lo", "hi"), ()),
+    "resize": (("target_dims",), ()),
+}
 
 
 def _check_op(op) -> str:
@@ -114,10 +119,12 @@ def _check_op(op) -> str:
     kind = op.get("op")
     if kind not in _OPS:
         raise SpecError(f"unknown preprocess op {kind!r}")
-    for name in _REQUIRED.get(kind, ()):
+    needs, may = _OPS[kind]
+    require_known_keys(f"{kind} field", op, ("op",) + needs + may, SpecError)
+    for name in needs:
         if name not in op:
             raise SpecError(f"preprocess op {kind!r} is missing field {name!r}")
-    for name in _REAL_FIELDS.get(kind, ()):
+    for name in ("lo", "hi", "top_fraction"):
         if name in op:
             require_real(f"{kind} {name}", op[name], SpecError)
     if kind == "resize":

@@ -1,4 +1,9 @@
-"""Losses, Adam with exponential LR decay, and the minibatch training loop."""
+"""Losses, Adam with exponential LR decay, and the minibatch training loop.
+
+L2 is stated once, per layer in the model spec: each weight tensor carries
+its layer's ``l2`` (``graph._slots``), and the loss adds l2 * sum(w^2) for
+it.  Training draws a fresh sample order every epoch from the seed.
+"""
 
 from __future__ import annotations
 
@@ -9,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fileio, volume
-from .errors import (InputError, NumericError, require_bool, require_int, require_known_keys,
-                     require_real)
+from .errors import InputError, NumericError, require_int, require_known_keys, require_real
 from .graph import arrays
-from .layers import ParamTensor, softmax
+from .layers import ParamTensor
 from .rng import sample_seed, substream
 
 PROB_CLAMP = 1e-7
@@ -30,16 +34,13 @@ class HyperParams:
     decay_rate: float = 1.0
     epochs: int = 1
     batch_size: int = DEFAULT_BATCH_SIZE
-    l2_lambda: float = 0.0
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
-        for name in ("lr0", "decay_rate", "l2_lambda"):
+        for name in ("lr0", "decay_rate"):
             require_real(name, getattr(self, name))
         for name in ("epochs", "batch_size", "seed"):
             require_int(name, getattr(self, name))
-        require_bool("shuffle", self.shuffle)
         if self.seed < 0:
             raise InputError("seed must be >= 0")
         if self.lr0 <= 0:
@@ -143,38 +144,24 @@ def one_hot(labels: np.ndarray, classes: int = 3) -> np.ndarray:
     return out
 
 
-_L2_ROLES = {"conv_weights", "dense_weights"}
+def l2_penalty(model):
+    """Sum over the parameters of l2 * sum(w^2), each with its layer's ``l2`` from the spec.
 
-
-def _effective_l2(p: ParamTensor, lam: float | None) -> float:
-    # Per-layer lambda wins; the global value is a default for weight
-    # tensors whose layer did not set one.  Biases and BN never get L2.
-    if p.role not in _L2_ROLES:
-        return 0.0
-    if p.l2:
-        return p.l2
-    return lam or 0.0
-
-
-def l2_penalty(model, lam: float | None = None):
-    """Penalty sum over weight tensors of lambda * sum(w^2).
-
-    Returns the scalar added to the loss; the matching gradient contribution
-    2*lambda*w is added by :func:`add_l2_grads`.
+    Only weight slots carry an ``l2`` (``graph._slots``): biases and batch
+    norms are never penalized.  Returns the scalar added to the loss; the
+    matching gradient contribution 2*l2*w is added by :func:`add_l2_grads`.
     """
     total = 0.0
     for p in model.params():
-        eff = _effective_l2(p, lam)
-        if eff:
-            total += eff * float((p.values.astype(np.float64) ** 2).sum())
+        if p.l2:
+            total += p.l2 * float((p.values.astype(np.float64) ** 2).sum())
     return total
 
 
-def add_l2_grads(model, lam: float | None = None):
+def add_l2_grads(model):
     for p in model.params():
-        eff = _effective_l2(p, lam)
-        if eff and p.grad is not None:
-            p.grad = p.grad + 2.0 * eff * p.values
+        if p.l2 and p.grad is not None:
+            p.grad = p.grad + 2.0 * p.l2 * p.values
 
 
 def exp_decay_lr(lr0: float, rate: float, epoch: int, total_epochs: int) -> float:
@@ -233,21 +220,21 @@ def adam_step(state: AdamState, params: list[ParamTensor], lr: float):
         p.values -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def loss(model, x, y_onehot, mode="train", rng=None, l2_lambda=None):
+def loss(model, x, y_onehot, mode="train", rng=None):
     """Forward only: returns (loss, probs), the loss including the L2 penalty."""
     probs = model.forward(x, mode, rng)
-    return cross_entropy(y_onehot, probs) + l2_penalty(model, l2_lambda), probs
+    return cross_entropy(y_onehot, probs) + l2_penalty(model), probs
 
 
-def loss_and_grads(model, x, y_onehot, mode="train", rng=None, l2_lambda=None):
+def loss_and_grads(model, x, y_onehot, mode="train", rng=None):
     """Forward + backward; leaves per-parameter grads on the model.
 
     Returns (loss, probs) as :func:`loss` does; grads include the L2 penalty's
     contribution.
     """
-    value, probs = loss(model, x, y_onehot, mode, rng, l2_lambda)
+    value, probs = loss(model, x, y_onehot, mode, rng)
     model.backward(cross_entropy_grad(y_onehot, probs))
-    add_l2_grads(model, l2_lambda)
+    add_l2_grads(model)
     return value, probs
 
 
@@ -329,10 +316,7 @@ def train(model, train_set, val_set=None, hyper: HyperParams | None = None,
 
     for epoch in range(hyper.epochs):
         lr = exp_decay_lr(hyper.lr0, hyper.decay_rate, epoch, hyper.epochs)
-        if hyper.shuffle:
-            order = substream(hyper.seed, "shuffle", epoch).permutation(n)
-        else:
-            order = np.arange(n)
+        order = substream(hyper.seed, "shuffle", epoch).permutation(n)
         drop_rng = substream(hyper.seed, "dropout", epoch)
 
         epoch_loss, epoch_correct = 0.0, 0
@@ -343,7 +327,7 @@ def train(model, train_set, val_set=None, hyper: HyperParams | None = None,
             if augmentor is not None:
                 xb = _augment_batch(xb, idx, augmentor, hyper.seed, epoch)
             try:
-                loss, probs = loss_and_grads(model, xb, yb, "train", drop_rng, hyper.l2_lambda or None)
+                loss, probs = loss_and_grads(model, xb, yb, "train", drop_rng)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch} batch {bi}: {exc}") from exc
             if not np.isfinite(loss):

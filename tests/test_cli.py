@@ -306,6 +306,7 @@ def test_gen_synth_rejects_a_non_finite_or_negative_setting(capsys, tmp_path, fl
     assert not out.exists()  # no record and no manifest
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
 def test_rkfold_reports_failed_runs(capsys, cli_data, tmp_path):
     hyper = tmp_path / "hyper.json"
     hyper.write_text(json.dumps({"lr0": 1e30, "epochs": 3, "batch_size": 6, "seed": 0}))
@@ -320,6 +321,7 @@ def test_rkfold_reports_failed_runs(capsys, cli_data, tmp_path):
     assert f"3 runs, {failed} failed" in out
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
 def test_numeric_failure_exits_3(capsys, cli_data, tmp_path):
     hyper = tmp_path / "hyper.json"
     hyper.write_text(json.dumps({"lr0": 1e30, "epochs": 3, "batch_size": 6, "seed": 0}))
@@ -341,7 +343,6 @@ def test_split_on_a_missing_modality_exits_2(capsys, cli_data, tmp_path):
     ({"lr0": None}, "lr0"),
     ({"batch_size": 2.5}, "batch_size"),
     ({"seed": "x"}, "seed"),
-    ({"shuffle": "no"}, "shuffle"),
     ({"epochs": True}, "epochs"),
 ])
 def test_mistyped_hyperparameter_exits_1(capsys, cli_data, tmp_path, doc, field):
@@ -372,7 +373,11 @@ def test_malformed_index_file_exits_1(capsys, cli_data, tmp_path, doc):
     ([{"op": "imax_normalize", "top_fraction": "x"}], "top_fraction"),
     ([5], "object"),
     ([{"op": "resize", "target_dims": "ab"}], "target_dims"),
-], ids=["clamp-lo", "imax-top-fraction", "not-an-object", "resize-dims"])
+    ([{"op": "standardize", "sigma": 3}], "unknown standardize field 'sigma'"),
+    ([{"op": "resize", "target_dims": [4, 4, 4], "lo": -1}], "unknown resize field 'lo'"),
+    ([{"op": "minmax", "top_fraction": 0.5}], "unknown minmax field 'top_fraction'"),
+], ids=["clamp-lo", "imax-top-fraction", "not-an-object", "resize-dims", "standardize-sigma",
+        "resize-lo", "minmax-top-fraction"])
 def test_mistyped_preprocess_chain_exits_1(capsys, cli_data, tmp_path, chain, word):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(chain))
@@ -453,6 +458,33 @@ def test_architecture_that_is_not_an_object_exits_1(capsys, tmp_path):
     assert code == 1 and "JSON object" in err
 
 
+@pytest.mark.parametrize("layer,field,value", [(2, "padding", 1), (3, "l2", 0.5), (3, "rate", 0.3)],
+                         ids=["maxpool3d-padding", "batch_norm-l2", "batch_norm-rate"])
+def test_architecture_field_its_layer_does_not_read_exits_1(capsys, tmp_path, layer, field, value):
+    spec = json.loads(fixture_path("pet_8_mini").read_text())
+    spec["layers"][layer][field] = value
+    arch = tmp_path / "arch.json"
+    arch.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "inspect", arch)
+    kind = spec["layers"][layer]["kind"]
+    assert code == 1 and err.startswith("error:") and f"{kind} takes no {field}" in err
+
+
+@pytest.mark.parametrize("fixture,edit,key", [
+    ("pet_8_mini", lambda d: d.update(layer=[]), "layer"),
+    ("pet_8_mini", lambda d: d.update(branch_a={}), "branch_a"),
+    ("two_branch_mini", lambda d: d.update(input_dims=[99, 99, 99, 1]), "input_dims"),
+    ("two_branch_mini", lambda d: d["two_branch"].update(heads=[]), "heads"),
+], ids=["layer", "branch_a", "two-branch-input_dims", "two-branch-heads"])
+def test_architecture_key_nothing_reads_exits_1(capsys, tmp_path, fixture, edit, key):
+    spec = json.loads(fixture_path(fixture).read_text())
+    edit(spec)
+    arch = tmp_path / "arch.json"
+    arch.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "inspect", arch)
+    assert code == 1 and err.startswith("error:") and repr(key) in err
+
+
 @pytest.mark.parametrize("field,value", [("k", 2.5), ("stride", True), ("l2", -1)])
 def test_mistyped_architecture_field_exits_1(capsys, tmp_path, field, value):
     spec = json.loads(fixture_path("pet_8_mini").read_text())
@@ -512,12 +544,15 @@ def test_out_dir_naming_a_file_exits_2(capsys, cli_data, tmp_path, command):
     assert out.read_text() == "x"
 
 
-def test_unknown_hyperparameter_exits_1(capsys, cli_data, tmp_path):
+@pytest.mark.parametrize("doc", [{"epoch": 5}, {"shuffle": "no"}, {"shuffle": True}, {"l2_lambda": 0.1}],
+                         ids=["epoch", "shuffle-str", "shuffle", "l2_lambda"])
+def test_unknown_hyperparameter_exits_1(capsys, cli_data, tmp_path, doc):
+    """Also the keys training no longer reads: it always shuffles, and L2 is per layer in the spec."""
     hyper = tmp_path / "hyper.json"
-    hyper.write_text(json.dumps({"epoch": 5}))
+    hyper.write_text(json.dumps(doc))
     code, _, err = run(capsys, "train", "--arch", fixture_path("pet_8_mini"), "--hyper", hyper,
                        "--data", cli_data, "--out-dir", tmp_path / "o")
-    assert code == 1 and "'epoch'" in err
+    assert code == 1 and err.startswith("error:") and f"unknown hyperparameter {next(iter(doc))!r}" in err
     assert not (tmp_path / "o").exists()
 
 

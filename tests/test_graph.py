@@ -14,7 +14,7 @@ from voxcnn.errors import InputError, SpecError
 from voxcnn.fixtures import load_fixture
 from voxcnn.rng import substream
 
-from conftest import bn_layers, freeze, random_batch
+from conftest import bn_layers, random_batch
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +91,40 @@ def _with(layer, **fields):
 def test_mistyped_spec_field_raises_spec_error(doc):
     with pytest.raises(SpecError):
         graph.summarize(graph.spec_from_dict(doc))
+
+
+# A value each kind reads, and a value other than the default for every field.
+_READ = {
+    "conv3d": {"filters": 2, "k": 3, "stride": 2, "padding": 1, "activation": "relu", "l2": 1e-4},
+    "maxpool3d": {"window": 2, "stride": 2},
+    "global_avg_pool3d": {},
+    "flatten": {},
+    "dense": {"units": 3, "activation": "softmax", "l2": 1e-4},
+    "batch_norm": {"momentum": 0.9},
+    "dropout": {"rate": 0.2},
+    "activation": {"activation": "sigmoid"},
+    "residual_block": {"filters": 2, "stride": 2, "momentum": 0.9, "l2": 1e-4},
+}
+_OTHER = {"filters": 2, "k": 3, "stride": 2, "padding": 1, "window": 2, "units": 3, "rate": 0.2,
+          "momentum": 0.9, "activation": "relu", "l2": 1e-4}
+_UNREAD = [(kind, name) for kind, read in _READ.items() for name in _OTHER if name not in read]
+
+
+def test_each_kind_reads_eighteen_fields_in_all():
+    assert sum(map(len, _READ.values())) == 18 and len(_UNREAD) == 72
+    for kind, read in _READ.items():
+        lspec = graph.LayerSpec(kind, **read)
+        assert lspec.to_dict() == {"kind": kind, **read}
+        assert graph.LayerSpec(**lspec.to_dict()) == lspec
+    # an unread field at its default is accepted, and not written
+    pool = graph.LayerSpec("maxpool3d", window=2, stride=2, padding=0, l2=0.0)
+    assert pool.to_dict() == {"kind": "maxpool3d", "window": 2, "stride": 2}
+
+
+@pytest.mark.parametrize("kind,name", _UNREAD, ids=[f"{k}-{n}" for k, n in _UNREAD])
+def test_a_field_its_kind_does_not_read_raises_spec_error(kind, name):
+    with pytest.raises(SpecError, match=f"^{kind} takes no {name}$"):
+        graph.LayerSpec(kind, **_READ[kind], **{name: _OTHER[name]})
 
 
 def test_fixture_generator_reproduces_the_shipped_fixtures(tmp_path):
@@ -371,6 +405,17 @@ def test_surgery_trainable_counts(small_resnet, recipe, expected_trainable):
     assert trainable == expected_trainable
 
 
+def test_a_cuts_head_is_as_wide_as_its_bases():
+    base = graph.build(graph.spec_from_dict({"name": "two_class", "input_dims": [6, 6, 6, 1], "layers": [
+        {"kind": "conv3d", "filters": 2, "k": 3}, {"kind": "residual_block", "filters": 2},
+        {"kind": "residual_block", "filters": 2}, {"kind": "global_avg_pool3d"},
+        {"kind": "dense", "units": 2, "activation": "softmax"}]}), seed=0)
+    for recipe in ("mri", "pet"):
+        cut = graph.surgery(base, recipe, seed=1)
+        assert cut.spec.layers[-1].units == 2
+        assert cut.forward(random_batch(cut.spec, n=3, seed=2)).shape == (3, 2)
+
+
 def test_surgery_backbone_is_bitwise_frozen(small_resnet):
     cut = graph.surgery(small_resnet, "pet", seed=1)
     frozen = [p for p in cut.params() if not p.trainable]
@@ -507,7 +552,7 @@ def test_surgery_rejects_non_resnet():
 
 
 # ---------------------------------------------------------------------------
-# Two-branch fusion
+# Two-branch models
 
 
 def test_two_branch_forward_is_concat_plus_head():
@@ -528,52 +573,14 @@ def test_two_branch_forward_is_concat_plus_head():
     assert np.allclose(out, h, atol=1e-12)
 
 
-def test_fuse_rejects_volume_terminated_branches():
-    vol_spec = graph.spec_from_dict(
-        {
-            "name": "no_pool",
-            "input_dims": [8, 8, 8, 1],
-            "layers": [{"kind": "conv3d", "filters": 4, "k": 3}],
-        }
-    )
-    a = graph.build(vol_spec, seed=0)
-    b = graph.build(load_fixture("mri_9_mini"), seed=0)
-    with pytest.raises(SpecError):
-        graph.fuse_two_branch(a, b, [graph.LayerSpec("dense", units=3, activation="softmax")])
-
-
-def test_fuse_rejects_branches_of_different_dtypes():
-    spec = load_fixture("two_branch_mini")
-    a = graph.build(spec.branch_a, seed=1, dtype=np.float32)
-    b = graph.build(spec.branch_b, seed=2, dtype=np.float64)
-    with pytest.raises(SpecError, match="dtypes"):
-        graph.fuse_two_branch(a, b, spec.head)
-    fused = graph.fuse_two_branch(a, graph.build(spec.branch_b, seed=2, dtype=np.float32), spec.head)
-    assert {p.values.dtype for p in fused.params()} == {np.dtype(np.float32)}
-
-    pool = graph.build(graph.spec_from_dict({"name": "pool", "input_dims": [8, 8, 8, 1],
-                                             "layers": [{"kind": "global_avg_pool3d"}]}))
-    with pytest.raises(SpecError, match="dtypes"):  # no parameter states a dtype
-        graph.fuse_two_branch(pool, pool, spec.head)
-
-
-def test_fuse_leaves_its_branches_unchanged():
-    spec = load_fixture("two_branch_mini")
-    a, b = graph.build(spec.branch_a, seed=1), graph.build(spec.branch_b, seed=2)
-    freeze(a)
-    before = [_state(a), _state(b)]
-    fused = graph.fuse_two_branch(a, b, spec.head, seed=3)
-    x = tuple(part.astype(np.float32) for part in random_batch(spec, n=4, seed=5))
-    T.train(fused, (x, np.array([0, 1, 2, 0])), hyper=T.HyperParams(epochs=2, batch_size=2, seed=3))
-    assert [_state(a), _state(b)] == before
-    assert _state(fused.branch_b) != before[1]  # the trainable branch did train, on copies
-
-    # Flags and pins carry over: a frozen array is shared read-only, a trainable one copied.
-    for p, q in zip(fused.branch_a.params(), a.params()):
-        assert not p.trainable and np.shares_memory(p.values, q.values), p.name
-    for p, q in zip(fused.branch_b.params(), b.params()):
-        assert p.trainable and not np.shares_memory(p.values, q.values), p.name
-    assert [bn.pinned for bn in bn_layers(fused)] == [True, False]
+def test_two_branch_spec_rejects_a_branch_that_ends_in_a_volume():
+    doc = load_fixture("two_branch_mini").to_dict()
+    doc["two_branch"]["branch_a"]["layers"] = [{"kind": "conv3d", "filters": 4, "k": 3}]
+    spec = graph.spec_from_dict(doc)
+    with pytest.raises(SpecError, match="branch A must end in a vector"):
+        graph.summarize(spec)
+    with pytest.raises(SpecError, match="branch A must end in a vector"):
+        graph.build(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,25 @@ def test_checkpoint_inconsistent_header_raises_format_error(saved_mini, edit):
         checkpoint.load_checkpoint(path)
 
 
+def test_checkpoint_whose_pools_state_their_default_padding_loads_and_resaves_without_it(saved_mini):
+    """Format-3 files written before max pools stopped writing ``"padding": 0``."""
+    path, raw = saved_mini
+    header, payloads = _checkpoint_parts(raw)
+    pools = [l for l in header["spec"]["layers"] if l["kind"] == "maxpool3d"]
+    assert len(pools) == 2 and not any("padding" in l for l in pools)
+    for layer in pools:
+        layer["padding"] = 0
+    path.write_bytes(_checkpoint_bytes(json.dumps(header).encode("utf-8"), payloads))
+    checkpoint.save_checkpoint(checkpoint.load_checkpoint(path), path)
+    assert path.read_bytes() == raw
+
+    for layer in pools:
+        layer["padding"] = 1
+    path.write_bytes(_checkpoint_bytes(json.dumps(header).encode("utf-8"), payloads))
+    with pytest.raises(FormatError, match="maxpool3d takes no padding"):
+        checkpoint.load_checkpoint(path)
+
+
 @pytest.mark.parametrize("edit", [
     lambda h: h["spec"]["layers"][0].update(filters=5),
     lambda h: h["spec"]["layers"][-1].update(units=2),
@@ -459,14 +478,6 @@ def test_save_rejects_a_model_of_mixed_dtypes(tmp_path):
     assert not (tmp_path / "mixed.avc").exists()
 
 
-def _fused_model():
-    spec = load_fixture("two_branch_mini")
-    branch_a = graph.build(spec.branch_a, seed=1)
-    freeze(branch_a)
-    head = [graph.LayerSpec("dense", units=3, activation="softmax")]
-    return graph.fuse_two_branch(branch_a, graph.build(spec.branch_b, seed=2), head, seed=3)
-
-
 def _pet_surgery_resnet():
     base = graph.build(graph.build_resnet18_3d((32, 32, 32, 1)), seed=0)
     return graph.surgery(base, "pet", seed=1)
@@ -483,10 +494,9 @@ def _frozen_branch_model():
     lambda: graph.build(load_fixture("pet_8_mini"), seed=6, dtype=np.float64),
     lambda: graph.build(load_fixture("two_branch_mini"), seed=6),
     _frozen_branch_model,
-    _fused_model,
     _pet_surgery_resnet,
 ], ids=["pet_8_mini-float32", "pet_8_mini-float64", "two_branch_mini", "two_branch_mini-frozen-b",
-        "fused", "pet-surgery-resnet18"])
+        "pet-surgery-resnet18"])
 def test_checkpoint_save_load_save_is_byte_identical(tmp_path, make):
     """The same bytes, and the same names, flags, pins and values, after a load."""
     first, second = tmp_path / "first.avc", tmp_path / "second.avc"

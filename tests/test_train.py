@@ -1,5 +1,7 @@
 """Loss, regularization, schedule, Adam, and the training loop contracts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,30 +109,32 @@ def test_l2_zero_lambda_is_free():
 
 
 def test_l2_never_touches_biases_or_batchnorm():
-    spec, model = build_f64("mri_9_mini")  # no per-layer lambdas to override
+    spec = load_fixture("mri_9_mini")  # sets no l2 of its own
+    penalized = dataclasses.replace(spec, layers=[
+        dataclasses.replace(l, l2=0.1) if l.kind in ("conv3d", "dense") else l for l in spec.layers])
     x = random_batch(spec, n=2, seed=0)
     y = T.one_hot(np.array([0, 1]), 3)
-    T.loss_and_grads(model, x, y, "train", substream(3, "d"), l2_lambda=0.0)
-    base = {p.name: p.grad.copy() for p in model.params()}
-    T.loss_and_grads(model, x, y, "train", substream(3, "d"), l2_lambda=0.1)
-    for p in model.params():
+    plain, model = (graph.build(s, seed=1, dtype=np.float64) for s in (spec, penalized))
+    for m in (plain, model):
+        T.loss_and_grads(m, x, y, "train", substream(3, "d"))
+    for p, q in zip(model.params(), plain.params()):
         if p.role in ("conv_weights", "dense_weights"):
-            assert np.allclose(p.grad, base[p.name] + 2 * 0.1 * p.values, atol=1e-12)
+            assert p.l2 == 0.1 and np.allclose(p.grad, q.grad + 2 * 0.1 * p.values, atol=1e-12)
         else:
-            assert np.array_equal(p.grad, base[p.name]), p.name
+            assert p.l2 == 0.0 and np.array_equal(p.grad, q.grad), p.name
 
 
-def test_per_layer_lambda_wins_over_global_default():
-    model = graph.build(load_fixture("pet_8"), seed=0)
-    conv_l2 = {p.l2 for p in model.params() if p.role == "conv_weights"}
-    assert conv_l2 == {1e-5}  # the fixture flags its conv weights explicitly
-    penalty_default = T.l2_penalty(model, lam=0.5)
-    # Dense weights pick up the global default; conv weights keep 1e-5.
-    conv_sq = sum((p.values.astype(np.float64) ** 2).sum()
-                  for p in model.params() if p.role == "conv_weights")
-    dense_sq = sum((p.values.astype(np.float64) ** 2).sum()
-                   for p in model.params() if p.role == "dense_weights")
-    assert abs(penalty_default - (1e-5 * conv_sq + 0.5 * dense_sq)) < 1e-6
+def test_l2_penalty_weights_each_tensor_by_its_layers_spec_l2():
+    spec = load_fixture("pet_8")
+    model = graph.build(spec, seed=0)
+    layer_l2 = [l.l2 for l in spec.layers if l.kind in ("conv3d", "dense")]
+    assert layer_l2 == [1e-5] * 8 + [0.0] * 3  # the paper's L2 on pet_8's conv weights only
+    weights = [p for p in model.params() if p.role in ("conv_weights", "dense_weights")]
+    assert [p.l2 for p in weights] == layer_l2
+    assert all(p.l2 == 0.0 for p in model.params() if p not in weights)
+    expected = sum(l2 * float((p.values.astype(np.float64) ** 2).sum())
+                   for l2, p in zip(layer_l2, weights))
+    assert T.l2_penalty(model) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +350,7 @@ def test_augmentor_applied_to_train_not_validation():
     assert len(set(calls)) == len(calls)  # per-sample per-epoch seeds differ
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
 def test_nan_loss_aborts_with_numeric_error():
     vols, labels = tiny_dataset(2)
     model = graph.build(load_fixture("pet_8_mini"), seed=1)

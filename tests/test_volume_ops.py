@@ -579,31 +579,19 @@ _KERNEL_CALLS = {
 
 
 @pytest.mark.parametrize("call", sorted(_KERNEL_CALLS))
-@pytest.mark.parametrize("shape,window,stride", [
-    ((4, 4, 4, 1), 2, 1),
-    ((1, 1, 4, 4, 4, 1), 2, 1),
-    ((1, 4, 4, 4, 1), 2, 0),
-    ((1, 4, 4, 4, 1), 2, -1),
-    ((1, 4, 4, 4, 1), 0, 1),
-    ((1, 4, 4, 4, 1), 5, 1),
-], ids=["rank-4", "rank-6", "stride-0", "stride-minus-1", "window-0", "window-too-large"])
-def test_every_volume_kernel_raises_shape_error_on_a_shape_it_cannot_take(call, shape, window, stride):
-    with pytest.raises(ShapeError):
+@pytest.mark.parametrize("shape,window,stride,match", [
+    ((4, 4, 4), 2, 1, "rank-5"),
+    ((4, 4, 4, 1), 2, 1, "rank-5"),
+    ((1, 1, 4, 4, 4, 1), 2, 1, "rank-5"),
+    ((1, 4, 4, 4, 1), 2, 0, "stride"),
+    ((1, 4, 4, 4, 1), 2, -1, "stride"),
+    ((1, 4, 4, 4, 1), 0, 1, ">= 1"),
+    ((1, 4, 4, 4, 1), 5, 1, "does not fit"),
+], ids=["rank-3", "rank-4", "rank-6", "stride-0", "stride-minus-1", "window-0", "window-too-large"])
+def test_every_volume_kernel_raises_shape_error_on_a_shape_it_cannot_take(call, shape, window, stride,
+                                                                          match):
+    with pytest.raises(ShapeError, match=match):
         _KERNEL_CALLS[call](np.zeros(shape), window, stride)
-
-
-def test_rank_validation():
-    with pytest.raises(ShapeError):
-        V.correlate3d_batch(np.zeros((4, 4, 4)), V.Kernel(np.zeros((3, 3, 3, 1, 1)), np.zeros(1)))
-
-
-@pytest.mark.parametrize("shape", [(4, 4, 4), (4, 4, 4, 1), (1, 1, 4, 4, 4, 1)])
-def test_batched_kernels_reject_inputs_that_are_not_rank_5(shape):
-    kern = V.Kernel(np.zeros((3, 3, 3, 1, 1)), np.zeros(1))
-    with pytest.raises(ShapeError, match="rank-5"):
-        V.correlate3d_batch(np.zeros(shape), kern)
-    with pytest.raises(ShapeError, match="rank-5"):
-        V.correlate3d_vjp_batch(np.zeros(shape), kern, np.zeros((1, 2, 2, 2, 1)))
 
 
 def test_both_conv_kernels_reject_a_channel_count_the_kernel_does_not_take():
@@ -613,18 +601,3 @@ def test_both_conv_kernels_reject_a_channel_count_the_kernel_does_not_take():
         V.correlate3d_batch(batch, kern)
     with pytest.raises(ShapeError, match="channels"):
         V.correlate3d_vjp_batch(batch, kern, np.zeros((1, 3, 3, 3, 1)))
-
-
-@pytest.mark.parametrize("stride", [0, -1])
-def test_correlate_rejects_a_stride_below_one(stride):
-    kern = V.Kernel(np.zeros((2, 2, 2, 1, 1)), np.zeros(1))
-    with pytest.raises(ShapeError, match="stride"):
-        V.correlate3d_batch(np.zeros((1, 4, 4, 4, 1)), kern, stride=stride)
-
-
-@pytest.mark.parametrize("stride", [0, -1])
-def test_correlate_vjp_rejects_a_stride_below_one(stride):
-    kern = V.Kernel(np.zeros((2, 2, 2, 1, 1)), np.zeros(1))
-    with pytest.raises(ShapeError, match="stride"):
-        V.correlate3d_vjp_batch(np.zeros((1, 4, 4, 4, 1)), kern, np.zeros((1, 3, 3, 3, 1)),
-                                stride=stride)
