@@ -1,10 +1,13 @@
 """Train a small 3D CNN end to end on synthetic separable volumes.
 
-Run:  python3 demos/02_training.py        (about half a minute)
+Run:  python3 demos/02_training.py        (1.5 s on a 2-vCPU guest)
 
 The synthetic generator places a class-specific Gaussian blob on a shared
 smooth background, so a desk-scale model can actually learn the task; the
 `pet_8_mini` architecture is the eight-conv design shrunk to 16 cubed inputs.
+Early stopping picks its epoch on a stratified validation set taken out of
+the training split; the test split is read once, for the final figures, so
+they are not chosen to look good.
 """
 
 import numpy as np
@@ -19,15 +22,18 @@ labels = np.array([r.label for r in recs])
 print("dataset:", manifest.class_counts, "dims", manifest.dims["PET"])
 
 train_idx, test_idx = evaluate.stratified_split(labels, test_frac=0.2, seed=1)
-print(f"split: {len(train_idx)} train / {len(test_idx)} test "
+# The validation set comes out of the training split, stratified on its labels.
+fit, val = evaluate.stratified_split(labels[train_idx], test_frac=0.25, seed=2)
+fit_idx, val_idx = train_idx[fit], train_idx[val]
+print(f"split: {len(fit_idx)} train / {len(val_idx)} validation / {len(test_idx)} test "
       f"(test classes {np.bincount(labels[test_idx]).tolist()})")
 
 model = graph.build(load_fixture("pet_8_mini"), seed=1)
 hyper = train.HyperParams(lr0=3e-3, decay_rate=0.9, epochs=12, seed=1)  # batch 8, the default
 model, curve = train.train(
     model,
-    (vols[train_idx], labels[train_idx]),
-    (vols[test_idx], labels[test_idx]),
+    (vols[fit_idx], labels[fit_idx]),
+    (vols[val_idx], labels[val_idx]),
     hyper,
     early_stopping_patience=4,
 )
@@ -42,7 +48,7 @@ probs = train.predict(model, vols[test_idx], hyper.batch_size)
 cm = evaluate.confusion_matrix(labels[test_idx], probs.argmax(axis=1))
 sens, spec = evaluate.sensitivity_specificity(cm)
 print()
-print("confusion matrix (rows = true CN, AD, MCI):")
+print("test confusion matrix (rows = true CN, AD, MCI):")
 print(cm)
 print(f"accuracy {evaluate.accuracy(cm):.3f}  "
       f"sensitivity {sens:.3f}  specificity {spec:.3f}")

@@ -1,23 +1,28 @@
 """Declarative model specs, symbolic summaries, and model construction.
 
-A :class:`ModelSpec` is an ordered layer list (or a two-branch composite
-fused by concatenation).  ``summarize`` walks a spec purely symbolically;
-``build`` materializes parameter tensors with Glorot-uniform initialization.
+A :class:`ModelSpec` is an ordered layer list with its input dims, or a
+two-branch composite of two such lists fused by concatenation under a head;
+any other shape raises :class:`SpecError`.  ``summarize`` walks a spec purely
+symbolically; ``build`` materializes parameter tensors with Glorot-uniform
+initialization.
 
 Field rule: ``_FIELDS`` states once, per layer kind, the :class:`LayerSpec`
-fields the kind needs and those it may set.  Any other field must keep its
-default, or the spec raises :class:`SpecError`, and ``to_dict`` writes the
-read fields only.  Layout rule: ``_slots`` states once, per layer kind, the
-arrays a layer holds (name suffix, role, shape, initial fill and L2 weight)
-in ``Model.params()`` order, a batch norm's moving statistics last.  A
-residual block holds no array of its own: ``_block_parts`` expands it into
-named conv3d, batch_norm and activation sub-specs.  Summary counts, output
-shapes, and a model's arrays all derive from these statements.  Every model
-is made by ``assemble``, whether ``build`` draws its arrays, ``checkpoint``
-loads them, or transfer surgery takes them from a built model, which it
-leaves unchanged; every array is named by its slot in the spec it is
-assembled for.  ``arrays`` walks a model's arrays in the same slot order,
-each with whether training leaves it alone.
+fields the kind needs, those it may set, and the ``layers`` class built from
+it.  Any other field must keep its default, or the spec raises
+:class:`SpecError`, and ``to_dict`` writes the read fields only.  A
+``LayerSpec`` is frozen once validated: a built layer holds the spec it was
+built from and reads its settings there, and one spec may serve many models.
+Layout rule: ``_slots`` states once, per layer kind, the arrays a layer holds
+(name suffix, role, shape, initial fill and L2 weight) in ``Model.params()``
+order, a batch norm's moving statistics last.  A residual block holds no
+array of its own: ``_block_parts`` expands it into named conv3d, batch_norm
+and activation sub-specs.  Summary counts, output shapes, and a model's
+arrays all derive from these statements.  Every model is made by
+``assemble``, whether ``build`` draws its arrays, ``checkpoint`` loads them,
+or transfer surgery takes them from a built model, which it leaves
+unchanged; every array is named by its slot in the spec it is assembled for.
+``arrays`` walks a model's arrays in the same slot order, each with whether
+training leaves it alone.
 """
 
 from __future__ import annotations
@@ -34,23 +39,23 @@ from .records import CLASS_NAMES
 from .rng import substream
 
 ACTIVATIONS = {"relu", "sigmoid", "softmax", "linear"}
-# kind -> (the fields it needs, the fields it may set); every other field keeps its default
+# kind -> (the fields it needs, the fields it may set, its layer class); every other field keeps its default
 _FIELDS = {
-    "conv3d": (("filters", "k"), ("stride", "padding", "activation", "l2")),
-    "maxpool3d": (("window",), ("stride",)),
-    "global_avg_pool3d": ((), ()),
-    "flatten": ((), ()),
-    "dense": (("units",), ("activation", "l2")),
-    "batch_norm": ((), ("momentum",)),
-    "dropout": (("rate",), ()),
-    "activation": (("activation",), ()),
-    "residual_block": (("filters",), ("stride", "momentum", "l2")),
+    "conv3d": (("filters", "k"), ("stride", "padding", "activation", "l2"), L.Conv3D),
+    "maxpool3d": (("window",), ("stride",), L.MaxPool3D),
+    "global_avg_pool3d": ((), (), L.GlobalAvgPool3D),
+    "flatten": ((), (), L.Flatten),
+    "dense": (("units",), ("activation", "l2"), L.Dense),
+    "batch_norm": ((), ("momentum",), L.BatchNorm),
+    "dropout": (("rate",), (), L.Dropout),
+    "activation": (("activation",), (), L.Activation),
+    "residual_block": (("filters",), ("stride", "momentum", "l2"), L.ResidualBlock),
 }
 _INT_FIELDS = ("filters", "k", "stride", "padding", "window", "units")
 _REAL_FIELDS = ("rate", "momentum", "l2")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerSpec:
     kind: str
     filters: int | None = None
@@ -67,7 +72,7 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in _FIELDS:
             raise SpecError(f"unknown layer kind {self.kind!r}")
-        needs, may = _FIELDS[self.kind]
+        needs, may, _ = _FIELDS[self.kind]
         for f in fields(self)[1:]:
             if f.name not in needs + may and getattr(self, f.name) != f.default:
                 raise SpecError(f"{self.kind} takes no {f.name}")
@@ -89,13 +94,13 @@ class LayerSpec:
             raise SpecError("dropout rate must be in [0, 1)")
         if "momentum" in may:
             if self.momentum is None:
-                self.momentum = 0.99
+                object.__setattr__(self, "momentum", 0.99)
             if not 0.0 < self.momentum < 1.0:
                 raise SpecError(f"{self.kind} momentum must be in (0, 1)")
 
     def to_dict(self) -> dict:
         """The kind and the fields it reads that are set, less a zero ``l2``."""
-        needs, may = _FIELDS[self.kind]
+        needs, may, _ = _FIELDS[self.kind]
         read = ("kind",) + needs + may
         return {f.name: v for f in fields(self) if f.name in read
                 and (v := getattr(self, f.name)) is not None and not (f.name == "l2" and v == 0.0)}
@@ -112,6 +117,13 @@ class ModelSpec:
     head: list[LayerSpec] = field(default_factory=list)
 
     def __post_init__(self):
+        if (self.branch_a is None) != (self.branch_b is None):
+            raise SpecError("a two-branch spec needs both branch_a and branch_b")
+        for branch in (self.branch_a, self.branch_b):
+            if branch is not None and branch.is_two_branch:
+                raise SpecError(f"branch {branch.name!r} must be a single-branch spec")
+        if not self.is_two_branch and self.input_dims is None:
+            raise SpecError(f"single-branch spec {self.name!r} needs input_dims")
         if self.input_dims is not None:
             self.input_dims = tuple(self.input_dims)
             if len(self.input_dims) != 4:
@@ -335,8 +347,14 @@ class SummaryRow:
 class Summary:
     name: str
     rows: list[SummaryRow]
-    total: int
-    trainable: int
+
+    @property
+    def total(self) -> int:
+        return sum(r.params for r in self.rows)
+
+    @property
+    def trainable(self) -> int:
+        return sum(r.trainable for r in self.rows)
 
     @property
     def non_trainable(self) -> int:
@@ -370,9 +388,7 @@ def summarize(spec: ModelSpec) -> Summary:
         _summarize_layers(wa + wb, spec.head, rows)
     else:
         _summarize_sequence(spec, rows)
-    total = sum(r.params for r in rows)
-    trainable = sum(r.trainable for r in rows)
-    return Summary(spec.name, rows, total, trainable)
+    return Summary(spec.name, rows)
 
 
 def format_summary(summary: Summary) -> str:
@@ -428,29 +444,15 @@ def _fresh_arrays(rng, dtype):
 
 
 def _make_layer(lspec: LayerSpec, in_shape, name, take):
-    """One layer of ``lspec`` on inputs of ``in_shape``, each of its arrays from ``take(name, slot)``."""
-    kind = lspec.kind
-    if kind == "residual_block":
-        paths = _block_parts(lspec, in_shape[3])
-        return L.ResidualBlock(*(_make_layers(path, in_shape, name, take) for path in paths))
-    arrays = [take(f"{name}.{slot.suffix}", slot) for slot in _slots(lspec, in_shape)]
-    if kind == "conv3d":
-        return L.Conv3D(*arrays, lspec.stride, lspec.padding, lspec.activation)
-    if kind == "dense":
-        return L.Dense(*arrays, lspec.activation)
-    if kind == "batch_norm":
-        return L.BatchNorm(*arrays, lspec.momentum)
-    if kind == "maxpool3d":
-        return L.MaxPool3D(lspec.window, lspec.stride)
-    if kind == "global_avg_pool3d":
-        return L.GlobalAvgPool3D()
-    if kind == "flatten":
-        return L.Flatten()
-    if kind == "dropout":
-        return L.Dropout(lspec.rate)
-    if kind == "activation":
-        return L.Activation(lspec.activation)
-    raise SpecError(f"unknown layer kind {kind!r}")
+    """One layer of ``lspec`` on inputs of ``in_shape``, each of its arrays from ``take(name, slot)``.
+
+    A residual block is handed its main path and its shortcut as layer lists.
+    """
+    if lspec.kind == "residual_block":
+        parts = [_make_layers(path, in_shape, name, take) for path in _block_parts(lspec, in_shape[3])]
+    else:
+        parts = [take(f"{name}.{slot.suffix}", slot) for slot in _slots(lspec, in_shape)]
+    return _FIELDS[lspec.kind][2](lspec, *parts)
 
 
 def _make_layers(parts, shape, prefix, take):

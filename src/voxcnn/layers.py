@@ -1,26 +1,29 @@
 """Layer objects with explicit forward/backward passes.
 
-A layer keeps no per-call state: ``forward(x, mode, rng)`` returns ``(out,
-saved)``, and ``backward(saved, grad)`` reads only ``saved``.  A layer holds
-its parameters and a batch norm's moving statistics, nothing else, so
-inference forwards may run concurrently on one model; training is still one
-worker per model, since it rebinds moving statistics and leaves gradients on
-the parameters.  :func:`run` takes a layer list forward, saving from a given
-layer on, and :func:`back` takes those layers back.  Forward saves arrays it
-computes anyway, its input and its output, and no more: work that only
-backward reads, such as routing a max pool's gradient, runs in backward.
-Relu writes in place into the pre-activation its layer has just allocated,
-and backward masks with the output (``out > 0`` equals ``z > 0``).
-Parameters live in :class:`ParamTensor` records so the optimizer, the freeze
-logic, and the L2 penalty can address them uniformly; a conv's weights are
-stored there only.  What training may change is stated by the records'
-``trainable`` flags alone: a batch norm whose gamma and beta are frozen is
-pinned.  A layer is handed its records and moving statistics ready-made:
-``graph`` makes them, fresh, from a checkpoint, or from the arrays of another
-model.  Layer objects are never shared between models; only a frozen array
-is, as a read-only view.  Backward runs in the dtype of its incoming
-gradient, which the loss gives in the model's dtype: a float32 model trains
-in float32.
+A layer is its spec and its arrays: ``Layer(spec, *arrays)`` holds the
+frozen ``graph.LayerSpec`` it was built from, and reads its stride, padding,
+activation, window, momentum and rate from that spec at each call; it stores
+no setting of its own.  A layer keeps no per-call state: ``forward(x, mode,
+rng)`` returns ``(out, saved)``, and ``backward(saved, grad)`` reads only
+``saved``.  Besides its spec a layer holds its parameters and a batch norm's
+moving statistics, nothing else, so inference forwards may run concurrently
+on one model; training is still one worker per model, since it rebinds
+moving statistics and leaves gradients on the parameters.  :func:`run` takes
+a layer list forward, saving from a given layer on, and :func:`back` takes
+those layers back.  Forward saves arrays it computes anyway, its input and
+its output, and no more: work that only backward reads, such as routing a
+max pool's gradient, runs in backward.  Relu writes in place into the
+pre-activation its layer has just allocated, and backward masks with the
+output (``out > 0`` equals ``z > 0``).  Parameters live in
+:class:`ParamTensor` records so the optimizer, the freeze logic, and the L2
+penalty can address them uniformly; a conv's weights are stored there only.
+What training may change is stated by the records' ``trainable`` flags
+alone: a batch norm whose gamma and beta are frozen is pinned.  ``graph``
+hands a layer its arrays ready-made: fresh, from a checkpoint, or from the
+arrays of another model.  Layer objects are never shared between models; a
+spec may be, and a frozen array is, as a read-only view.  Backward runs in
+the dtype of its incoming gradient, which the loss gives in the model's
+dtype: a float32 model trains in float32.
 """
 
 from __future__ import annotations
@@ -68,16 +71,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _apply_activation(name, z, in_place=False):
-    """``name`` applied to ``z``; relu overwrites ``z`` when ``in_place``."""
+    """``name`` (validated by the spec) applied to ``z``; relu overwrites ``z`` when ``in_place``."""
     if name is None or name == "linear":
         return z
     if name == "relu":
         return relu(z, out=z if in_place else None)
     if name == "sigmoid":
         return sigmoid(z)
-    if name == "softmax":
-        return softmax(z)
-    raise SpecError(f"unknown activation {name!r}")
+    return softmax(z)
 
 
 def _activation_vjp(name, out, g):
@@ -87,16 +88,15 @@ def _activation_vjp(name, out, g):
         return relu_grad(out, g)
     if name == "sigmoid":
         return g * out * (1.0 - out)
-    if name == "softmax":
-        return out * (g - (g * out).sum(axis=-1, keepdims=True))
-    raise SpecError(f"unknown activation {name!r}")
+    return out * (g - (g * out).sum(axis=-1, keepdims=True))  # softmax
 
 
 class Layer:
-    params: list[ParamTensor]
+    """A layer of ``spec``, whose parameters are ``params`` in slot order."""
 
-    def __init__(self):
-        self.params = []
+    def __init__(self, spec, *params: ParamTensor):
+        self.spec = spec
+        self.params = list(params)
 
     def forward(self, x, mode="inference", rng=None):
         """Returns ``(out, saved)``."""
@@ -125,39 +125,32 @@ def back(layers, saved, grad):
 
 
 class Conv3D(Layer):
-    def __init__(self, w: ParamTensor, b: ParamTensor, stride=1, padding=0, activation="relu"):
-        super().__init__()
-        self.stride = stride
-        self.padding = padding
-        self.activation = activation
+    def __init__(self, spec, w: ParamTensor, b: ParamTensor):
+        super().__init__(spec, w, b)
         self.w, self.b = w, b
-        self.params = [w, b]
 
     def forward(self, x, mode="inference", rng=None):
-        z = V.correlate3d_batch(x, V.Kernel(self.w.values, self.b.values), self.stride, self.padding)
-        out = _apply_activation(self.activation, z, in_place=True)
+        s = self.spec
+        z = V.correlate3d_batch(x, V.Kernel(self.w.values, self.b.values), s.stride, s.padding)
+        out = _apply_activation(s.activation, z, in_place=True)
         return out, (x, out)
 
     def backward(self, saved, grad):
         x, out = saved
-        gz = _activation_vjp(self.activation, out, grad)
+        s = self.spec
+        gz = _activation_vjp(s.activation, out, grad)
         kernel = V.Kernel(self.w.values, self.b.values)
-        gx, self.w.grad, self.b.grad = V.correlate3d_vjp_batch(x, kernel, gz, self.stride, self.padding)
+        gx, self.w.grad, self.b.grad = V.correlate3d_vjp_batch(x, kernel, gz, s.stride, s.padding)
         return gx
 
 
 class MaxPool3D(Layer):
-    def __init__(self, window=2, stride=2):
-        super().__init__()
-        self.window = window
-        self.stride = stride
-
     def forward(self, x, mode="inference", rng=None):
-        out = V.maxpool3d_batch(x, self.window, self.stride)
+        out = V.maxpool3d_batch(x, self.spec.window, self.spec.stride)
         return out, (x, out)
 
     def backward(self, saved, grad):
-        return V.maxpool3d_vjp_batch(*saved, grad, self.window, self.stride)
+        return V.maxpool3d_vjp_batch(*saved, grad, self.spec.window, self.spec.stride)
 
 
 class GlobalAvgPool3D(Layer):
@@ -179,21 +172,19 @@ class Flatten(Layer):
 
 
 class Dense(Layer):
-    def __init__(self, w: ParamTensor, b: ParamTensor, activation=None):
-        super().__init__()
-        self.activation = activation
+    def __init__(self, spec, w: ParamTensor, b: ParamTensor):
+        super().__init__(spec, w, b)
         self.w, self.b = w, b
-        self.params = [w, b]
 
     def forward(self, x, mode="inference", rng=None):
         if x.ndim != 2:
             raise ShapeError(f"dense layer expects a (n, features) matrix, got {x.shape}")
-        out = _apply_activation(self.activation, x @ self.w.values + self.b.values, in_place=True)
+        out = _apply_activation(self.spec.activation, x @ self.w.values + self.b.values, in_place=True)
         return out, (x, out)
 
     def backward(self, saved, grad):
         x, out = saved
-        gz = _activation_vjp(self.activation, out, grad)
+        gz = _activation_vjp(self.spec.activation, out, grad)
         self.w.grad = x.T @ gz
         self.b.grad = gz.sum(axis=0)
         return gz @ self.w.values.T
@@ -209,12 +200,10 @@ class BatchNorm(Layer):
     updates its moving statistics.
     """
 
-    def __init__(self, gamma: ParamTensor, beta: ParamTensor, moving_mean, moving_var, momentum=0.99):
-        super().__init__()
-        self.momentum = momentum
+    def __init__(self, spec, gamma: ParamTensor, beta: ParamTensor, moving_mean, moving_var):
+        super().__init__(spec, gamma, beta)
         self.gamma, self.beta = gamma, beta
         self.moving_mean, self.moving_var = moving_mean, moving_var
-        self.params = [gamma, beta]
 
     @property
     def pinned(self) -> bool:
@@ -226,7 +215,7 @@ class BatchNorm(Layer):
         if batch_stats:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
-            mom = self.momentum
+            mom = self.spec.momentum
             self.moving_mean = (mom * self.moving_mean + (1 - mom) * mean).astype(self.moving_mean.dtype)
             self.moving_var = (mom * self.moving_var + (1 - mom) * var).astype(self.moving_var.dtype)
         else:
@@ -251,20 +240,14 @@ class BatchNorm(Layer):
 class Dropout(Layer):
     """Inverted dropout: kept units scaled by 1/(1 - rate)."""
 
-    def __init__(self, rate):
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise SpecError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-
     def forward(self, x, mode="inference", rng=None):
         """The saved value is the scaled mask, or None where dropout is the identity."""
-        if mode != "train" or self.rate == 0.0:
+        rate = self.spec.rate
+        if mode != "train" or rate == 0.0:
             return x, None
         if rng is None:
             raise SpecError("dropout in train mode requires an rng")
-        keep = 1.0 - self.rate
-        mask = (rng.random(x.shape) >= self.rate).astype(x.dtype) / keep
+        mask = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
         return x * mask, mask
 
     def backward(self, mask, grad):
@@ -272,16 +255,12 @@ class Dropout(Layer):
 
 
 class Activation(Layer):
-    def __init__(self, name):
-        super().__init__()
-        self.name = name
-
     def forward(self, x, mode="inference", rng=None):
-        out = _apply_activation(self.name, x)  # x belongs to the layer before
+        out = _apply_activation(self.spec.activation, x)  # x belongs to the layer before
         return out, out
 
     def backward(self, out, grad):
-        return _activation_vjp(self.name, out, grad)
+        return _activation_vjp(self.spec.activation, out, grad)
 
 
 class ResidualBlock(Layer):
@@ -293,11 +272,10 @@ class ResidualBlock(Layer):
     explicit relu where the architecture calls for one.
     """
 
-    def __init__(self, main_layers, shortcut_layers):
-        super().__init__()
+    def __init__(self, spec, main_layers, shortcut_layers):
+        super().__init__(spec, *(p for lyr in main_layers + shortcut_layers for p in lyr.params))
         self.main = main_layers
         self.shortcut = shortcut_layers
-        self.params = [p for lyr in self.main + self.shortcut for p in lyr.params]
 
     def forward(self, x, mode="inference", rng=None):
         h, main = run(self.main, x, mode, rng)

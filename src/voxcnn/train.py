@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fileio, volume
-from .errors import InputError, NumericError, require_int, require_known_keys, require_real
-from .graph import arrays
+from .errors import InputError, NumericError, SpecError, require_int, require_known_keys, require_real
+from .graph import arrays, summarize
 from .layers import ParamTensor
 from .rng import sample_seed, substream
 
@@ -127,7 +127,7 @@ def sample_count(x, labels=None) -> int:
     return counts[0]
 
 
-def check_labels(labels, classes: int = 3) -> np.ndarray:
+def check_labels(labels, classes: int) -> np.ndarray:
     """``labels`` as an array; raises ``InputError`` unless it is a vector of integers in [0, classes)."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
@@ -137,7 +137,7 @@ def check_labels(labels, classes: int = 3) -> np.ndarray:
     return labels
 
 
-def one_hot(labels: np.ndarray, classes: int = 3) -> np.ndarray:
+def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
     labels = check_labels(labels, classes)
     out = np.zeros((len(labels), classes))
     out[np.arange(len(labels)), labels] = 1.0
@@ -294,7 +294,9 @@ def train(model, train_set, val_set=None, hyper: HyperParams | None = None,
     samples as the model sees them.
 
     Early stopping monitors validation loss and restores the best-epoch
-    parameters; it is off unless a patience is given.  The curve's
+    parameters; it is off unless a patience is given.  The class count is the
+    width of the model's output vector; a model whose output is not a vector
+    raises ``SpecError`` before any epoch runs.  The curve's
     ``val_probs`` are the last validation pass's probabilities, or None when
     no pass ran or early stopping restored other parameters.
     """
@@ -303,7 +305,9 @@ def train(model, train_set, val_set=None, hyper: HyperParams | None = None,
     n = sample_count(x_train, y_train)
     if n == 0:
         raise InputError("training set is empty")
-    classes = model.spec.head[-1].units if model.spec.is_two_branch else model.spec.layers[-1].units
+    classes = summarize(model.spec).rows[-1].output_dims
+    if not isinstance(classes, int):
+        raise SpecError(f"model {model.spec.name!r} must end in a vector of class scores, not {classes}")
     y_oh = one_hot(y_train, classes)
     val = None
     if val_set is not None and sample_count(*val_set) > 0:

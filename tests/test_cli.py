@@ -9,7 +9,7 @@ import pytest
 
 from voxcnn import checkpoint, fileio, graph, records
 from voxcnn.cli import main
-from voxcnn.fixtures import available, fixture_path
+from voxcnn.fixtures import available, fixture_path, load_fixture
 
 
 def run(capsys, *argv):
@@ -412,6 +412,60 @@ def test_two_branch_model_fed_one_modality_exits_1(capsys, cli_data, hyper_file,
     code, _, err = run(capsys, *argv)
     assert code == 1 and err.startswith("error:") and "(PET, MRI) pair" in err
     assert list(tmp_path.iterdir()) == [ckpt]
+
+
+def _model_argv(command, arch, cli_data, hyper_file, out):
+    model = ["--arch", arch, "--hyper", hyper_file, "--data", cli_data]
+    return {"inspect": ["inspect", arch],
+            "train": ["train", *model, "--out-dir", out],
+            "rkfold": ["rkfold", *model, "--k", "2", "--reps", "1", "--out-dir", out]}[command]
+
+
+def _dense_net(*tail):
+    return {"name": "dense_net", "input_dims": [16, 16, 16, 1],
+            "layers": [{"kind": "maxpool3d", "window": 4, "stride": 4}, {"kind": "flatten"}, *tail]}
+
+
+def _not_models():
+    nested = load_fixture("two_branch_mini").to_dict()
+    nested["two_branch"]["branch_a"] = load_fixture("two_branch_mini").to_dict()
+    return {
+        "conv_output": ({"name": "conv", "input_dims": [16, 16, 16, 1],
+                         "layers": [{"kind": "conv3d", "filters": 2, "k": 3}]},
+                        "must end in a vector of class scores"),
+        "no_layers": ({"name": "empty", "input_dims": [16, 16, 16, 1], "layers": []},
+                      "must end in a vector of class scores"),
+        "nested_two_branch": (nested, "must be a single-branch spec"),
+    }
+
+
+@pytest.mark.parametrize("command", ["inspect", "train", "rkfold"])
+@pytest.mark.parametrize("name", list(_not_models()))
+def test_spec_that_is_not_a_model_exits_1(capsys, cli_data, hyper_file, tmp_path, name, command):
+    """A nested two-branch spec is no spec at all; a spec without class scores is one that cannot train."""
+    doc, message = _not_models()[name]
+    arch = tmp_path / "arch.json"
+    arch.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *_model_argv(command, arch, cli_data, hyper_file, out))
+    if command == "inspect" and name != "nested_two_branch":
+        assert (code, err) == (0, "")
+        return
+    assert code == 1 and err.startswith("error:") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "rkfold"])
+@pytest.mark.parametrize("tail", [
+    [{"kind": "dense", "units": 3}, {"kind": "activation", "activation": "softmax"}],
+    [{"kind": "dense", "units": 3, "activation": "softmax"}, {"kind": "dropout", "rate": 0.5}],
+], ids=["softmax-activation", "dropout-last"])
+def test_class_count_is_the_width_of_the_models_output(capsys, cli_data, hyper_file, tmp_path, tail,
+                                                        command):
+    arch = tmp_path / "arch.json"
+    arch.write_text(json.dumps(_dense_net(*tail)))
+    code, _, err = run(capsys, *_model_argv(command, arch, cli_data, hyper_file, tmp_path / "out"))
+    assert (code, err) == (0, "")
 
 
 def _argv_with(flag, path, out, cli_data, hyper_file, mini_checkpoint):

@@ -1,5 +1,6 @@
 """Model construction: summaries, init, layer mechanics, residual nets, surgery."""
 
+import dataclasses
 import hashlib
 import os
 import sys
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from voxcnn import graph, layers as L, train as T
+from voxcnn import checkpoint, graph, layers as L, train as T
 from voxcnn.errors import InputError, SpecError
 from voxcnn.fixtures import load_fixture
 from voxcnn.rng import substream
@@ -292,7 +293,7 @@ def test_batchnorm_with_a_trainable_parameter_follows_train_mode(frozen):
 def test_dropout_monte_carlo_keep_rate():
     """>= 1e4 masks: empirical keep rate within 3 sigma, kept values rescaled."""
     rate = 0.3
-    drop = L.Dropout(rate)
+    drop = L.Dropout(graph.LayerSpec("dropout", rate=rate))
     rng = substream(5, "dropout-mc")
     x = np.ones((10_000, 10))
     y, _ = drop.forward(x, "train", rng)
@@ -308,7 +309,7 @@ def test_dropout_monte_carlo_keep_rate():
 
 
 def test_dropout_backward_uses_same_mask():
-    drop = L.Dropout(0.5)
+    drop = L.Dropout(graph.LayerSpec("dropout", rate=0.5))
     x = np.ones((4, 8))
     y, mask = drop.forward(x, "train", substream(1, "d"))
     g = drop.backward(mask, np.ones_like(x))
@@ -319,7 +320,7 @@ def test_dropout_backward_uses_same_mask():
 def test_softmax_layer_vjp_matches_jacobian():
     rng = np.random.default_rng(3)
     z = rng.standard_normal((1, 4))
-    act = L.Activation("softmax")
+    act = L.Activation(graph.LayerSpec("activation", activation="softmax"))
     out, saved = act.forward(z)
     g = rng.standard_normal((1, 4))
     got = act.backward(saved, g)
@@ -681,3 +682,61 @@ def test_fine_tuning_an_unfrozen_cut_trains_copies_and_leaves_its_base_unchanged
     for p, values in zip(cut.params(), start):
         assert p.values.flags.writeable and not np.array_equal(p.values, values), p.name
     assert _state(resnet16) == before
+
+
+# ---------------------------------------------------------------------------
+# A layer is its spec and its arrays
+
+
+_SETTINGS = ("stride", "padding", "activation", "window", "momentum", "rate", "name")
+
+
+def _top_level(model):
+    """(layer, the spec entry it was built from) of each top-level layer, branches included."""
+    if isinstance(model, graph.TwoBranchModel):
+        head = list(zip(model.head, model.spec.head, strict=True))
+        return _top_level(model.branch_a) + _top_level(model.branch_b) + head
+    return list(zip(model.layers, model.spec.layers, strict=True))
+
+
+@pytest.mark.parametrize("name", MODELS + ["resnet16", "reloaded"])
+def test_each_layer_reads_its_settings_from_the_spec_it_was_built_from(name, resnet16, tmp_path):
+    if name == "resnet16":
+        model = resnet16
+    elif name == "reloaded":
+        checkpoint.save_checkpoint(_model("pet_8_mini", resnet16), tmp_path / "m.avc")
+        model = checkpoint.load_checkpoint(tmp_path / "m.avc")
+    else:
+        model = _model(name, resnet16)
+    for lyr in model._walk_layers():
+        assert isinstance(lyr.spec, graph.LayerSpec), type(lyr).__name__
+        assert type(lyr) is graph._FIELDS[lyr.spec.kind][2], (type(lyr).__name__, lyr.spec.kind)
+        assert not set(vars(lyr)) & set(_SETTINGS), (type(lyr).__name__, sorted(vars(lyr)))
+    for lyr, lspec in _top_level(model):
+        assert lyr.spec is lspec
+
+
+def test_a_layer_spec_is_frozen_once_validated():
+    lspec = graph.LayerSpec("conv3d", filters=2, k=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lspec.stride = 2
+    assert dataclasses.replace(lspec, stride=2).stride == 2
+    with pytest.raises(SpecError, match="stride >= 1"):
+        dataclasses.replace(lspec, stride=0)
+    bn = graph.LayerSpec("batch_norm")
+    assert bn.momentum == 0.99 and dataclasses.replace(bn).momentum == 0.99
+    with pytest.raises(SpecError, match="momentum"):
+        dataclasses.replace(bn, momentum=1.5)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"branch_a": "pet"}, "both branch_a and branch_b"),
+    ({"branch_b": "pet"}, "both branch_a and branch_b"),
+    ({"branch_a": "two_branch", "branch_b": "pet"}, "must be a single-branch spec"),
+    ({"branch_a": "pet", "branch_b": "two_branch"}, "must be a single-branch spec"),
+    ({}, "needs input_dims"),
+], ids=["a-only", "b-only", "a-two-branch", "b-two-branch", "no-input-dims"])
+def test_a_spec_whose_shape_is_not_a_model_raises_spec_error(kwargs, match):
+    specs = {"pet": load_fixture("pet_8_mini"), "two_branch": load_fixture("two_branch_mini")}
+    with pytest.raises(SpecError, match=match):
+        graph.ModelSpec("bad", **{key: specs[v] for key, v in kwargs.items()})

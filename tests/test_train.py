@@ -502,7 +502,7 @@ def test_relu_layers_keep_the_output_only():
     for lyr in model._walk_layers():
         assert not hasattr(lyr, "_z") and not hasattr(lyr, "kernel"), type(lyr).__name__
     x = np.array([[-1.0, 0.0, 2.0, np.nan]])
-    act = L.Activation("relu")
+    act = L.Activation(graph.LayerSpec("activation", activation="relu"))
     out, saved = act.forward(x)
     assert saved is out
     assert np.array_equal(x, [[-1.0, 0.0, 2.0, np.nan]], equal_nan=True)

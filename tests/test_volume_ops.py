@@ -372,8 +372,8 @@ def test_warm_conv_step_allocates_less_than_one_window_matrix():
     assert window_bytes == 5_971_968
 
     def step():
-        out = V.correlate3d_batch(x, kernel, conv.stride, conv.padding)
-        return V.correlate3d_vjp_batch(x, kernel, out, conv.stride, conv.padding)
+        out = V.correlate3d_batch(x, kernel, conv.spec.stride, conv.spec.padding)
+        return V.correlate3d_vjp_batch(x, kernel, out, conv.spec.stride, conv.spec.padding)
 
     with V.reusing_scratch():
         step()
@@ -544,15 +544,16 @@ def test_correlate_vjp_is_linear_in_upstream_gradient():
 def test_global_avg_pool_and_flatten():
     rng = np.random.default_rng(10)
     vol = rng.standard_normal((4, 3, 5, 6))
-    gap, shape = GlobalAvgPool3D().forward(vol[None])
+    gap, shape = GlobalAvgPool3D(graph.LayerSpec("global_avg_pool3d")).forward(vol[None])
     assert gap.shape == (1, 6) and shape == (1,) + vol.shape
     assert np.allclose(gap[0], vol.mean(axis=(0, 1, 2)))
 
-    flat, shape = Flatten().forward(vol[None])
+    flatten = Flatten(graph.LayerSpec("flatten"))
+    flat, shape = flatten.forward(vol[None])
     assert flat.shape == (1, 4 * 3 * 5 * 6) and shape == (1,) + vol.shape
     # Round trip: flatten is a plain row-major (channel-fastest) reshape.
     assert np.array_equal(flat[0].reshape(vol.shape), vol)
-    assert np.array_equal(Flatten().backward(shape, flat), vol[None])
+    assert np.array_equal(flatten.backward(shape, flat), vol[None])
 
 
 def test_kernel_shape_validation():
