@@ -22,18 +22,18 @@ labels = np.array([r.label for r in recs])
 print("dataset:", manifest.class_counts, "dims", manifest.dims["PET"])
 
 train_idx, test_idx = evaluate.stratified_split(labels, test_frac=0.2, seed=1)
-# The validation set comes out of the training split, stratified on its labels.
-fit, val = evaluate.stratified_split(labels[train_idx], test_frac=0.25, seed=2)
-fit_idx, val_idx = train_idx[fit], train_idx[val]
-print(f"split: {len(fit_idx)} train / {len(val_idx)} validation / {len(test_idx)} test "
+# The validation rows come out of the training split, stratified on its labels;
+# training reads the training split's other rows.  Subsets are index arrays.
+_, val = evaluate.stratified_split(labels[train_idx], test_frac=0.25, seed=2)
+print(f"split: {len(train_idx) - len(val)} train / {len(val)} validation / {len(test_idx)} test "
       f"(test classes {np.bincount(labels[test_idx]).tolist()})")
 
 model = graph.build(load_fixture("pet_8_mini"), seed=1)
 hyper = train.HyperParams(lr0=3e-3, decay_rate=0.9, epochs=12, seed=1)  # batch 8, the default
 model, curve = train.train(
     model,
-    (vols[fit_idx], labels[fit_idx]),
-    (vols[val_idx], labels[val_idx]),
+    (vols[train_idx], labels[train_idx]),
+    val,
     hyper,
     early_stopping_patience=4,
 )
@@ -44,7 +44,7 @@ for r in curve.rows:
     print(f"{r.epoch:>5}  {r.train_loss:>10.4f}  {r.train_acc:>9.3f}"
           f"  {r.val_loss:>8.4f}  {r.val_acc:>7.3f}")
 
-probs = train.predict(model, vols[test_idx], hyper.batch_size)
+probs = train.predict(model, vols, hyper.batch_size, test_idx)
 cm = evaluate.confusion_matrix(labels[test_idx], probs.argmax(axis=1))
 sens, spec = evaluate.sensitivity_specificity(cm)
 print()

@@ -53,6 +53,13 @@ def _parse_dims(text):
     return dims
 
 
+def _modality(spec, given):
+    """What ``spec`` reads: ``--modality`` (PET by default), or the (PET, MRI) pair of a two-branch spec."""
+    if spec.is_two_branch and given is not None:
+        raise InputError(f"--modality does not apply to two-branch spec {spec.name!r}: it reads PET and MRI")
+    return ("PET", "MRI") if spec.is_two_branch else given or "PET"
+
+
 def _metrics_dict(cm):
     sens, spec = evaluate.sensitivity_specificity(cm)
     return {
@@ -79,19 +86,10 @@ def cmd_train(args) -> int:
         raise InputError(f"--val-frac must be in [0, 1), got {args.val_frac}")
     spec = graph.load_spec(args.arch)
     hyper, augmentor = _load_hyper(args.hyper, args.seed)
-    volumes, labels, _ = records.load_dataset(args.data, args.modality)
-
-    val_set = None
-    train_idx = np.arange(len(labels))
-    if args.val_frac > 0:
-        train_idx, val_idx = evaluate.stratified_split(labels, args.val_frac, hyper.seed)
-        val_set = (volumes[val_idx], labels[val_idx])
-
-    model = graph.build(spec, seed=hyper.seed)
-    model, curve = T.train(
-        model, (volumes[train_idx], labels[train_idx]), val_set, hyper,
-        augmentor=augmentor,
-    )
+    volumes, labels, _ = records.load_dataset(args.data, _modality(spec, args.modality))
+    val_idx = evaluate.stratified_split(labels, args.val_frac, hyper.seed)[1] if args.val_frac > 0 else None
+    model, curve = T.train(graph.build(spec, seed=hyper.seed), (volumes, labels), val_idx, hyper,
+                           augmentor=augmentor)
     fileio.make_dirs(args.out_dir)
     checkpoint.save_checkpoint(model, os.path.join(args.out_dir, "model.avc"))
     curve.write_csv(os.path.join(args.out_dir, "curve.csv"))
@@ -104,7 +102,7 @@ def cmd_train(args) -> int:
 def cmd_rkfold(args) -> int:
     spec = graph.load_spec(args.arch)
     hyper, augmentor = _load_hyper(args.hyper, args.seed)
-    volumes, labels, _ = records.load_dataset(args.data, args.modality)
+    volumes, labels, _ = records.load_dataset(args.data, _modality(spec, args.modality))
     plan = evaluate.repeated_stratified_kfold(labels, args.k, args.reps, hyper.seed)
     report = evaluate.run_rkfold(spec, volumes, labels, hyper, plan,
                                  augmentor=augmentor, jobs=args.jobs)
@@ -121,26 +119,25 @@ def cmd_rkfold(args) -> int:
 
 def cmd_test_eval(args) -> int:
     model = checkpoint.load_checkpoint(args.checkpoint)
-    volumes, labels, ids = records.load_dataset(args.data, args.modality)
+    volumes, labels, ids = records.load_dataset(args.data, _modality(model.spec, args.modality))
+    rows = np.arange(len(labels))
     if args.index:
         idx_doc = fileio.read_json(args.index, InputError, "index file")
         test_ids = idx_doc.get("test") if isinstance(idx_doc, dict) else None
         if not isinstance(test_ids, list) or not all(isinstance(i, str) for i in test_ids):
             raise InputError(f'index file {args.index} must hold an object whose "test" '
                              f"is a list of subject ids")
-        present = set(ids)
-        missing = [sid for sid in dict.fromkeys(test_ids) if sid not in present]
+        row_of = {sid: i for i, sid in enumerate(ids)}
+        missing = [sid for sid in dict.fromkeys(test_ids) if sid not in row_of]
         if missing:
             raise InputError(f"{len(missing)} test ids of index file {args.index} are not in "
                              f"{args.data}: {', '.join(missing[:3])}"
                              f"{', ...' if len(missing) > 3 else ''}")
-        wanted = set(test_ids)
-        keep = [i for i, sid in enumerate(ids) if sid in wanted]
-        if not keep:
+        rows = sorted({row_of[sid] for sid in test_ids})
+        if not rows:
             raise InputError("index file selects no records from the data directory")
-        volumes, labels = volumes[keep], labels[keep]
-    probs = T.predict(model, volumes, T.DEFAULT_BATCH_SIZE)
-    cm = evaluate.confusion_matrix(labels, probs.argmax(axis=1))
+    probs = T.predict(model, volumes, T.DEFAULT_BATCH_SIZE, rows)
+    cm = evaluate.confusion_matrix(labels[rows], probs.argmax(axis=1))
     metrics = _metrics_dict(cm)
     _write_json(metrics, args.out)
     print(f"accuracy {metrics['accuracy']:.4f}  "
@@ -151,7 +148,7 @@ def cmd_test_eval(args) -> int:
 
 
 def cmd_split(args) -> int:
-    _, labels, ids = records.load_dataset(args.data, args.modality)
+    _, labels, ids = records.load_dataset(args.data, ())
     train_idx, test_idx = evaluate.stratified_split(labels, args.test_frac, args.seed)
     doc = {
         "seed": args.seed,
@@ -248,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     def data_opts(sp, modality=True):
         sp.add_argument("--data", required=True, help="record directory")
         if modality:
-            sp.add_argument("--modality", default="PET", choices=["PET", "MRI", "OTHER"])
+            sp.add_argument("--modality", choices=records.MODALITIES,
+                            help="default PET; a two-branch model reads PET and MRI")
 
     sp = sub.add_parser("train", help="train a model on a record directory")
     sp.add_argument("--arch", required=True)
@@ -282,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_test_eval)
 
     sp = sub.add_parser("split", help="write a stratified train/test index file")
-    data_opts(sp)
+    data_opts(sp, modality=False)
     sp.add_argument("--test-frac", type=float, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)

@@ -48,9 +48,7 @@ def stratified_split(labels, test_frac: float, seed: int):
         picked = rng.permutation(len(members))[:cnt]
         test_idx.append(members[picked])
     test = np.sort(np.concatenate(test_idx)) if test_idx else np.array([], dtype=int)
-    mask = np.ones(n, dtype=bool)
-    mask[test] = False
-    return np.flatnonzero(mask), test
+    return np.setdiff1d(np.arange(n), test), test
 
 
 @dataclass
@@ -201,37 +199,25 @@ def run_rkfold(spec: graph.ModelSpec, volumes, labels, hyper: T.HyperParams,
                plan: FoldPlan, augmentor=None, jobs: int = 1) -> EvalReport:
     """Train a fresh model per (rep, fold) and aggregate metrics.
 
-    Model parameters and optimizer state are never reused across folds.
-    Validation indices are asserted disjoint from training indices on every
-    run (leakage guard).  ``jobs`` bounds fold-level parallelism; every run
-    draws its seed from its own (rep, fold) substream, so results do not
-    depend on scheduling.  A fold is scored from its last validation pass,
-    which ran the trained model on the fold's validation samples.
+    Model parameters and optimizer state are never reused across folds.  Every
+    run indexes the one ``(volumes, labels)`` pair: it validates on its fold's
+    rows and trains on the others, and copies neither.  ``jobs`` bounds
+    fold-level parallelism; every run draws its seed from its own (rep, fold)
+    substream, so results do not depend on scheduling.  A fold is scored
+    from the trained model's probabilities on its validation rows.
     """
     require_int("jobs", jobs)
     if jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs}")
     labels = T.check_labels(labels, N_CLASSES)
-    all_idx = np.arange(T.sample_count(volumes, labels))
 
     def one_run(rep, fold, val_idx) -> RunResult:
-        train_idx = np.setdiff1d(all_idx, val_idx)
-        assert not np.intersect1d(train_idx, val_idx).size, "train/validation overlap"
         run_seed = int(substream(hyper.seed, "run", rep, fold).integers(0, 2**31 - 1))
         run_hyper = replace(hyper, seed=run_seed)
         model = graph.build(spec, seed=run_seed)
         try:
-            model, curve = T.train(
-                model,
-                (T._take(volumes, train_idx), labels[train_idx]),
-                (T._take(volumes, val_idx), labels[val_idx]),
-                run_hyper,
-                augmentor=augmentor,
-            )
-            probs = curve.val_probs
-            if probs is None:
-                probs = T.predict(model, T._take(volumes, val_idx), run_hyper.batch_size)
-            cm = confusion_matrix(labels[val_idx], probs.argmax(axis=1))
+            _, curve = T.train(model, (volumes, labels), val_idx, run_hyper, augmentor=augmentor)
+            cm = confusion_matrix(labels[val_idx], curve.val_probs.argmax(axis=1))
             return RunResult(rep, fold, cm, curve)
         except NumericError as exc:
             return RunResult(rep, fold, None, None, error=str(exc))

@@ -122,6 +122,10 @@ class ModelSpec:
         for branch in (self.branch_a, self.branch_b):
             if branch is not None and branch.is_two_branch:
                 raise SpecError(f"branch {branch.name!r} must be a single-branch spec")
+        if self.is_two_branch and (self.input_dims is not None or self.layers):
+            raise SpecError(f"two-branch spec {self.name!r} takes no input_dims or layers of its own")
+        if not self.is_two_branch and self.head:
+            raise SpecError(f"single-branch spec {self.name!r} takes no head")
         if not self.is_two_branch and self.input_dims is None:
             raise SpecError(f"single-branch spec {self.name!r} needs input_dims")
         if self.input_dims is not None:
@@ -330,9 +334,7 @@ def _layer_label(spec: LayerSpec, out_shape) -> str:
         return f"Dropout ({spec.rate:g})"
     if kind == "activation":
         return f"Activation ({spec.activation})"
-    if kind == "residual_block":
-        return f"ResidualBlock ({spec.filters}), stride {spec.stride}"
-    return kind
+    return f"ResidualBlock ({spec.filters}), stride {spec.stride}"  # the one kind left
 
 
 @dataclass

@@ -123,12 +123,17 @@ def write_manifest(manifest: DatasetManifest, path):
     fileio.write_json(path, manifest.to_dict(), indent=1)
 
 
-def read_directory(directory) -> tuple[list[str], list[PatientRecord]]:
-    """The ``.rec`` file names of a directory in sorted order, and their records, each read once."""
+def _record_files(directory) -> list[str]:
+    """The ``.rec`` file names of a directory, in sorted order."""
     try:
-        files = sorted(f for f in os.listdir(directory) if f.endswith(".rec"))
+        return sorted(f for f in os.listdir(directory) if f.endswith(".rec"))
     except OSError as exc:
         raise StorageError(f"cannot scan record directory {directory}: {exc}") from exc
+
+
+def read_directory(directory) -> tuple[list[str], list[PatientRecord]]:
+    """The ``.rec`` file names of a directory in sorted order, and their records, each read once."""
+    files = _record_files(directory)
     return files, [read_record(os.path.join(directory, f)) for f in files]
 
 
@@ -147,13 +152,34 @@ def manifest_for(files: list[str], recs: list[PatientRecord]) -> DatasetManifest
 
 
 def load_dataset(directory, modality="PET"):
-    """Load all records in a directory as (volumes, labels, subject_ids)."""
-    files, recs = read_directory(directory)
-    if not recs:
+    """All records of a directory as ``(volumes, labels, subject_ids)``, in file name order.
+
+    ``volumes`` is a stack of ``modality``, or a tuple of stacks for a tuple of
+    names.  Each record is copied into its rows and let go before the next is
+    read, so loading holds the stacks and one record.
+    """
+    names = (modality,) if isinstance(modality, str) else tuple(modality)
+    files = _record_files(directory)
+    if not files:
         raise DataError(f"{directory} holds no .rec files")
-    manifest_for(files, recs)  # the same dims checks as the manifest's
-    return (np.stack([rec.volume(modality) for rec in recs]),
-            np.array([rec.label for rec in recs]), [rec.subject_id for rec in recs])
+    stacks, labels, ids = {}, np.empty(len(files), dtype=int), [""] * len(files)
+    for i, f in enumerate(files):
+        labels[i], ids[i] = _store_row(read_record(os.path.join(directory, f)), i, names, stacks, len(files))
+    volumes = tuple(stacks[name] for name in names)
+    return volumes[0] if isinstance(modality, str) else volumes, labels, ids
+
+
+def _store_row(rec, i, names, stacks, n):
+    """Copy ``rec``'s volumes into row ``i`` of ``stacks``, ``n`` rows deep; returns its label and id."""
+    for name in names:
+        vol = rec.volume(name)
+        if name not in stacks:
+            stacks[name] = np.empty((n,) + vol.shape, np.float32)
+        stack = stacks[name]
+        if stack.shape[1:] != vol.shape:
+            raise StorageError(f"inconsistent {name} dims: {list(stack.shape[1:])} vs {list(vol.shape)}")
+        stack[i] = vol
+    return rec.label, rec.subject_id
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,7 @@ class CurveRow:
 @dataclass
 class LearningCurve:
     rows: list[CurveRow] = field(default_factory=list)
-    # Inference-mode probabilities of the validation set from the last
-    # epoch's validation pass, while the model still holds the parameters
-    # that pass ran with; None otherwise.
+    # The returned model's inference-mode probabilities on the validation rows, if any.
     val_probs: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def write_csv(self, path):
@@ -127,13 +125,16 @@ def sample_count(x, labels=None) -> int:
     return counts[0]
 
 
-def check_labels(labels, classes: int) -> np.ndarray:
+def check_labels(labels, classes: int, what: str = "labels") -> np.ndarray:
     """``labels`` as an array; raises ``InputError`` unless it is a vector of integers in [0, classes)."""
-    labels = np.asarray(labels)
+    try:
+        labels = np.asarray(labels)
+    except ValueError as exc:  # a ragged sequence, such as a (volumes, labels) pair
+        raise InputError(f"{what} must be a vector of integers: {exc}") from exc
     if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
-        raise InputError(f"labels must be a vector of integers, got {labels.dtype}{list(labels.shape)}")
+        raise InputError(f"{what} must be a vector of integers, got {labels.dtype}{list(labels.shape)}")
     if labels.size and (labels.min() < 0 or labels.max() >= classes):
-        raise InputError(f"labels must be in [0, {classes})")
+        raise InputError(f"{what} must be in [0, {classes})")
     return labels
 
 
@@ -239,28 +240,23 @@ def loss_and_grads(model, x, y_onehot, mode="train", rng=None):
 
 
 @volume.reusing_scratch()
-def predict(model, x, batch_size: int) -> np.ndarray:
+def predict(model, x, batch_size: int, rows=None) -> np.ndarray:
     """Inference-mode class probabilities of ``x``, ``batch_size`` samples per forward.
 
     ``x`` is a batch of volumes, or a ``(PET, MRI)`` tuple of them for a
-    two-branch model.  Bounding the batch bounds memory: an inference pass
-    at the training batch size never needs more than a training step.
+    two-branch model; ``rows``, an index array, picks and orders samples of
+    it.  Bounding the batch bounds memory: an inference pass at the training
+    batch size never needs more than a training step.
     """
-    n = sample_count(x)
+    n = sample_count(x) if rows is None else len(rows)
     if n == 0:
         raise InputError("no samples to predict")
     require_int("batch_size", batch_size)
     if batch_size < 1:
         raise InputError("batch_size must be >= 1")
-    return np.concatenate([model.forward(_take(x, slice(lo, lo + batch_size)), "inference")
-                           for lo in range(0, n, batch_size)])
-
-
-def _evaluate(model, x, y_onehot, batch_size):
-    """Inference-mode loss, accuracy and probabilities over a dataset."""
-    probs = predict(model, x, batch_size)
-    correct = int((probs.argmax(axis=1) == y_onehot.argmax(axis=1)).sum())
-    return cross_entropy(y_onehot, probs), correct / len(y_onehot), probs
+    batches = (slice(lo, lo + batch_size) if rows is None else rows[lo : lo + batch_size]
+               for lo in range(0, n, batch_size))
+    return np.concatenate([model.forward(_take(x, b), "inference") for b in batches])
 
 
 def _take(x, idx):
@@ -283,40 +279,44 @@ def _restore(model, snap):
 
 
 @volume.reusing_scratch()
-def train(model, train_set, val_set=None, hyper: HyperParams | None = None,
+def train(model, data, val_idx=None, hyper: HyperParams | None = None,
           augmentor=None, early_stopping_patience: int | None = None):
     """Minibatch training with per-epoch exponential LR decay.
 
-    ``train_set``/``val_set`` are ``(volumes, labels)`` pairs; volumes may be
-    a tuple of arrays for two-branch models.  ``augmentor``, when given, is
-    called as ``augmentor(volume, sample_seed)`` on every training sample
-    (never on validation data).  Train accuracy is measured on the augmented
-    samples as the model sees them.
+    ``data`` is a ``(volumes, labels)`` pair; volumes may be a ``(PET, MRI)``
+    tuple of stacks for two-branch models.  ``val_idx``, distinct indices
+    into ``data``, names the validation rows; training gathers its batches
+    from every other row, in ascending order, and copies no subset.
+    ``augmentor``, when given, is called as ``augmentor(volume, sample_seed)``
+    on every training sample (never on validation data).  Train accuracy is
+    measured on the augmented samples as the model sees them.
 
     Early stopping monitors validation loss and restores the best-epoch
     parameters; it is off unless a patience is given.  The class count is the
     width of the model's output vector; a model whose output is not a vector
-    raises ``SpecError`` before any epoch runs.  The curve's
-    ``val_probs`` are the last validation pass's probabilities, or None when
-    no pass ran or early stopping restored other parameters.
+    raises ``SpecError`` before any epoch runs.  When there are validation
+    rows, the curve's ``val_probs`` are the returned model's probabilities
+    on them, in ``val_idx`` order.
     """
     hyper = hyper or HyperParams()
-    x_train, y_train = train_set
-    n = sample_count(x_train, y_train)
-    if n == 0:
-        raise InputError("training set is empty")
+    x, labels = data
+    n_all = sample_count(x, labels)
     classes = summarize(model.spec).rows[-1].output_dims
     if not isinstance(classes, int):
         raise SpecError(f"model {model.spec.name!r} must end in a vector of class scores, not {classes}")
-    y_oh = one_hot(y_train, classes)
-    val = None
-    if val_set is not None and sample_count(*val_set) > 0:
-        val = (val_set[0], one_hot(val_set[1], classes))
+    y_oh = one_hot(labels, classes)
+    val_idx = check_labels(np.arange(0) if val_idx is None else val_idx, n_all, "val_idx")
+    if len(np.unique(val_idx)) != len(val_idx):
+        raise InputError("val_idx names a row more than once")
+    rows = np.setdiff1d(np.arange(n_all), val_idx)
+    n = len(rows)
+    if n == 0:
+        raise InputError("training set is empty")
 
     params = model.params()
     adam = AdamState(params)
     curve = LearningCurve()
-    best_loss, best_snap, bad_epochs = np.inf, None, 0
+    best_loss, best, bad_epochs = np.inf, None, 0
 
     for epoch in range(hyper.epochs):
         lr = exp_decay_lr(hyper.lr0, hyper.decay_rate, epoch, hyper.epochs)
@@ -326,8 +326,7 @@ def train(model, train_set, val_set=None, hyper: HyperParams | None = None,
         epoch_loss, epoch_correct = 0.0, 0
         for bi, lo in enumerate(range(0, n, hyper.batch_size)):
             idx = order[lo : lo + hyper.batch_size]
-            xb = _take(x_train, idx)
-            yb = y_oh[idx]
+            xb, yb = _take(x, rows[idx]), y_oh[rows[idx]]
             if augmentor is not None:
                 xb = _augment_batch(xb, idx, augmentor, hyper.seed, epoch)
             try:
@@ -341,23 +340,27 @@ def train(model, train_set, val_set=None, hyper: HyperParams | None = None,
             epoch_correct += int((probs.argmax(axis=1) == yb.argmax(axis=1)).sum())
 
         row = CurveRow(epoch, epoch_loss / n, epoch_correct / n)
-        if val is not None:
-            row.val_loss, row.val_acc, curve.val_probs = _evaluate(model, *val, hyper.batch_size)
+        if len(val_idx):
+            curve.val_probs = predict(model, x, hyper.batch_size, val_idx)
+            row.val_loss = cross_entropy(y_oh[val_idx], curve.val_probs)
+            row.val_acc = float((curve.val_probs.argmax(axis=1) == labels[val_idx]).mean())
         curve.rows.append(row)
 
-        if early_stopping_patience is not None and val is not None:
+        if early_stopping_patience is not None and len(val_idx):
             if row.val_loss < best_loss:
-                best_loss, best_snap, bad_epochs = row.val_loss, _snapshot(model), 0
+                best_loss, best, bad_epochs = row.val_loss, (_snapshot(model), curve.val_probs), 0
             else:
                 bad_epochs += 1
                 if bad_epochs > early_stopping_patience:
                     break
 
     # The best epoch's parameters go back when training stopped early or ended worse than them.
-    if best_snap is not None and (bad_epochs > early_stopping_patience
-                                  or curve.rows[-1].val_loss > best_loss):
-        _restore(model, best_snap)
-        curve.val_probs = None
+    if best is not None and (bad_epochs > early_stopping_patience
+                             or curve.rows[-1].val_loss > best_loss):
+        _restore(model, best[0])
+        curve.val_probs = best[1]
+    if len(val_idx) and curve.val_probs is None:  # no epoch ran
+        curve.val_probs = predict(model, x, hyper.batch_size, val_idx)
     return model, curve
 
 

@@ -31,13 +31,13 @@ def test_traced_training_yields_every_per_layer_metric(monkeypatch, tmp_path):
     check = opcount.brute_force_check()
     assert check["formula"] == check["brute"]
 
-    recs, _ = records.gen_synthetic(2, dims=(16, 16, 16), seed=3)
+    recs, _ = records.gen_synthetic(3, dims=(16, 16, 16), seed=3)
     x, y = np.stack([r.volume("PET") for r in recs]), np.array([r.label for r in recs])
     tracer = Tracer()
     inst = instrument.Instrument(tracer)
     try:
         model = graph.build(load_fixture("pet_8_mini"), seed=1)
-        T.train(model, (x, y), (x, y), T.HyperParams(epochs=1, batch_size=3, seed=1))
+        T.train(model, (x, y), np.arange(3), T.HyperParams(epochs=1, batch_size=3, seed=1))
         path = str(tmp_path / "model.avc")
         checkpoint.save_checkpoint(model, path)
         checkpoint.load_checkpoint(path)
@@ -47,7 +47,7 @@ def test_traced_training_yields_every_per_layer_metric(monkeypatch, tmp_path):
     metrics = instrument.layer_metrics(tracer, inst, 1)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
     assert {m["name"] for m in declared} <= metrics.keys()
-    assert metrics["train.batches"]["value"] == 2  # 6 samples, 3 a batch
+    assert metrics["train.batches"]["value"] == 2  # 6 training samples, 3 a batch
     for name in ("volume.correlate3d.calls", "volume.conv.gmac", "graph.backward.busy_s",
                  "checkpoint.save.mb", "checkpoint.load.mb"):
         assert metrics[name]["value"] > 0, name

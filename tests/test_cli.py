@@ -331,13 +331,6 @@ def test_numeric_failure_exits_3(capsys, cli_data, tmp_path):
     assert code == 3 and err != ""
 
 
-def test_split_on_a_missing_modality_exits_2(capsys, cli_data, tmp_path):
-    code, _, err = run(capsys, "split", "--data", str(cli_data), "--modality", "OTHER",
-                       "--test-frac", "0.2", "--out", str(tmp_path / "i.json"))
-    assert code == 2 and "OTHER" in err
-    assert not (tmp_path / "i.json").exists()
-
-
 @pytest.mark.parametrize("doc,field", [
     ({"epochs": "3"}, "epochs"),
     ({"lr0": None}, "lr0"),
@@ -399,19 +392,38 @@ def mini_checkpoint(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("command", ["train", "rkfold", "test-eval"])
-def test_two_branch_model_fed_one_modality_exits_1(capsys, cli_data, hyper_file, tmp_path, command):
-    spec = graph.load_spec(fixture_path("two_branch_mini"))
-    ckpt = tmp_path / "two_branch.avc"
-    checkpoint.save_checkpoint(graph.build(spec, seed=0), ckpt)
-    model = ["--arch", fixture_path("two_branch_mini"), "--hyper", hyper_file, "--data", cli_data]
-    out = tmp_path / "out"
-    argv = {"train": ["train", *model, "--out-dir", out],
+def _two_branch_argv(command, data, hyper_file, ckpt, out):
+    model = ["--arch", fixture_path("two_branch_mini"), "--hyper", hyper_file, "--data", data]
+    return {"train": ["train", *model, "--val-frac", "0.25", "--out-dir", out],
             "rkfold": ["rkfold", *model, "--k", "2", "--reps", "1", "--out-dir", out],
-            "test-eval": ["test-eval", "--checkpoint", ckpt, "--data", cli_data, "--out", out]}[command]
+            "test-eval": ["test-eval", "--checkpoint", ckpt, "--data", data, "--out", out]}[command]
+
+
+@pytest.mark.parametrize("command", ["train", "rkfold", "test-eval"])
+def test_two_branch_model_reads_pet_and_mri_of_every_record(capsys, cli_data, hyper_file, tmp_path,
+                                                            command):
+    ckpt = tmp_path / "two_branch.avc"
+    checkpoint.save_checkpoint(graph.build(load_fixture("two_branch_mini"), seed=0), ckpt)
+    argv = _two_branch_argv(command, cli_data, hyper_file, ckpt, tmp_path / "out")
     code, _, err = run(capsys, *argv)
-    assert code == 1 and err.startswith("error:") and "(PET, MRI) pair" in err
-    assert list(tmp_path.iterdir()) == [ckpt]
+    assert code == 0, err
+    code, _, err = run(capsys, *argv, "--modality", "PET")  # the spec states what it reads
+    assert code == 1 and "--modality" in err
+
+
+@pytest.mark.parametrize("command", ["train", "rkfold", "test-eval"])
+def test_two_branch_model_on_a_record_without_mri_exits_2(capsys, hyper_file, tmp_path, command):
+    data = tmp_path / "data"
+    recs, _ = records.gen_synthetic(2, dims=(16, 16, 16), seed=7)
+    recs[4].volumes = recs[4].volumes[:1]  # PET only
+    fileio.make_dirs(data)
+    for rec in recs:
+        records.write_record(rec, data / f"{rec.subject_id}.rec")
+    ckpt = tmp_path / "two_branch.avc"
+    checkpoint.save_checkpoint(graph.build(load_fixture("two_branch_mini"), seed=0), ckpt)
+    code, _, err = run(capsys, *_two_branch_argv(command, data, hyper_file, ckpt, tmp_path / "out"))
+    assert code == 2 and "no MRI volume" in err
+    assert not (tmp_path / "out").exists()
 
 
 def _model_argv(command, arch, cli_data, hyper_file, out):

@@ -1,6 +1,7 @@
 """Splits, fold plans, confusion-matrix metrics, and the k-fold harness."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,23 @@ def test_run_rkfold_parallel_matches_serial(tiny_data):
     for ra, rb in zip(serial.runs, parallel.runs):
         assert (ra.rep, ra.fold) == (rb.rep, rb.fold)
         assert np.array_equal(ra.confusion, rb.confusion)
+
+
+def test_a_study_copies_no_fold():
+    """Every run gathers its batches from the one stack, two runs at a time here."""
+    labels = np.arange(120) % 3
+    vols = np.random.default_rng(0).standard_normal((120, 12, 12, 12, 1)).astype(np.float32)
+    spec = graph.spec_from_dict({"name": "mean", "input_dims": [12, 12, 12, 1], "layers": [
+        {"kind": "global_avg_pool3d"}, {"kind": "dense", "units": 3, "activation": "softmax"}]})
+    plan = E.repeated_stratified_kfold(labels, k=2, reps=1, seed=1)
+    tracemalloc.start()
+    try:
+        report = E.run_rkfold(spec, vols, labels, T.HyperParams(epochs=1, batch_size=2), plan, jobs=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.any_failed
+    assert peak < vols.nbytes / 4
 
 
 def test_fold_plan_rejects_fewer_than_one_repetition():

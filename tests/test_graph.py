@@ -740,3 +740,15 @@ def test_a_spec_whose_shape_is_not_a_model_raises_spec_error(kwargs, match):
     specs = {"pet": load_fixture("pet_8_mini"), "two_branch": load_fixture("two_branch_mini")}
     with pytest.raises(SpecError, match=match):
         graph.ModelSpec("bad", **{key: specs[v] for key, v in kwargs.items()})
+
+
+def test_a_spec_part_that_no_model_reads_raises_spec_error():
+    """A single-branch spec has no head, and a two-branch spec no input dims or layers of its own:
+    a summary or a build would drop them without a word."""
+    pet, wide = load_fixture("pet_8_mini"), graph.LayerSpec("dense", units=7)
+    with pytest.raises(SpecError, match="takes no head"):
+        graph.ModelSpec("x", (4, 4, 4, 1), [graph.LayerSpec("flatten"), graph.LayerSpec("dense", units=3)],
+                        head=[wide])
+    for extra in ({"input_dims": (16, 16, 16, 1)}, {"layers": [wide]}):
+        with pytest.raises(SpecError, match="no input_dims or layers"):
+            graph.ModelSpec("x", branch_a=pet, branch_b=pet, head=[wide], **extra)

@@ -80,8 +80,7 @@ def test_training_validates_at_the_training_batch(inference_batches):
     vols, labels = _dataset(10)
     val = np.arange(30) % 3 != 0  # 20 validation samples, 10 training samples
     model = graph.build(load_fixture("pet_8_mini"), seed=1)
-    T.train(model, (vols[~val], labels[~val]), (vols[val], labels[val]),
-            T.HyperParams(epochs=2, batch_size=4, seed=1))
+    T.train(model, (vols, labels), np.flatnonzero(val), T.HyperParams(epochs=2, batch_size=4, seed=1))
     assert max(inference_batches) <= 4
     assert sum(inference_batches) == 2 * 20
 
@@ -105,7 +104,7 @@ def test_curve_keeps_the_last_validation_pass():
     vols, labels = _dataset(10)
     val = np.arange(30) % 3 != 0
     model = graph.build(load_fixture("pet_8_mini"), seed=1)
-    model, curve = T.train(model, (vols[~val], labels[~val]), (vols[val], labels[val]),
+    model, curve = T.train(model, (vols, labels), np.flatnonzero(val),
                            T.HyperParams(epochs=2, batch_size=4, seed=1))
     assert curve.val_probs.tobytes() == T.predict(model, vols[val], 4).tobytes()
     _, unvalidated = T.train(model, (vols[~val], labels[~val]), hyper=T.HyperParams(epochs=1))

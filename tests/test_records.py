@@ -261,6 +261,29 @@ def test_manifest_rejects_inconsistent_dims(tmp_path):
         records.manifest_for(*records.read_directory(tmp_path))
 
 
+def test_load_dataset_checks_the_dims_of_the_modalities_it_loads(tmp_path):
+    records.write_record(make_record(0, (6, 6, 6, 1), (6, 6, 6, 1)), tmp_path / "a.rec")
+    records.write_record(make_record(1, (8, 8, 8, 1), (6, 6, 6, 1)), tmp_path / "b.rec")
+    with pytest.raises(StorageError, match=r"inconsistent PET dims: \[6, 6, 6, 1\] vs \[8, 8, 8, 1\]"):
+        records.load_dataset(tmp_path, ("MRI", "PET"))
+    mri, labels, ids = records.load_dataset(tmp_path, "MRI")
+    assert mri.shape == (2, 6, 6, 6, 1) and mri.dtype == np.float32 and labels.tolist() == [1, 1]
+    assert records.load_dataset(tmp_path, ())[0] == ()
+
+
+def test_load_dataset_holds_one_record_at_a_time(synth_dataset):
+    """Each record is copied into its rows and let go: loading needs the stacks, not the records too."""
+    files = sorted(synth_dataset.glob("*.rec"))
+    (pet, mri), labels, ids = records.load_dataset(synth_dataset, ("PET", "MRI"))
+    assert len(files) >= 12 and ids == [f.stem for f in files]
+    for i in (0, 9, len(files) - 1):
+        rec = records.read_record(files[i])
+        assert np.array_equal(pet[i], rec.volume("PET")) and np.array_equal(mri[i], rec.volume("MRI"))
+        assert labels[i] == rec.label
+    bound = pet.nbytes + mri.nbytes + 3 * files[0].stat().st_size
+    assert _traced_peak(lambda: records.load_dataset(synth_dataset, ("PET", "MRI"))) < bound
+
+
 # ---------------------------------------------------------------------------
 # Synthetic generator
 

@@ -261,9 +261,57 @@ def test_train_curve_is_bitwise_reproducible():
     curves = []
     for _ in range(2):
         model = graph.build(load_fixture("pet_8_mini"), seed=11)
-        _, curve = T.train(model, (vols, labels), (vols[:3], labels[:3]), hyper)
+        _, curve = T.train(model, (vols, labels), np.arange(3), hyper)
         curves.append([(r.train_loss, r.train_acc, r.val_loss, r.val_acc) for r in curve.rows])
     assert curves[0] == curves[1]
+
+
+def _noisy_augmentor(vol, sample_seed):
+    return vol + np.float32(substream(sample_seed, "noise").standard_normal())
+
+
+@pytest.mark.parametrize("augmentor", [None, _noisy_augmentor], ids=["plain", "augmented"])
+@pytest.mark.parametrize("name", ["pet_8_mini", "two_branch_mini"])
+def test_naming_validation_rows_trains_as_the_copied_complement(name, augmentor):
+    """Training on every row that val_idx does not name is training on a copy of those rows."""
+    recs, _ = records.gen_synthetic(2, dims=(16, 16, 16), seed=7)
+    pet, mri = (np.stack([r.volume(m) for r in recs]) for m in ("PET", "MRI"))
+    labels = np.array([r.label for r in recs])
+    x = (pet, mri) if name == "two_branch_mini" else pet
+    val_idx, rest = np.array([4, 1]), np.array([0, 2, 3, 5])
+    hyper = T.HyperParams(lr0=3e-3, epochs=2, batch_size=3, seed=4)
+    named, _ = T.train(graph.build(load_fixture(name), seed=2), (x, labels), val_idx, hyper,
+                       augmentor=augmentor)
+    copied, _ = T.train(graph.build(load_fixture(name), seed=2), (T._take(x, rest), labels[rest]),
+                        hyper=hyper, augmentor=augmentor)
+    for a, b in zip(named.params(), copied.params()):
+        assert a.values.tobytes() == b.values.tobytes(), a.name
+
+
+def test_zero_epochs_still_give_validation_probabilities():
+    vols, labels = tiny_dataset(2)
+    model = graph.build(load_fixture("pet_8_mini"), seed=5)
+    _, curve = T.train(model, (vols, labels), np.array([3, 0]), hyper=T.HyperParams(epochs=0, batch_size=4))
+    assert curve.rows == []
+    assert curve.val_probs.tobytes() == T.predict(model, vols[[3, 0]], 4).tobytes()
+
+
+@pytest.mark.parametrize("val_idx,match", [
+    ("pair", "vector of integers"),
+    (np.array([0.0, 1.0]), "vector of integers"),
+    (np.array([[0, 1]]), "vector of integers"),
+    (np.array([1, 1]), "more than once"),
+    (np.array([6]), r"in \[0, 6\)"),
+    (np.array([-1]), r"in \[0, 6\)"),
+    (np.arange(6), "training set is empty"),
+], ids=["volumes-and-labels", "floats", "matrix", "duplicates", "past-the-end", "negative", "every-row"])
+def test_val_idx_that_is_not_distinct_rows_raises_input_error(val_idx, match):
+    vols, labels = tiny_dataset(2)
+    if isinstance(val_idx, str):  # the validation set as it was once passed
+        val_idx = (vols[:2], labels[:2])
+    model = graph.build(load_fixture("pet_8_mini"), seed=5)
+    with pytest.raises(InputError, match=match):
+        T.train(model, (vols, labels), val_idx, T.HyperParams(epochs=1))
 
 
 def test_zero_epochs_returns_initialization():
@@ -289,14 +337,15 @@ def test_early_stopping_patience_zero_restores_first_epoch(monkeypatch):
     real_restore = T._restore
     monkeypatch.setattr(T, "_restore", lambda *a: restores.append(1) or real_restore(*a))
     vols, labels = tiny_dataset(4)
-    train_mask = labels == 0
+    keep = labels != 2
+    vols, labels = vols[keep], labels[keep]
     val_mask = labels == 1
     model = graph.build(load_fixture("pet_8_mini"), seed=3)
     hyper = T.HyperParams(lr0=5e-3, epochs=8, batch_size=4, seed=3)
     model, curve = T.train(
         model,
-        (vols[train_mask], labels[train_mask]),
-        (vols[val_mask], labels[val_mask]),
+        (vols, labels),
+        np.flatnonzero(val_mask),
         hyper,
         early_stopping_patience=0,
     )
@@ -304,7 +353,8 @@ def test_early_stopping_patience_zero_restores_first_epoch(monkeypatch):
     stop = int(np.argmin(val_losses))
     assert len(curve.rows) < 8  # stopped early
     assert val_losses[stop + 1] > val_losses[stop]
-    assert curve.val_probs is None  # the last pass ran with parameters no longer held
+    # The probabilities are the restored model's, not the last pass's.
+    assert curve.val_probs.tobytes() == T.predict(model, vols[val_mask], 4).tobytes()
     assert len(restores) == 1  # a stop after a worse epoch restores once
 
     # The restored parameters reproduce the best epoch's validation loss.
@@ -318,16 +368,18 @@ def test_early_stopping_restores_the_best_epoch_of_a_pet_cut():
     """Only the head trains and only it is saved and restored; the frozen,
     read-only backbone and its pinned statistics stay as they were."""
     vols, labels = tiny_dataset(4)
-    train_mask, val_mask = labels == 0, labels == 1
+    keep = labels != 2
+    vols, labels = vols[keep], labels[keep]
+    val_mask = labels == 1
     model = _pet_surgery_model()
     frozen = [(p, p.values.copy()) for p in model.params() if not p.trainable]
     hyper = T.HyperParams(lr0=0.05, epochs=8, batch_size=4, seed=3)
-    model, curve = T.train(model, (vols[train_mask], labels[train_mask]),
-                           (vols[val_mask], labels[val_mask]), hyper, early_stopping_patience=0)
+    model, curve = T.train(model, (vols, labels), np.flatnonzero(val_mask), hyper,
+                           early_stopping_patience=0)
     val_losses = [r.val_loss for r in curve.rows]
     stop = int(np.argmin(val_losses))
     assert len(curve.rows) < 8 and val_losses[stop + 1] > val_losses[stop]
-    assert curve.val_probs is None
+    assert curve.val_probs.tobytes() == T.predict(model, vols[val_mask], 4).tobytes()
 
     probs = model.forward(vols[val_mask], "inference")
     assert abs(T.cross_entropy(T.one_hot(labels[val_mask], 3), probs) - val_losses[stop]) < 1e-6
@@ -344,9 +396,9 @@ def test_augmentor_applied_to_train_not_validation():
 
     vols, labels = tiny_dataset(2)
     model = graph.build(load_fixture("pet_8_mini"), seed=1)
-    T.train(model, (vols, labels), (vols[:2], labels[:2]),
+    T.train(model, (vols, labels), np.arange(2),
             T.HyperParams(epochs=2, batch_size=3, seed=1), augmentor=spy)
-    assert len(calls) == 2 * len(labels)  # every train sample, every epoch
+    assert len(calls) == 2 * (len(labels) - 2)  # every train sample, every epoch
     assert len(set(calls)) == len(calls)  # per-sample per-epoch seeds differ
 
 
@@ -391,7 +443,7 @@ def test_train_rejects_volumes_and_labels_of_different_counts(extra):
         T.train(model, (vols, labels), hyper=T.HyperParams(epochs=1))
     vols, labels = tiny_dataset(2)
     with pytest.raises(InputError, match="different numbers of samples"):
-        T.train(model, (vols, labels), (vols[:3], labels[:4]), hyper=T.HyperParams(epochs=1))
+        T.train(model, (vols, labels[:4]), np.arange(3), hyper=T.HyperParams(epochs=1))
 
 
 def test_a_pet_mri_pair_of_unequal_lengths_raises_input_error():
