@@ -19,7 +19,7 @@ from voxcnn.fixtures import load_fixture
 recs, manifest = records.gen_synthetic(per_class=20, dims=(16, 16, 16), seed=7)
 vols = np.stack([r.volume("PET") for r in recs])
 labels = np.array([r.label for r in recs])
-print("dataset:", manifest.class_counts, "dims", manifest.dims["PET"])
+print("dataset:", manifest["class_counts"], "dims", manifest["dims"]["PET"])
 
 train_idx, test_idx = evaluate.stratified_split(labels, test_frac=0.2, seed=1)
 # The validation rows come out of the training split, stratified on its labels;

@@ -119,25 +119,16 @@ def cmd_rkfold(args) -> int:
 
 def cmd_test_eval(args) -> int:
     model = checkpoint.load_checkpoint(args.checkpoint)
-    volumes, labels, ids = records.load_dataset(args.data, _modality(model.spec, args.modality))
-    rows = np.arange(len(labels))
+    test_ids = None
     if args.index:
         idx_doc = fileio.read_json(args.index, InputError, "index file")
         test_ids = idx_doc.get("test") if isinstance(idx_doc, dict) else None
-        if not isinstance(test_ids, list) or not all(isinstance(i, str) for i in test_ids):
+        if not isinstance(test_ids, list) or not test_ids or not all(isinstance(i, str) for i in test_ids):
             raise InputError(f'index file {args.index} must hold an object whose "test" '
-                             f"is a list of subject ids")
-        row_of = {sid: i for i, sid in enumerate(ids)}
-        missing = [sid for sid in dict.fromkeys(test_ids) if sid not in row_of]
-        if missing:
-            raise InputError(f"{len(missing)} test ids of index file {args.index} are not in "
-                             f"{args.data}: {', '.join(missing[:3])}"
-                             f"{', ...' if len(missing) > 3 else ''}")
-        rows = sorted({row_of[sid] for sid in test_ids})
-        if not rows:
-            raise InputError("index file selects no records from the data directory")
-    probs = T.predict(model, volumes, T.DEFAULT_BATCH_SIZE, rows)
-    cm = evaluate.confusion_matrix(labels[rows], probs.argmax(axis=1))
+                             f"is a non-empty list of subject ids")
+    volumes, labels, _ = records.load_dataset(args.data, _modality(model.spec, args.modality), test_ids)
+    probs = T.predict(model, volumes, T.DEFAULT_BATCH_SIZE)
+    cm = evaluate.confusion_matrix(labels, probs.argmax(axis=1))
     metrics = _metrics_dict(cm)
     _write_json(metrics, args.out)
     print(f"accuracy {metrics['accuracy']:.4f}  "
@@ -169,17 +160,19 @@ def cmd_split(args) -> int:
 
 def cmd_preprocess(args) -> int:
     ops = preprocess.load_chain(args.chain)
-    files, recs = records.read_directory(args.data)
-    records.manifest_for(files, recs)  # mixed input dims fail before any output is written
+    files = records.record_files(args.data)
     fileio.make_dirs(args.out_dir)
-    for fname, rec in zip(files, recs):
-        rec.volumes = [
-            (mod, preprocess.apply_chain(vol, ops).astype(np.float32))
-            for mod, vol in rec.volumes
-        ]
+
+    def written(fname):
+        rec = records.read_record(os.path.join(args.data, fname))
+        rec = dataclasses.replace(rec, volumes=[
+            (mod, preprocess.apply_chain(vol, ops).astype(np.float32)) for mod, vol in rec.volumes])
         records.write_record(rec, os.path.join(args.out_dir, fname))
-    records.write_manifest(records.manifest_for(files, recs),
-                           os.path.join(args.out_dir, "manifest.json"))
+        return rec
+
+    # The manifest is written last, so it marks a complete output.
+    manifest = records.manifest_for((f, written(f)) for f in files)
+    records.write_manifest(manifest, os.path.join(args.out_dir, "manifest.json"))
     print(f"preprocessed {len(files)} records into {args.out_dir}")
     return 0
 
@@ -189,11 +182,8 @@ def cmd_augment_preview(args) -> int:
     doc = fileio.read_json(args.config, InputError, "augmentation config")
     cfg = augment.AugmentConfig.from_dict(doc)
     seed = sample_seed(args.seed, "augment-preview", rec.subject_id)
-    rec.volumes = [
-        (mod, augment.augment(vol, cfg, seed).astype(np.float32))
-        for mod, vol in rec.volumes
-    ]
-    rec.subject_id = rec.subject_id + "-aug"
+    rec = dataclasses.replace(rec, subject_id=rec.subject_id + "-aug", volumes=[
+        (mod, augment.augment(vol, cfg, seed).astype(np.float32)) for mod, vol in rec.volumes])
     records.write_record(rec, args.out)
     print(f"wrote {args.out}")
     return 0

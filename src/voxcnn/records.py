@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from . import fileio
-from .errors import DataError, FormatError, InputError, StorageError, VersionError, require_real
+from .errors import (DataError, FormatError, InputError, StorageError, VersionError, require_int,
+                     require_real)
 from .rng import substream
 
 MAGIC = b"AVR1"
@@ -31,15 +32,20 @@ _DTYPE_F32 = 0
 CLASS_NAMES = ("CN", "AD", "MCI")  # a record's label indexes this
 
 
-@dataclass
+@dataclass(frozen=True)
 class PatientRecord:
+    """One patient's label and volumes; frozen, so a record stays as its checks found it."""
+
     subject_id: str
     label: int  # an index into CLASS_NAMES
     volumes: list[tuple[str, np.ndarray]]
 
     def __post_init__(self):
-        if not self.subject_id:
-            raise InputError("subject_id must be non-empty")
+        if not isinstance(self.subject_id, str) or not self.subject_id:
+            raise InputError(f"subject_id must be a non-empty string, got {self.subject_id!r}")
+        if len(self.subject_id.encode("utf-8")) > 0xFFFF:
+            raise InputError("subject_id must be at most 65,535 UTF-8 bytes")
+        require_int("label", self.label)
         if not 0 <= self.label < len(CLASS_NAMES):
             raise InputError(f"label must be an index into {CLASS_NAMES}")
         if not self.volumes:
@@ -102,28 +108,11 @@ def read_record(path) -> PatientRecord:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-@dataclass
-class DatasetManifest:
-    files: list[str]
-    class_counts: dict[str, int]
-    dims: dict[str, list[int]]
-    extras: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "files": self.files,
-            "class_counts": self.class_counts,
-            "dims": self.dims,
-            **({"extras": self.extras} if self.extras else {}),
-        }
+def write_manifest(manifest: dict, path):
+    fileio.write_json(path, manifest, indent=1)
 
 
-def write_manifest(manifest: DatasetManifest, path):
-    fileio.write_json(path, manifest.to_dict(), indent=1)
-
-
-def _record_files(directory) -> list[str]:
+def record_files(directory) -> list[str]:
     """The ``.rec`` file names of a directory, in sorted order."""
     try:
         return sorted(f for f in os.listdir(directory) if f.endswith(".rec"))
@@ -131,46 +120,61 @@ def _record_files(directory) -> list[str]:
         raise StorageError(f"cannot scan record directory {directory}: {exc}") from exc
 
 
-def read_directory(directory) -> tuple[list[str], list[PatientRecord]]:
-    """The ``.rec`` file names of a directory in sorted order, and their records, each read once."""
-    files = _record_files(directory)
-    return files, [read_record(os.path.join(directory, f)) for f in files]
+def manifest_for(entries) -> dict:
+    """The manifest document of ``(file name, record)`` pairs, taken one at a time.
 
-
-def manifest_for(files: list[str], recs: list[PatientRecord]) -> DatasetManifest:
-    """The manifest of records ``recs`` stored as ``files``; raises StorageError on mixed dims."""
-    counts = dict.fromkeys(CLASS_NAMES, 0)
-    dims: dict[str, list[int]] = {}
-    for rec in recs:
+    Only each record's label and dims are kept, so ``entries`` may read its
+    records as it goes; raises StorageError on mixed dims.
+    """
+    files, counts, dims = [], dict.fromkeys(CLASS_NAMES, 0), {}
+    for fname, rec in entries:
+        files.append(fname)
         counts[CLASS_NAMES[rec.label]] += 1
-        for modality, vol in rec.volumes:
-            d = list(vol.shape)
-            if modality in dims and dims[modality] != d:
-                raise StorageError(f"inconsistent {modality} dims: {dims[modality]} vs {d}")
-            dims[modality] = d
-    return DatasetManifest(files, counts, dims)
+        for modality, d in [(m, list(v.shape)) for m, v in rec.volumes]:
+            if dims.setdefault(modality, d) != d:
+                raise StorageError(f"inconsistent {modality} dims: {dims[modality]} vs {d} in {fname}")
+        del rec  # let go of it before ``entries`` reads the next
+    return {"format_version": FORMAT_VERSION, "files": files, "class_counts": counts, "dims": dims}
 
 
-def load_dataset(directory, modality="PET"):
-    """All records of a directory as ``(volumes, labels, subject_ids)``, in file name order.
+def load_dataset(directory, modality="PET", ids=None):
+    """The records of a directory as ``(volumes, labels, subject_ids)``, in file name order.
 
     ``volumes`` is a stack of ``modality``, or a tuple of stacks for a tuple of
-    names.  Each record is copied into its rows and let go before the next is
-    read, so loading holds the stacks and one record.
+    names.  ``ids``, when given, keeps only the records of those subject ids,
+    and raises ``InputError`` if any is absent.  Each record is copied into its
+    rows and let go before the next is read, so loading holds the stacks and
+    one record.  Two records of one subject id raise ``DataError``.
     """
     names = (modality,) if isinstance(modality, str) else tuple(modality)
-    files = _record_files(directory)
+    files = record_files(directory)
     if not files:
         raise DataError(f"{directory} holds no .rec files")
-    stacks, labels, ids = {}, np.empty(len(files), dtype=int), [""] * len(files)
-    for i, f in enumerate(files):
-        labels[i], ids[i] = _store_row(read_record(os.path.join(directory, f)), i, names, stacks, len(files))
+    wanted = None if ids is None else dict.fromkeys(ids)
+    if wanted == {}:
+        raise InputError("ids names no subject id")
+    n = len(files) if wanted is None else len(wanted)
+    stacks, labels, kept, file_of = {}, np.empty(n, dtype=int), [], {}
+    for f in files:
+        rec = read_record(os.path.join(directory, f))
+        if rec.subject_id in file_of:
+            raise DataError(f"subject id {rec.subject_id!r} is in both {file_of[rec.subject_id]} and {f}")
+        file_of[rec.subject_id] = f
+        if wanted is None or rec.subject_id in wanted:
+            labels[len(kept)] = rec.label
+            _store_row(rec, len(kept), names, stacks, n)
+            kept.append(rec.subject_id)
+        del rec  # let go of it before the next is read
+    absent = [] if wanted is None else [sid for sid in wanted if sid not in file_of]
+    if absent:
+        raise InputError(f"{len(absent)} of the {len(wanted)} ids asked for are not in {directory}: "
+                         f"{', '.join(absent[:3])}{', ...' if len(absent) > 3 else ''}")
     volumes = tuple(stacks[name] for name in names)
-    return volumes[0] if isinstance(modality, str) else volumes, labels, ids
+    return volumes[0] if isinstance(modality, str) else volumes, labels, kept
 
 
 def _store_row(rec, i, names, stacks, n):
-    """Copy ``rec``'s volumes into row ``i`` of ``stacks``, ``n`` rows deep; returns its label and id."""
+    """Copy ``rec``'s volumes into row ``i`` of ``stacks``, ``n`` rows deep."""
     for name in names:
         vol = rec.volume(name)
         if name not in stacks:
@@ -179,7 +183,6 @@ def _store_row(rec, i, names, stacks, n):
         if stack.shape[1:] != vol.shape:
             raise StorageError(f"inconsistent {name} dims: {list(stack.shape[1:])} vs {list(vol.shape)}")
         stack[i] = vol
-    return rec.label, rec.subject_id
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +216,7 @@ def gen_synthetic(per_class: int, dims=(16, 16, 16), signal_strength: float = 1.
     Returns ``(records, manifest)``; when ``out_dir`` is given the records
     and a ``manifest.json`` are written there.
     """
+    require_int("per_class", per_class)
     if per_class < 1:
         raise InputError("per_class must be >= 1")
     dims = tuple(int(d) for d in dims)
@@ -242,8 +246,8 @@ def gen_synthetic(per_class: int, dims=(16, 16, 16), signal_strength: float = 1.
                     ],
                 )
             )
-    manifest = manifest_for([f"{r.subject_id}.rec" for r in records], records)
-    manifest.extras = {"seed": seed, "signal_strength": signal_strength, "noise_sigma": noise_sigma}
+    manifest = manifest_for((f"{r.subject_id}.rec", r) for r in records)
+    manifest["extras"] = {"seed": seed, "signal_strength": signal_strength, "noise_sigma": noise_sigma}
     if out_dir is not None:
         fileio.make_dirs(out_dir)
         for rec in records:

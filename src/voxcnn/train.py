@@ -248,6 +248,7 @@ def predict(model, x, batch_size: int, rows=None) -> np.ndarray:
     it.  Bounding the batch bounds memory: an inference pass at the training
     batch size never needs more than a training step.
     """
+    rows = None if rows is None else check_labels(rows, sample_count(x), "rows")
     n = sample_count(x) if rows is None else len(rows)
     if n == 0:
         raise InputError("no samples to predict")
@@ -299,6 +300,10 @@ def train(model, data, val_idx=None, hyper: HyperParams | None = None,
     on them, in ``val_idx`` order.
     """
     hyper = hyper or HyperParams()
+    if early_stopping_patience is not None:
+        require_int("early_stopping_patience", early_stopping_patience)
+        if early_stopping_patience < 0:
+            raise InputError("early_stopping_patience must be >= 0")
     x, labels = data
     n_all = sample_count(x, labels)
     classes = summarize(model.spec).rows[-1].output_dims

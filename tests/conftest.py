@@ -7,6 +7,8 @@ perturbed loss evaluations run forward only: their gradients would be
 thrown away.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,3 +93,21 @@ def synth_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth")
     records.gen_synthetic(8, dims=(16, 16, 16), seed=7, out_dir=out)
     return out
+
+
+def manifest_on_disk(directory):
+    """The manifest document of a directory's records, read back one at a time."""
+    from voxcnn import records
+
+    return records.manifest_for((f, records.read_record(directory / f))
+                                for f in records.record_files(directory))
+
+
+def traced_peak(fn):
+    """The largest traced allocation total while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,6 +1,7 @@
 """End-to-end command-line workflows and exit codes."""
 
 import collections
+import dataclasses
 import json
 import struct
 
@@ -10,6 +11,8 @@ import pytest
 from voxcnn import checkpoint, fileio, graph, records
 from voxcnn.cli import main
 from voxcnn.fixtures import available, fixture_path, load_fixture
+
+from conftest import manifest_on_disk, traced_peak
 
 
 def run(capsys, *argv):
@@ -117,7 +120,7 @@ def hyper_file(tmp_path_factory):
 def test_gen_synth_writes_records_and_manifest(cli_data):
     manifest = json.loads((cli_data / "manifest.json").read_text())
     assert manifest.pop("extras")["seed"] == 7
-    assert manifest == records.manifest_for(*records.read_directory(cli_data)).to_dict()
+    assert manifest == manifest_on_disk(cli_data)
     assert manifest["class_counts"] == {"CN": 6, "AD": 6, "MCI": 6}
     assert len(list(cli_data.glob("*.rec"))) == 18
 
@@ -415,7 +418,7 @@ def test_two_branch_model_reads_pet_and_mri_of_every_record(capsys, cli_data, hy
 def test_two_branch_model_on_a_record_without_mri_exits_2(capsys, hyper_file, tmp_path, command):
     data = tmp_path / "data"
     recs, _ = records.gen_synthetic(2, dims=(16, 16, 16), seed=7)
-    recs[4].volumes = recs[4].volumes[:1]  # PET only
+    recs[4] = dataclasses.replace(recs[4], volumes=recs[4].volumes[:1])  # PET only
     fileio.make_dirs(data)
     for rec in recs:
         records.write_record(rec, data / f"{rec.subject_id}.rec")
@@ -650,7 +653,7 @@ def test_preprocess_reads_each_input_once(capsys, cli_data, tmp_path, monkeypatc
     inputs = [str(chain)] + [str(p) for p in sorted(cli_data.glob("*.rec"))]
     assert reads == {path: 1 for path in inputs}
     manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest == records.manifest_for(*records.read_directory(out_dir)).to_dict()
+    assert manifest == manifest_on_disk(out_dir)
 
 
 def test_data_directory_without_records_exits_2(capsys, tmp_path):
@@ -667,8 +670,121 @@ def test_index_naming_absent_ids_exits_1(capsys, cli_data, mini_checkpoint, tmp_
     code, _, err = run(capsys, "test-eval", "--checkpoint", str(mini_checkpoint),
                        "--data", str(cli_data), "--index", str(index), "--out", str(out))
     assert code == 1
-    assert "2 test ids" in err and "nobody-1, nobody-2" in err
+    assert "2 of the 3 ids" in err and "nobody-1, nobody-2" in err
     assert not out.exists()
+
+
+def test_index_with_no_test_ids_exits_1(capsys, cli_data, mini_checkpoint, tmp_path):
+    index = tmp_path / "index.json"
+    index.write_text(json.dumps({"train": ["synth-0-000"], "test": []}))
+    out = tmp_path / "m.json"
+    code, _, err = run(capsys, "test-eval", "--checkpoint", mini_checkpoint, "--data", cli_data,
+                       "--index", index, "--out", out)
+    assert code == 1 and "index file" in err and "non-empty list" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["split", "train", "rkfold", "test-eval"])
+def test_a_subject_id_in_two_records_exits_2(capsys, hyper_file, mini_checkpoint, tmp_path, command):
+    """A repeated subject would otherwise land on both sides of a split."""
+    data = tmp_path / "data"
+    records.gen_synthetic(2, dims=(16, 16, 16), seed=7, out_dir=data)
+    (data / "synth-0-000-copy.rec").write_bytes((data / "synth-0-000.rec").read_bytes())
+    out = tmp_path / "out"
+    model = ["--arch", fixture_path("pet_8_mini"), "--hyper", hyper_file, "--data", data]
+    argv = {"split": ["split", "--data", data, "--test-frac", "0.5", "--out", out],
+            "train": ["train", *model, "--out-dir", out],
+            "rkfold": ["rkfold", *model, "--k", "2", "--reps", "1", "--out-dir", out],
+            "test-eval": ["test-eval", "--checkpoint", mini_checkpoint, "--data", data, "--out", out],
+            }[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "subject id 'synth-0-000' is in both synth-0-000-copy.rec and synth-0-000.rec" in err
+    assert not out.exists()
+
+
+def _small_dense_checkpoint(path):
+    """A checkpoint whose forward pass is small beside the records it scores."""
+    spec = graph.spec_from_dict({"name": "dense", "input_dims": [16, 16, 16, 1], "layers": [
+        {"kind": "flatten"}, {"kind": "dense", "units": 3, "activation": "softmax"}]})
+    checkpoint.save_checkpoint(graph.build(spec, seed=0), path)
+    return path
+
+
+def test_test_eval_with_an_index_holds_only_the_test_records(capsys, synth_dataset, tmp_path):
+    ckpt = _small_dense_checkpoint(tmp_path / "dense.avc")
+    index = tmp_path / "index.json"
+    assert run(capsys, "split", "--data", synth_dataset, "--test-frac", "0.25", "--seed", "1",
+               "--out", index)[0] == 0
+    argv = ["test-eval", "--checkpoint", ckpt, "--data", synth_dataset, "--index", index]
+    code, _, _ = run(capsys, *argv, "--out", tmp_path / "first.json")  # warms the imports
+    assert code == 0
+    test_stack = 6 * 16**3 * 4  # 6 of 24 PET volumes, float32
+    record = (synth_dataset / "synth-0-000.rec").stat().st_size
+    bound = test_stack + ckpt.stat().st_size + 6 * record
+    assert traced_peak(lambda: run(capsys, *argv, "--out", tmp_path / "m.json")) < bound
+    assert (tmp_path / "m.json").read_bytes() == (tmp_path / "first.json").read_bytes()
+
+
+def test_preprocess_holds_one_record_at_a_time(capsys, synth_dataset, tmp_path):
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps([{"op": "minmax"}]))
+    argv = ["preprocess", "--data", synth_dataset, "--chain", chain, "--out-dir"]
+    assert run(capsys, *argv, tmp_path / "first")[0] == 0  # warms the imports
+    record = (synth_dataset / "synth-0-000.rec").stat().st_size
+    assert traced_peak(lambda: run(capsys, *argv, tmp_path / "prep")) < 6 * record  # of 24
+    written = json.loads((tmp_path / "prep" / "manifest.json").read_text())
+    assert written == manifest_on_disk(tmp_path / "prep")
+
+
+def _records_of_two_sizes(directory):
+    for i, side in enumerate((16, 18)):
+        rec = records.gen_synthetic(1, dims=(side,) * 3, seed=i)[0][i]
+        records.write_record(rec, directory / f"{rec.subject_id}.rec")
+
+
+def test_preprocess_resizing_records_of_mixed_dims_exits_0(capsys, tmp_path):
+    data, out_dir = tmp_path / "data", tmp_path / "prep"
+    data.mkdir()
+    _records_of_two_sizes(data)
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps([{"op": "resize", "target_dims": [12, 12, 12]}]))
+    code, _, err = run(capsys, "preprocess", "--data", data, "--chain", chain, "--out-dir", out_dir)
+    assert code == 0, err
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["dims"] == {"PET": [12, 12, 12, 1], "MRI": [12, 12, 12, 1]}
+    assert manifest == manifest_on_disk(out_dir) and len(manifest["files"]) == 2
+
+
+def test_preprocess_writing_records_of_mixed_dims_exits_2_without_a_manifest(capsys, tmp_path):
+    data, out_dir = tmp_path / "data", tmp_path / "prep"
+    data.mkdir()
+    _records_of_two_sizes(data)
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps([{"op": "minmax"}]))
+    code, _, err = run(capsys, "preprocess", "--data", data, "--chain", chain, "--out-dir", out_dir)
+    assert code == 2 and "inconsistent PET dims: [16, 16, 16, 1] vs [18, 18, 18, 1]" in err
+    assert not (out_dir / "manifest.json").exists()
+
+
+def test_preprocess_of_a_missing_data_directory_leaves_nothing(capsys, tmp_path):
+    chain = tmp_path / "chain.json"
+    chain.write_text("[]")
+    code, _, err = run(capsys, "preprocess", "--data", tmp_path / "none", "--chain", chain,
+                       "--out-dir", tmp_path / "prep")
+    assert code == 2 and "cannot scan record directory" in err
+    assert not (tmp_path / "prep").exists()
+
+
+def test_augment_preview_of_a_record_whose_id_is_too_long_exits_1(capsys, tmp_path):
+    rec = records.PatientRecord("s" * 65_535, 0, [("PET", np.ones((8, 8, 8, 1), np.float32))])
+    records.write_record(rec, tmp_path / "long.rec")
+    cfg = tmp_path / "aug.json"
+    cfg.write_text(json.dumps({"max_shift_frac": 0.02}))
+    code, _, err = run(capsys, "augment-preview", "--record", tmp_path / "long.rec", "--config", cfg,
+                       "--out", tmp_path / "p.rec")
+    assert code == 1 and "65,535 UTF-8 bytes" in err
+    assert not (tmp_path / "p.rec").exists()
 
 
 def test_rkfold_with_zero_repetitions_exits_1(capsys, cli_data, hyper_file, tmp_path):

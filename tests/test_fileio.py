@@ -88,7 +88,7 @@ def test_written_files_get_the_umask_mode(tmp_path):
     writers = {
         "r.rec": lambda p: records.write_record(small_record(), p),
         "m.avc": _checkpoint_writer,
-        "manifest.json": lambda p: records.write_manifest(records.manifest_for([], []), p),
+        "manifest.json": lambda p: records.write_manifest(records.manifest_for([]), p),
         "arch.json": lambda p: graph.save_spec(load_fixture("pet_8_mini"), p),
         "curve.csv": curve.write_csv,
     }
@@ -174,3 +174,37 @@ def test_only_the_file_module_touches_files():
                  for p in sorted(SRC.glob("*.py")) if p.name != "fileio.py"}
     assert {name: calls for name, calls in offenders.items() if calls} == {}
     assert "os.replace" in file_access((SRC / "fileio.py").read_text(encoding="utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# No module but records lists a directory, so a record directory has one reader
+
+_LISTINGS = {"listdir", "scandir", "walk", "glob", "iglob", "rglob", "iterdir"}
+
+
+def dir_listing(source: str) -> list[str]:
+    """The directory-listing calls (``.name``) and imports in Python ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            found += [f".{node.func.attr}"] if node.func.attr in _LISTINGS else []
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name == "glob"]
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if node.module == "glob" or a.name in _LISTINGS]
+    return found
+
+
+def test_the_scan_finds_each_kind_of_directory_listing():
+    source = ("import glob\nfrom os import scandir\nfrom glob import iglob\nos.listdir(d)\n"
+              "os.scandir(d)\nglob.glob(p)\npathlib.Path(d).iterdir()\nd.rglob('*.rec')\n"
+              "# os.listdir(d) in a comment\nos.path.join(d, f)\nfileio.read_bytes(p)\n")
+    assert sorted(dir_listing(source)) == sorted([
+        "glob", "os.scandir", "glob.iglob", ".listdir", ".scandir", ".glob", ".iterdir", ".rglob",
+    ])
+
+
+def test_only_the_records_module_lists_a_directory():
+    listings = {p.name: dir_listing(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert {name: calls for name, calls in listings.items() if calls} == {"records.py": [".listdir"]}

@@ -76,6 +76,19 @@ def test_predict_rejects_empty_input_and_bad_batch():
             T.predict(model, random_batch(model.spec, n=2), batch_size)
 
 
+@pytest.mark.parametrize("rows,match", [
+    ([-1], r"rows must be in \[0, 3\)"),
+    ([3], r"rows must be in \[0, 3\)"),
+    ([99], r"rows must be in \[0, 3\)"),
+    ([0.5], "rows must be a vector of integers"),
+    ([[0, 1]], "rows must be a vector of integers"),
+], ids=["negative", "past-the-end", "far-past-the-end", "float", "matrix"])
+def test_predict_rows_that_are_not_rows_raise_input_error(rows, match):
+    model = graph.build(load_fixture("pet_8_mini"), seed=2)
+    with pytest.raises(InputError, match=match):
+        T.predict(model, random_batch(model.spec, n=3), 4, rows)
+
+
 def test_training_validates_at_the_training_batch(inference_batches):
     vols, labels = _dataset(10)
     val = np.arange(30) % 3 != 0  # 20 validation samples, 10 training samples

@@ -1,8 +1,9 @@
 """Binary patient records, manifests, checkpoints, and the synthetic generator."""
 
+import dataclasses
 import json
 import struct
-import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -24,7 +25,7 @@ from voxcnn.errors import (
 from voxcnn.fixtures import load_fixture
 from voxcnn.rng import substream
 
-from conftest import bn_layers, freeze
+from conftest import bn_layers, freeze, manifest_on_disk, traced_peak as _traced_peak
 
 
 def make_record(seed=0, dims_pet=(79, 95, 68, 1), dims_mri=(121, 145, 121, 1)):
@@ -162,6 +163,33 @@ def test_record_validation():
         records.PatientRecord("s", 0, [("XRAY", np.zeros((4, 4, 4, 1), np.float32))])
 
 
+@pytest.mark.parametrize("subject_id,label,match", [
+    (7, 0, "non-empty string"),
+    (b"s", 0, "non-empty string"),
+    ("", 0, "non-empty string"),
+    ("s" * 65_536, 0, "65,535 UTF-8 bytes"),
+    ("\u00e9" * 32_768, 0, "65,535 UTF-8 bytes"),  # 32,768 characters, 65,536 bytes
+    ("s", 1.5, "label must be an integer"),
+], ids=["int-id", "bytes-id", "empty-id", "long-id", "long-utf8-id", "float-label"])
+def test_record_that_cannot_be_written_raises_input_error(subject_id, label, match):
+    with pytest.raises(InputError, match=match):
+        records.PatientRecord(subject_id, label, [("PET", np.zeros((2, 2, 2, 1), np.float32))])
+
+
+def test_a_record_cannot_be_changed_past_its_checks():
+    rec = records.PatientRecord("s", 0, [("PET", np.zeros((2, 2, 2, 1), np.float32))])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.subject_id = "s" * 70_000
+    with pytest.raises(InputError, match="65,535 UTF-8 bytes"):
+        dataclasses.replace(rec, subject_id="s" * 70_000)
+
+
+def test_longest_subject_id_round_trips(tmp_path):
+    rec = records.PatientRecord("s" * 65_535, 2, [("PET", np.ones((2, 2, 2, 1), np.float32))])
+    records.write_record(rec, tmp_path / "long.rec")
+    assert records.read_record(tmp_path / "long.rec").subject_id == rec.subject_id
+
+
 def _tiny_record_bytes(tmp_path, subject_id="subj-01"):
     rec = records.PatientRecord(subject_id, 1, [
         ("PET", np.arange(8, dtype=np.float32).reshape(2, 2, 2, 1)),
@@ -246,24 +274,43 @@ def test_damaged_record_raises_a_typed_error(tiny_record, tmp_path, data):
 
 
 def test_manifest_counts_match_disk(synth_dataset):
-    manifest = records.manifest_for(*records.read_directory(synth_dataset))
-    assert manifest.class_counts == {"CN": 8, "AD": 8, "MCI": 8}
-    assert len(manifest.files) == 24
+    manifest = manifest_on_disk(synth_dataset)
+    assert list(manifest) == ["format_version", "files", "class_counts", "dims"]
+    assert manifest["class_counts"] == {"CN": 8, "AD": 8, "MCI": 8}
+    assert len(manifest["files"]) == 24
     on_disk = json.loads((synth_dataset / "manifest.json").read_text())
     assert on_disk.pop("extras") == {"seed": 7, "signal_strength": 1.0, "noise_sigma": 0.05}
-    assert on_disk == manifest.to_dict()
+    assert on_disk == manifest
 
 
 def test_manifest_rejects_inconsistent_dims(tmp_path):
     records.write_record(make_record(0, (6, 6, 6, 1), (6, 6, 6, 1)), tmp_path / "a.rec")
     records.write_record(make_record(1, (8, 8, 8, 1), (6, 6, 6, 1)), tmp_path / "b.rec")
-    with pytest.raises(StorageError):
-        records.manifest_for(*records.read_directory(tmp_path))
+    with pytest.raises(StorageError, match=r"inconsistent PET dims: \[6, 6, 6, 1\] vs \[8, 8, 8, 1\] in b"):
+        manifest_on_disk(tmp_path)
+
+
+def test_manifest_lets_go_of_each_record_before_the_next():
+    """``manifest_for`` keeps each record's label and dims, not the record."""
+    recs, manifest = records.gen_synthetic(2, dims=(8, 8, 8), seed=1)
+    taken = []
+
+    def entries():
+        for rec in recs:
+            assert all(ref() is None for ref in taken)  # every earlier record is let go
+            copy = dataclasses.replace(rec)
+            taken.append(weakref.ref(copy))
+            yield f"{rec.subject_id}.rec", copy
+            del copy
+
+    assert records.manifest_for(entries()) == {k: v for k, v in manifest.items() if k != "extras"}
+    assert len(taken) == 6
 
 
 def test_load_dataset_checks_the_dims_of_the_modalities_it_loads(tmp_path):
     records.write_record(make_record(0, (6, 6, 6, 1), (6, 6, 6, 1)), tmp_path / "a.rec")
-    records.write_record(make_record(1, (8, 8, 8, 1), (6, 6, 6, 1)), tmp_path / "b.rec")
+    second = dataclasses.replace(make_record(1, (8, 8, 8, 1), (6, 6, 6, 1)), subject_id="subj-0002")
+    records.write_record(second, tmp_path / "b.rec")
     with pytest.raises(StorageError, match=r"inconsistent PET dims: \[6, 6, 6, 1\] vs \[8, 8, 8, 1\]"):
         records.load_dataset(tmp_path, ("MRI", "PET"))
     mri, labels, ids = records.load_dataset(tmp_path, "MRI")
@@ -284,8 +331,42 @@ def test_load_dataset_holds_one_record_at_a_time(synth_dataset):
     assert _traced_peak(lambda: records.load_dataset(synth_dataset, ("PET", "MRI"))) < bound
 
 
+def test_load_dataset_keeps_the_records_of_the_ids_named(synth_dataset):
+    pet, labels, ids = records.load_dataset(synth_dataset)
+    want = ["synth-2-001", "synth-0-003", "synth-0-003", "synth-1-007"]
+    sub, sub_labels, sub_ids = records.load_dataset(synth_dataset, "PET", want)
+    rows = [ids.index(sid) for sid in sub_ids]
+    assert sub_ids == ["synth-0-003", "synth-1-007", "synth-2-001"]  # file name order, once each
+    assert np.array_equal(sub, pet[rows]) and np.array_equal(sub_labels, labels[rows])
+    assert records.load_dataset(synth_dataset, (), want)[0] == ()
+
+
+@pytest.mark.parametrize("ids,match", [
+    (["synth-0-000", "nobody-1", "nobody-2"], "2 of the 3 ids .* not in .*: nobody-1, nobody-2$"),
+    (["a", "b", "c", "d"], "4 of the 4 ids .*: a, b, c, ...$"),
+    ([], "names no subject"),
+], ids=["two-absent", "four-absent", "empty"])
+def test_load_dataset_asked_for_absent_ids_raises_input_error(synth_dataset, ids, match):
+    with pytest.raises(InputError, match=match):
+        records.load_dataset(synth_dataset, "PET", ids)
+
+
+def test_a_subject_id_in_two_files_raises_data_error(tmp_path):
+    recs, _ = records.gen_synthetic(2, dims=(8, 8, 8), seed=1, out_dir=tmp_path)
+    (tmp_path / "copy.rec").write_bytes((tmp_path / "synth-0-000.rec").read_bytes())
+    for ids in (None, ["synth-0-000"], ["synth-1-000"]):
+        with pytest.raises(DataError, match="'synth-0-000' is in both copy.rec and synth-0-000.rec"):
+            records.load_dataset(tmp_path, "PET", ids)
+
+
 # ---------------------------------------------------------------------------
 # Synthetic generator
+
+
+@pytest.mark.parametrize("per_class", [1.5, True, "2"])
+def test_gen_synthetic_per_class_that_is_not_an_integer_raises_input_error(per_class):
+    with pytest.raises(InputError, match="per_class must be an integer"):
+        records.gen_synthetic(per_class, dims=(8, 8, 8))
 
 
 def test_gen_synthetic_counts_and_determinism():
@@ -529,16 +610,6 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path, make):
     assert _model_state(loaded) == _model_state(model)
     checkpoint.save_checkpoint(loaded, second)
     assert second.read_bytes() == first.read_bytes()
-
-
-def _traced_peak(fn):
-    """The largest traced allocation total while ``fn()`` runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_saves_copy_each_payload_once(tmp_path):

@@ -314,6 +314,20 @@ def test_val_idx_that_is_not_distinct_rows_raises_input_error(val_idx, match):
         T.train(model, (vols, labels), val_idx, T.HyperParams(epochs=1))
 
 
+@pytest.mark.parametrize("patience,match", [
+    ("3", "must be an integer"),
+    (1.5, "must be an integer"),
+    (True, "must be an integer"),
+    (-2, "must be >= 0"),
+], ids=["string", "float", "bool", "negative"])
+def test_early_stopping_patience_that_is_not_a_count_raises_input_error(patience, match):
+    vols, labels = tiny_dataset(2)
+    model = graph.build(load_fixture("pet_8_mini"), seed=5)
+    with pytest.raises(InputError, match=f"early_stopping_patience {match}"):
+        T.train(model, (vols, labels), np.array([0]), T.HyperParams(epochs=1),
+                early_stopping_patience=patience)
+
+
 def test_zero_epochs_returns_initialization():
     vols, labels = tiny_dataset(2)
     model = graph.build(load_fixture("pet_8_mini"), seed=5)
