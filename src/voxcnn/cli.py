@@ -162,6 +162,8 @@ def cmd_preprocess(args) -> int:
     ops = preprocess.load_chain(args.chain)
     files = records.record_files(args.data)
     fileio.make_dirs(args.out_dir)
+    manifest_path = os.path.join(args.out_dir, "manifest.json")
+    fileio.remove(manifest_path)  # an earlier run's manifest would describe records this run replaces
 
     def written(fname):
         rec = records.read_record(os.path.join(args.data, fname))
@@ -172,7 +174,7 @@ def cmd_preprocess(args) -> int:
 
     # The manifest is written last, so it marks a complete output.
     manifest = records.manifest_for((f, written(f)) for f in files)
-    records.write_manifest(manifest, os.path.join(args.out_dir, "manifest.json"))
+    records.write_manifest(manifest, manifest_path)
     print(f"preprocessed {len(files)} records into {args.out_dir}")
     return 0
 

@@ -114,6 +114,16 @@ def write_json(path, obj, **dumps_args):
     write_bytes(path, (json.dumps(obj, **dumps_args) + "\n").encode("utf-8"))
 
 
+def remove(path):
+    """Delete the file ``path`` if there is one."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise StorageError(f"cannot remove {path}: {exc}") from exc
+
+
 def make_dirs(path):
     try:
         os.makedirs(path, exist_ok=True)

@@ -179,7 +179,9 @@ class Dense(Layer):
     def forward(self, x, mode="inference", rng=None):
         if x.ndim != 2:
             raise ShapeError(f"dense layer expects a (n, features) matrix, got {x.shape}")
-        out = _apply_activation(self.spec.activation, x @ self.w.values + self.b.values, in_place=True)
+        # One (1, in) @ (in, out) product per row gives each row the same bits at any batch size.
+        z = (x[:, None, :] @ self.w.values)[:, 0] + self.b.values
+        out = _apply_activation(self.spec.activation, z, in_place=True)
         return out, (x, out)
 
     def backward(self, saved, grad):

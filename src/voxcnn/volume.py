@@ -17,22 +17,33 @@ shares memory with anything but its inputs.  Accumulation precision follows
 the input dtype: float64 inputs give the single-order deterministic results
 the test oracles rely on, float32 is the training path.
 
-Convolution runs as matrix products over copies of the strided window view.
-The copy goes in the order whose innermost axis has unit stride in the
-input: z for a one-channel input at stride 1 (a tap-major window matrix),
-the channel axis otherwise (``tensordot``'s channel-major one), and the
-matrix products are the ones ``tensordot`` makes of the same matrices.  The
-input gradient is one small GEMM per kernel tap into a single reused buffer,
-each followed by a strided slice-add, so its products and summation order
-are those of a per-tap ``tensordot`` loop.
+Convolution runs as matrix products over window matrices gathered one
+tile at a time.  A tile is a run of whole output x-planes of one sample: as
+many as fit ``_TILE_BYTES`` of window matrix, and at least one.  The tile
+plan follows from the shapes alone, never from the batch, so every tile's
+product has the same shape at any batch size, and a sample's forward result
+has the same bits whatever it is batched with.  Each tile is copied from
+the strided window view, built once per call, into one reused scratch tile,
+in the order whose innermost axis has unit stride in the input: z for a
+one-channel input at stride 1 (a tap-major window matrix), the channel axis
+otherwise (``tensordot``'s channel-last one); a 1x1x1 kernel at stride 1
+multiplies an uncopied view.  The forward writes each tile's product into
+its rows of the output.  The weight gradient adds the tiles' products in
+(sample, tile) order, so it is ``tensordot``'s per tile, summed in that
+order.  The input gradient gathers no windows: it is one GEMM per kernel
+tap over the whole batch into a single reused buffer, each followed by a
+strided slice-add, so its products and summation order are those of a
+per-tap ``tensordot`` loop, and the tile budget does not change its bits.
 
-The temporaries (the zero-padded input, the window matrix and the per-tap
-product) are views of one scratch buffer per thread.  Inside a
-:func:`reusing_scratch` block, which wraps a training run or a batched
-prediction, the buffer is kept from call to call, so step after step maps no
-fresh pages; it then holds the largest set of temporaries its thread has
-needed, until the outermost block exits.  Outside any block each call's
-temporaries are fresh and freed at its return.
+The temporaries (the zero-padded input, the window tile and the per-tap
+product) are views of one scratch buffer per thread.  A conv call therefore
+holds one tile of windows, whatever the batch; the padded input and the
+per-tap product still grow with it.  Inside a :func:`reusing_scratch`
+block, which wraps a training run or a batched prediction, the buffer is
+kept from call to call, so step after step maps no fresh pages; it then
+holds the largest set of temporaries its thread has needed, until the
+outermost block exits.  Outside any block each call's temporaries are fresh
+and freed at its return.
 """
 
 from __future__ import annotations
@@ -52,6 +63,17 @@ from .errors import ShapeError
 # while ``depth`` reusing_scratch blocks are open on the thread.
 _thread = threading.local()
 _ALIGN = 64  # bytes between the starts of arrays laid out in one buffer
+
+# The byte budget of one tile's window matrix.  Every conv of pet_8_mini,
+# two_branch_mini and mri_9_mini at 16^3 in float32 is one tile per sample
+# (the largest, their second conv's, is 0.75 MB), and a tile is small
+# enough to stay in a core's L2 cache while its product reads it.
+_TILE_BYTES = 1 << 20
+
+# Axis orders of a tile's window view ``(planes, oy, oz, c, k, k, k)``.
+_CHANNEL_LAST = (0, 1, 2, 4, 5, 6, 3)  # (positions, taps x channels): tensordot's forward one
+_TAP_MAJOR = (4, 5, 6, 3, 0, 1, 2)  # (taps x channels, positions): unit-stride z runs for c == 1
+_CHANNEL_FIRST = (3, 4, 5, 6, 0, 1, 2)  # (channels x taps, positions): the weight gradient's
 
 __all__ = [
     "Kernel",
@@ -164,53 +186,69 @@ def _padded_shape(batch: np.ndarray, padding: int) -> tuple:
     return batch.shape[:1] + tuple(e + 2 * padding for e in batch.shape[1:4]) + batch.shape[4:]
 
 
-def _window_matrix(batch: np.ndarray, k: int, stride: int, padding: int, extents,
-                   axes, shape) -> np.ndarray:
-    """The kernel windows of ``batch`` as a C-ordered matrix of ``shape``.
+def _window_tiles(batch: np.ndarray, k: int, stride: int, padding: int, extents, axes):
+    """Yield ``(rows, matrix)`` for each tile of ``batch``'s kernel windows, in (sample, tile) order.
 
-    ``extents`` are the output's ``(ox, oy, oz)``.  The strided window view
-    ``(n, ox, oy, oz, c, k, k, k)`` is transposed to ``axes`` and reshaped
-    as ``tensordot`` would, its first four axes into the rows and its last
-    four into the columns: a view where the layout allows one (a 1x1x1
-    kernel at stride 1, or a kernel as large as the input), else a copy.
-    The copy and the zero-padded input are scratch arrays.
+    A tile is a run of whole output x-planes of one sample: as many as fit
+    ``_TILE_BYTES`` of window matrix, and at least one.  ``rows`` slices the
+    tile's positions out of the output's ``(n, ox, oy, oz)`` positions taken
+    flat; ``extents`` are the output's ``(ox, oy, oz)``.  The strided window
+    view ``(n, ox, oy, oz, c, k, k, k)`` is built once per call.  A tile's part
+    of it, ``(planes, oy, oz, c, k, k, k)``, is transposed to ``axes`` and
+    reshaped as ``tensordot`` would, its positions into the rows when they
+    come first, else into the columns: a view where the layout allows one (a
+    1x1x1 kernel at stride 1, or a kernel as large as the input), else a copy
+    into one scratch tile, which the next tile overwrites.  The zero-padded
+    input is a scratch array too.
     """
+    n, c = batch.shape[0], batch.shape[4]
+    ox, oy, oz = extents
+    plane = oy * oz * k**3 * c
+    planes = max(1, min(ox, _TILE_BYTES // (plane * batch.dtype.itemsize)))
     if padding:
-        padded, out = _scratch((_padded_shape(batch, padding), batch.dtype), (shape, batch.dtype))
+        padded, tile = _scratch((_padded_shape(batch, padding), batch.dtype),
+                                ((planes * plane,), batch.dtype))
         padded.fill(0)
         padded[:, padding:-padding, padding:-padding, padding:-padding, :] = batch
         batch = padded
     else:
-        out = None
-    n, _, _, _, c = batch.shape
+        (tile,) = _scratch(((planes * plane,), batch.dtype))
     sn, sx, sy, sz, sc = batch.strides
-    win = as_strided(batch, shape=(n, *extents, c, k, k, k),
+    win = as_strided(batch, shape=(n, ox, oy, oz, c, k, k, k),
                      strides=(sn, sx * stride, sy * stride, sz * stride, sc, sx, sy, sz),
-                     writeable=False).transpose(axes)
-    if _collapses(win.shape[:4], win.strides[:4]) and _collapses(win.shape[4:], win.strides[4:]):
-        return win.reshape(shape)
-    if out is None:
-        (out,) = _scratch((shape, batch.dtype))
-    np.copyto(out.reshape(win.shape), win)
-    return out
+                     writeable=False)
+    split = 3 if axes[0] == 0 else 4  # the first group of axes: positions, or the window's
+    layouts = {}  # planes in a tile -> (the copy's destination, or None for a view; matrix shape)
+    for s in range(n):
+        for x0 in range(0, ox, planes):
+            x1 = min(x0 + planes, ox)
+            rows = slice((s * ox + x0) * oy * oz, (s * ox + x1) * oy * oz)
+            part = win[s, x0:x1].transpose(axes)
+            if x1 - x0 not in layouts:  # a tile's strides depend only on its plane count
+                head, tail = part.shape[:split], part.shape[split:]
+                view = _collapses(head, part.strides[:split]) and _collapses(tail, part.strides[split:])
+                dest = None if view else tile[: part.size].reshape(part.shape)
+                layouts[x1 - x0] = dest, (math.prod(head), math.prod(tail))
+            dest, shape = layouts[x1 - x0]
+            if dest is None:
+                yield rows, part.reshape(shape)
+            else:
+                np.copyto(dest, part)
+                yield rows, dest.reshape(shape)
 
 
 def correlate3d_batch(batch: np.ndarray, kernel: Kernel, stride: int = 1, padding: int = 0) -> np.ndarray:
     """Cross-correlate a batch ``(n, x, y, z, c_in)`` with a cubic kernel."""
     out_shape = _conv_shape(batch, kernel, stride, padding)
     k, _, _, c_in, c_out = kernel.weights.shape
-    positions = math.prod(out_shape[:4])
     weights = kernel.weights.reshape(k**3 * c_in, c_out)
-    if c_in == 1 and stride == 1:
-        # Tap-major gather: each copied run is a contiguous stretch along z.
-        cols = _window_matrix(batch, k, stride, padding, out_shape[1:4], (5, 6, 7, 4, 0, 1, 2, 3),
-                              (k**3, positions))
-        out = cols.T @ weights
-    else:
-        win = _window_matrix(batch, k, stride, padding, out_shape[1:4], (0, 1, 2, 3, 5, 6, 7, 4),
-                             (positions, k**3 * c_in))
-        out = np.dot(win, weights)
-    out = out.reshape(out_shape)
+    out = np.empty(out_shape, np.result_type(batch, weights))
+    flat = out.reshape(-1, c_out)
+    # Tap-major for a one-channel input at stride 1: each copied run is a contiguous stretch along z.
+    tap_major = c_in == 1 and stride == 1
+    for rows, win in _window_tiles(batch, k, stride, padding, out_shape[1:4],
+                                   _TAP_MAJOR if tap_major else _CHANNEL_LAST):
+        np.dot(win.T if tap_major else win, weights, out=flat[rows])
     out += kernel.bias
     return out
 
@@ -227,10 +265,16 @@ def correlate3d_vjp_batch(batch, kernel: Kernel, grad_out, stride: int = 1, padd
     n, ox, oy, oz, c_out = expect
     rows = grad_out.reshape(-1, c_out)
 
-    # Channel-major windows against the upstream gradient, summed over every output position.
-    win = _window_matrix(batch, k, stride, padding, (ox, oy, oz), (4, 5, 6, 7, 0, 1, 2, 3),
-                         (c_in * k**3, len(rows)))
-    grad_weights = np.dot(win, rows).reshape(c_in, k, k, k, c_out).transpose(1, 2, 3, 0, 4)
+    # Channel-first windows of each tile against its upstream gradient rows,
+    # the products summed in (sample, tile) order.
+    grad_weights = np.empty((c_in * k**3, c_out), np.result_type(batch, rows))
+    product = np.empty_like(grad_weights)
+    tiles = _window_tiles(batch, k, stride, padding, (ox, oy, oz), _CHANNEL_FIRST)
+    for i, (tile_rows, win) in enumerate(tiles):
+        np.dot(win, rows[tile_rows], out=product if i else grad_weights)
+        if i:
+            grad_weights += product
+    grad_weights = grad_weights.reshape(c_in, k, k, k, c_out).transpose(1, 2, 3, 0, 4)
     grad_bias = grad_out.sum(axis=(0, 1, 2, 3))
 
     grad_padded = np.zeros(_padded_shape(batch, padding), dtype=grad_out.dtype)

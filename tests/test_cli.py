@@ -767,6 +767,22 @@ def test_preprocess_writing_records_of_mixed_dims_exits_2_without_a_manifest(cap
     assert not (out_dir / "manifest.json").exists()
 
 
+def test_a_failed_preprocess_rerun_leaves_no_manifest(capsys, tmp_path):
+    data, out_dir = tmp_path / "data", tmp_path / "prep"
+    records.gen_synthetic(2, dims=(8, 8, 8), seed=3, out_dir=data)
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps([{"op": "minmax"}]))
+    argv = ["preprocess", "--data", data, "--chain", chain, "--out-dir", out_dir]
+    assert run(capsys, *argv)[0] == 0 and (out_dir / "manifest.json").exists()
+    last = sorted(data.glob("*.rec"))[-1]  # the others are rewritten before it fails
+    rec = records.read_record(last)
+    records.write_record(dataclasses.replace(rec, volumes=[(m, np.ones_like(v)) for m, v in rec.volumes]),
+                         last)
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "constant volume" in err
+    assert not (out_dir / "manifest.json").exists()
+
+
 def test_preprocess_of_a_missing_data_directory_leaves_nothing(capsys, tmp_path):
     chain = tmp_path / "chain.json"
     chain.write_text("[]")

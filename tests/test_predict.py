@@ -61,6 +61,31 @@ def test_predict_matches_one_whole_set_forward(fixture):
     np.testing.assert_allclose(np.concatenate(one_by_one), got[[0, 10]], rtol=1e-5, atol=1e-6)
 
 
+@pytest.fixture(scope="module")
+def pet_cut_spec():
+    """The spec of a ResNet-18 ``pet`` cut at 16^3."""
+    base = graph.build(graph.build_resnet18_3d((16, 16, 16, 1)), seed=0)
+    return graph.surgery(base, "pet", seed=1).spec
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("arch", ["pet_8_mini", "mri_9_mini", "two_branch_mini", "resnet18_pet_cut"])
+def test_predict_gives_the_same_bits_at_every_batch_size(request, arch, dtype):
+    """A sample's answer does not depend on the samples batched with it.
+
+    Each conv multiplies per-sample tiles whose shapes the batch does not
+    change, and each dense layer one row at a time.
+    """
+    spec = request.getfixturevalue("pet_cut_spec") if arch == "resnet18_pet_cut" else load_fixture(arch)
+    model = graph.build(spec, seed=3, dtype=dtype)
+    x = random_batch(spec, n=9, seed=4)
+    x = tuple(part.astype(dtype) for part in x) if isinstance(x, tuple) else x.astype(dtype)
+    whole = T.predict(model, x, 9)
+    assert whole.dtype == dtype
+    for batch_size in (1, 2, 3, 8):
+        assert T.predict(model, x, batch_size).tobytes() == whole.tobytes(), batch_size
+
+
 def test_predict_bounds_every_forward(inference_batches):
     model = graph.build(load_fixture("pet_8_mini"), seed=2)
     T.predict(model, random_batch(model.spec, n=11, seed=5), 4)

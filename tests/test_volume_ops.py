@@ -1,5 +1,6 @@
 """Low-level 3D correlation and pooling against brute-force oracles."""
 
+import functools
 import math
 import os
 import sys
@@ -72,13 +73,37 @@ def reference_maxpool_vjp(batch, grad_out, window, stride):
     np.add.at(grad, indices.ravel(), grad_out.ravel())
     return grad.reshape(batch.shape)
 
-def reference_correlate(batch, kernel, stride, padding):
-    """The window-matrix forward: ``tensordot`` over the strided window view, channel-major."""
+def _reference_tiles(batch, k, stride, padding):
+    """Each tile's part ``(planes, oy, oz, c, k, k, k)`` of the strided window view, in (sample, tile) order.
+
+    A tile is a run of whole output x-planes of one sample: as many as fit
+    the tile budget of window matrix, and at least one.
+    """
     if padding:
         batch = np.pad(batch, [(0, 0)] + [(padding, padding)] * 3 + [(0, 0)])
-    k = kernel.weights.shape[0]
     win = sliding_window_view(batch, (k, k, k), axis=(1, 2, 3))[:, ::stride, ::stride, ::stride]
-    return np.tensordot(win, kernel.weights, axes=([5, 6, 7, 4], [0, 1, 2, 3])) + kernel.bias
+    n, ox, oy, oz, c = win.shape[:5]
+    planes = max(1, min(ox, V._TILE_BYTES // (oy * oz * k**3 * c * batch.itemsize)))
+    return [win[s, x0:x0 + planes] for s in range(n) for x0 in range(0, ox, planes)]
+
+
+def reference_correlate(batch, kernel, stride, padding):
+    """The forward as one channel-last ``tensordot`` per tile of the strided window view."""
+    k, c_out = kernel.weights.shape[0], kernel.weights.shape[4]
+    parts = [np.tensordot(t, kernel.weights, axes=([4, 5, 6, 3], [0, 1, 2, 3]))
+             for t in _reference_tiles(batch, k, stride, padding)]
+    ext = tuple(V.conv_output_extent(e, k, padding, stride) for e in batch.shape[1:4])
+    return np.concatenate(parts).reshape(len(batch), *ext, c_out) + kernel.bias
+
+
+def reference_correlate_vjp_weights(batch, kernel, grad_out, stride, padding):
+    """The weight gradient as one ``tensordot`` per tile, the products summed in (sample, tile) order."""
+    grads = grad_out.reshape(-1, *grad_out.shape[2:])  # (n * ox, oy, oz, c_out): planes in tile order
+    products, x = [], 0
+    for t in _reference_tiles(batch, kernel.weights.shape[0], stride, padding):
+        products.append(np.tensordot(t, grads[x:x + len(t)], axes=([0, 1, 2], [0, 1, 2])))
+        x += len(t)
+    return functools.reduce(np.add, products).transpose(1, 2, 3, 0, 4)
 
 
 def reference_correlate_vjp_input(batch, kernel, grad_out, stride, padding):
@@ -201,28 +226,37 @@ def test_correlate_kernels_equal_references_on_small_integers(c_in, stride, dtyp
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("c_in", [1, 2, 3])
-def test_correlate_kernels_match_references_on_random_floats(c_in, stride, dtype):
-    """The input gradient is bitwise the k^3 ``tensordot`` loop's: the same products in the same order.
+def test_correlate_kernels_match_references_on_random_floats(c_in, stride, dtype, monkeypatch):
+    """Each result is bitwise its reference's: the same products summed in the same order.
 
-    The tap-major forward hands BLAS one long reduction where ``tensordot``
-    handed it another layout of the same one, so it may round differently:
-    it must agree within 16 machine epsilons of the largest output.  The channel-major
-    forward is the reference's own code.
+    The forward and the weight gradient are one ``tensordot`` per tile, at the
+    tile budget and at budgets that cut a sample into tiles of one and of two
+    x-planes; the input gradient is the k^3 ``tensordot`` loop's over the
+    whole batch, whatever the budget.  The tap-major forward hands BLAS one
+    long reduction where ``tensordot`` handed it another layout of the same
+    one, so it may round differently: it must agree within 16 machine
+    epsilons of the largest output.
     """
     rng = np.random.default_rng(2000 * c_in + 10 * stride + (dtype == np.float64))
+    budget = V._TILE_BYTES
     for _ in range(12):
         batch, kernel, grad_out, padding = _random_conv_case(rng, c_in, stride, dtype, integers=False)
-        gi, _, _ = V.correlate3d_vjp_batch(batch, kernel, grad_out, stride, padding)
         want_gi = reference_correlate_vjp_input(batch, kernel, grad_out, stride, padding)
-        assert gi.dtype == want_gi.dtype and gi.tobytes() == want_gi.tobytes()
-        got = V.correlate3d_batch(batch, kernel, stride, padding)
-        want = reference_correlate(batch, kernel, stride, padding)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        if c_in == 1 and stride == 1:
-            tol = 16 * np.finfo(dtype).eps * np.abs(want).max()
-            assert np.abs(got - want).max() <= tol
-        else:
-            assert got.tobytes() == want.tobytes()
+        plane = math.prod(grad_out.shape[2:4]) * kernel.weights[..., 0].size * batch.itemsize
+        for tile_bytes in (budget, 1, 2 * plane):
+            monkeypatch.setattr(V, "_TILE_BYTES", tile_bytes)
+            gi, gw, _ = V.correlate3d_vjp_batch(batch, kernel, grad_out, stride, padding)
+            assert gi.dtype == want_gi.dtype and gi.tobytes() == want_gi.tobytes()
+            want_gw = reference_correlate_vjp_weights(batch, kernel, grad_out, stride, padding)
+            assert gw.dtype == want_gw.dtype and gw.tobytes() == want_gw.tobytes()
+            got = V.correlate3d_batch(batch, kernel, stride, padding)
+            want = reference_correlate(batch, kernel, stride, padding)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            if c_in == 1 and stride == 1:
+                tol = 16 * np.finfo(dtype).eps * np.abs(want).max()
+                assert np.abs(got - want).max() <= tol
+            else:
+                assert got.tobytes() == want.tobytes()
 
 
 def _conv_step(case):
@@ -338,27 +372,36 @@ def test_training_and_prediction_keep_the_scratch_buffer_until_done(monkeypatch)
 
 @pytest.mark.parametrize("k, stride, padding", [(1, 1, 0), (1, 1, 1), (1, 2, 0), (2, 1, 0),
                                                 (3, 1, 1), (4, 1, 0), (3, 3, 0)])
-def test_window_matrix_is_a_view_exactly_when_reshape_gives_one(k, stride, padding):
-    """The view-or-copy choice is ``reshape``'s, so each GEMM sees ``tensordot``'s operands."""
+def test_window_tiles_are_views_exactly_when_reshape_gives_one(k, stride, padding, monkeypatch):
+    """The view-or-copy choice is ``reshape``'s, so each GEMM sees ``tensordot``'s operands.
+
+    At the tile budget and at one x-plane per tile, the tiles cover the
+    output positions in order, each once.
+    """
     rng = np.random.default_rng(22)
-    for n, extent, c in [(1, 4, 1), (2, 4, 3), (3, 5, 2), (1, 4, 4)]:
-        batch = rng.standard_normal((n, extent, extent, extent, c))
-        extents = (V.conv_output_extent(extent, k, padding, stride),) * 3
-        positions = n * math.prod(extents)
-        padded = np.pad(batch, [(0, 0)] + [(padding, padding)] * 3 + [(0, 0)])
-        view = sliding_window_view(padded, (k, k, k), axis=(1, 2, 3))[:, ::stride, ::stride, ::stride]
-        for axes, shape in [((0, 1, 2, 3, 5, 6, 7, 4), (positions, k**3 * c)),
-                            ((4, 5, 6, 7, 0, 1, 2, 3), (c * k**3, positions)),
-                            ((5, 6, 7, 4, 0, 1, 2, 3), (k**3 * c, positions))]:
-            win = view.transpose(axes)
-            want = win.reshape(shape)
-            collapses = V._collapses(win.shape[:4], win.strides[:4]) and \
-                V._collapses(win.shape[4:], win.strides[4:])
-            assert collapses == np.shares_memory(want, padded)
-            got = V._window_matrix(batch, k, stride, padding, extents, axes, shape)
-            assert got.tobytes() == want.tobytes()
-            if not padding:
-                assert np.shares_memory(got, batch) == collapses
+    for tile_bytes in (V._TILE_BYTES, 1):
+        monkeypatch.setattr(V, "_TILE_BYTES", tile_bytes)
+        for n, extent, c in [(1, 4, 1), (2, 4, 3), (3, 5, 2), (1, 4, 4)]:
+            batch = rng.standard_normal((n, extent, extent, extent, c))
+            extents = (V.conv_output_extent(extent, k, padding, stride),) * 3
+            padded = np.pad(batch, [(0, 0)] + [(padding, padding)] * 3 + [(0, 0)])
+            for axes in (V._CHANNEL_LAST, V._CHANNEL_FIRST, V._TAP_MAJOR):
+                split = 3 if axes[0] == 0 else 4
+                refs = _reference_tiles(padded, k, stride, 0)
+                tiles = V._window_tiles(batch, k, stride, padding, extents, axes)
+                end = 0
+                for (rows, got), ref in zip(tiles, refs, strict=True):
+                    win = ref.transpose(axes)
+                    want = win.reshape(math.prod(win.shape[:split]), -1)
+                    collapses = V._collapses(win.shape[:split], win.strides[:split]) and \
+                        V._collapses(win.shape[split:], win.strides[split:])
+                    assert collapses == np.shares_memory(want, padded)
+                    assert got.tobytes() == want.tobytes()  # valid until the next tile is drawn
+                    if not padding:
+                        assert np.shares_memory(got, batch) == collapses
+                    assert rows == slice(end, end + math.prod(ref.shape[:3]))
+                    end = rows.stop
+                assert end == n * math.prod(extents)
 
 
 def test_warm_conv_step_allocates_less_than_one_window_matrix():
@@ -386,17 +429,48 @@ def test_warm_conv_step_allocates_less_than_one_window_matrix():
     assert peak < window_bytes
 
 
+@pytest.mark.parametrize("n", [1, 8, 32])
+def test_conv_step_temporaries_are_one_tile_and_the_input_gradient_buffer(n):
+    """Whatever the batch, ``pet_8_mini``'s second conv gathers at most one tile at a time.
+
+    Outside a ``reusing_scratch`` block each call allocates its scratch
+    afresh, so ``tracemalloc`` sees it.  Beyond the arrays the step returns,
+    the weight gradient's pass holds one window tile and the input
+    gradient's pass one per-tap product buffer for the whole batch.
+    """
+    model = graph.build(load_fixture("pet_8_mini"), seed=0)
+    conv = model.layers[1]
+    x, _ = model.layers[0].forward(np.random.default_rng(1).standard_normal((n, 16, 16, 16, 1))
+                                   .astype(np.float32))
+    kernel = V.Kernel(conv.w.values, conv.b.values)
+    product_bytes = n * 12**3 * 4 * x.itemsize  # (positions, c_in)
+
+    def step():
+        out = V.correlate3d_batch(x, kernel, conv.spec.stride, conv.spec.padding)
+        return (out, *V.correlate3d_vjp_batch(x, kernel, out, conv.spec.stride, conv.spec.padding))
+
+    step()
+    tracemalloc.start()
+    try:
+        returned = sum(a.nbytes for a in step())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - returned < V._TILE_BYTES + product_bytes
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_pointwise_weight_gradient_equals_tensordot_bitwise(dtype):
-    """A 1x1x1 kernel at stride 1 multiplies the uncopied window view, as ``tensordot`` did."""
+def test_pointwise_weight_gradient_equals_tensordot_bitwise(dtype, monkeypatch):
+    """A 1x1x1 kernel at stride 1 multiplies uncopied tiles of the input, as ``tensordot`` does per tile."""
     rng = np.random.default_rng(21)
     batch = rng.standard_normal((3, 9, 8, 7, 5)).astype(dtype)
     kernel = V.Kernel(rng.standard_normal((1, 1, 1, 5, 6)).astype(dtype), np.zeros(6, dtype))
     grad_out = rng.standard_normal((3, 9, 8, 7, 6)).astype(dtype)
-    _, gw, _ = V.correlate3d_vjp_batch(batch, kernel, grad_out)
-    win = sliding_window_view(batch, (1, 1, 1), axis=(1, 2, 3))
-    want = np.tensordot(win, grad_out, axes=([0, 1, 2, 3], [0, 1, 2, 3])).transpose(1, 2, 3, 0, 4)
-    assert gw.tobytes() == want.tobytes()
+    for tile_bytes in (V._TILE_BYTES, 1):
+        monkeypatch.setattr(V, "_TILE_BYTES", tile_bytes)
+        _, gw, _ = V.correlate3d_vjp_batch(batch, kernel, grad_out)
+        want = reference_correlate_vjp_weights(batch, kernel, grad_out, 1, 0)
+        assert gw.tobytes() == want.tobytes()
 
 
 def test_maxpool_matches_brute_force_many_cases():
