@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fileio, graph
 from .layers import ParamTensor
-from .errors import FormatError, SpecError, StorageError, VersionError
+from .errors import FormatError, SpecError, StorageError, VersionError, require_float_dtype
 
 MAGIC = b"AVC1"
 VERSION = 3
@@ -51,12 +51,7 @@ def _parse_header(raw: bytes, path):
             and isinstance(header["dtype"], str) and isinstance(header["trainable"], list)
             and all(isinstance(flag, bool) for flag in header["trainable"])):
         raise FormatError(f"{path}: header is not a spec, a dtype name and a list of trainable flags")
-    try:
-        dtype = np.dtype(header["dtype"])
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: unknown dtype {header['dtype']!r}") from exc
-    if dtype.kind != "f":
-        raise FormatError(f"{path}: dtype {header['dtype']!r} is not a float type")
+    dtype = require_float_dtype(f"{path}: dtype", header["dtype"], FormatError)
     return header["spec"], dtype, header["trainable"]
 
 

@@ -44,13 +44,11 @@ def _load_hyper(path, seed_override=None):
 
 
 def _parse_dims(text):
+    """Comma-separated integers; ``gen_synthetic`` checks that there are three."""
     try:
-        dims = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise InputError(f"dims must be comma-separated integers, got {text!r}")
-    if len(dims) != 3:
-        raise InputError("dims must have exactly three axes, e.g. 16,16,16")
-    return dims
 
 
 def _modality(spec, given):

@@ -3,6 +3,8 @@
 import math
 import numbers
 
+import numpy as np
+
 
 class VoxcnnError(Exception):
     """Base class for all package errors."""
@@ -67,6 +69,17 @@ def require_real(name: str, value, error=InputError):
 def require_bool(name: str, value, error=InputError):
     if not isinstance(value, bool):
         raise error(f"{name} must be true or false, got {value!r}")
+
+
+def require_float_dtype(name: str, value, error=InputError) -> np.dtype:
+    """``value`` as a NumPy dtype; raises ``error`` unless it is a float type."""
+    try:
+        dtype = np.dtype(value)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name} {value!r} is not a NumPy dtype") from exc
+    if dtype.kind != "f":
+        raise error(f"{name} {value!r} is not a float type")
+    return dtype
 
 
 def require_known_keys(what: str, d: dict, known, error=InputError):

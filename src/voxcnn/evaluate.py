@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import graph, train as T
-from .errors import InputError, NumericError, require_int
+from .errors import InputError, NumericError, require_int, require_real
 from .records import CLASS_NAMES
 from .rng import substream
 
@@ -27,6 +27,7 @@ def stratified_split(labels, test_frac: float, seed: int):
     global target round(test_frac * n), so e.g. 70/111/68 at 20% gives a
     50-sample test set with 14/22/14 per class.
     """
+    require_real("test_frac", test_frac)
     if not 0.0 < test_frac < 1.0:
         raise InputError("test_frac must be in (0, 1)")
     labels = T.check_labels(labels, N_CLASSES)
@@ -68,6 +69,8 @@ def repeated_stratified_kfold(labels, k: int, reps: int, seed: int) -> FoldPlan:
     """Class-proportional k-fold partitions, repeated with fresh shuffles."""
     labels = T.check_labels(labels, N_CLASSES)
     classes, counts = np.unique(labels, return_counts=True)
+    require_int("k", k)
+    require_int("reps", reps)
     if k < 2:
         raise InputError("k must be >= 2")
     if reps < 1:

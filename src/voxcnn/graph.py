@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fileio, layers as L
-from .errors import SpecError, require_int, require_known_keys, require_real
+from .errors import SpecError, require_float_dtype, require_int, require_known_keys, require_real
 from .records import CLASS_NAMES
 from .rng import substream
 
@@ -592,9 +592,9 @@ def build(spec: ModelSpec, seed: int = 0, dtype=np.float32):
     """Materialize a spec: Glorot-uniform weights, zero biases, unit BN.
 
     Deterministic under ``seed``: identical (spec, seed) pairs produce
-    bitwise-identical parameters.
+    bitwise-identical parameters.  ``dtype`` must be a float type.
     """
-    return assemble(spec, _fresh_arrays(substream(seed, "init"), dtype))
+    return assemble(spec, _fresh_arrays(substream(seed, "init"), require_float_dtype("dtype", dtype)))
 
 
 def assemble(spec: ModelSpec, take):

@@ -219,7 +219,10 @@ def gen_synthetic(per_class: int, dims=(16, 16, 16), signal_strength: float = 1.
     require_int("per_class", per_class)
     if per_class < 1:
         raise InputError("per_class must be >= 1")
-    dims = tuple(int(d) for d in dims)
+    if not isinstance(dims, (tuple, list)) or len(dims) != 3:
+        raise InputError(f"dims must be three integers, got {dims!r}")
+    for d in dims:
+        require_int("dims", d)
     if min(dims) < 8:
         raise InputError("dims must be at least 8 per axis")
     require_real("signal_strength", signal_strength)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fileio, volume
+from . import fileio
 from .errors import InputError, NumericError, SpecError, require_int, require_known_keys, require_real
 from .graph import arrays, summarize
 from .layers import ParamTensor
@@ -239,7 +239,6 @@ def loss_and_grads(model, x, y_onehot, mode="train", rng=None):
     return value, probs
 
 
-@volume.reusing_scratch()
 def predict(model, x, batch_size: int, rows=None) -> np.ndarray:
     """Inference-mode class probabilities of ``x``, ``batch_size`` samples per forward.
 
@@ -279,7 +278,6 @@ def _restore(model, snap):
         setattr(holder, attr, values)
 
 
-@volume.reusing_scratch()
 def train(model, data, val_idx=None, hyper: HyperParams | None = None,
           augmentor=None, early_stopping_patience: int | None = None):
     """Minibatch training with per-epoch exponential LR decay.
@@ -293,18 +291,24 @@ def train(model, data, val_idx=None, hyper: HyperParams | None = None,
     measured on the augmented samples as the model sees them.
 
     Early stopping monitors validation loss and restores the best-epoch
-    parameters; it is off unless a patience is given.  The class count is the
-    width of the model's output vector; a model whose output is not a vector
-    raises ``SpecError`` before any epoch runs.  When there are validation
-    rows, the curve's ``val_probs`` are the returned model's probabilities
-    on them, in ``val_idx`` order.
+    parameters; it is off unless a patience is given, and a patience needs
+    validation rows.  The class count is the width of the model's output
+    vector; a model whose output is not a vector raises ``SpecError`` before
+    any epoch runs.  When there are validation rows, the curve's
+    ``val_probs`` are the returned model's probabilities on them, in
+    ``val_idx`` order.
     """
-    hyper = hyper or HyperParams()
+    hyper = HyperParams() if hyper is None else hyper
+    if not isinstance(hyper, HyperParams):
+        raise InputError(f"hyper must be a HyperParams, got {type(hyper).__name__}")
     if early_stopping_patience is not None:
         require_int("early_stopping_patience", early_stopping_patience)
         if early_stopping_patience < 0:
             raise InputError("early_stopping_patience must be >= 0")
-    x, labels = data
+    try:
+        x, labels = data
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"data must be a (volumes, labels) pair: {exc}") from exc
     n_all = sample_count(x, labels)
     classes = summarize(model.spec).rows[-1].output_dims
     if not isinstance(classes, int):
@@ -313,6 +317,8 @@ def train(model, data, val_idx=None, hyper: HyperParams | None = None,
     val_idx = check_labels(np.arange(0) if val_idx is None else val_idx, n_all, "val_idx")
     if len(np.unique(val_idx)) != len(val_idx):
         raise InputError("val_idx names a row more than once")
+    if early_stopping_patience is not None and not len(val_idx):
+        raise InputError("early stopping needs validation rows: give val_idx")
     rows = np.setdiff1d(np.arange(n_all), val_idx)
     n = len(rows)
     if n == 0:
@@ -351,7 +357,7 @@ def train(model, data, val_idx=None, hyper: HyperParams | None = None,
             row.val_acc = float((curve.val_probs.argmax(axis=1) == labels[val_idx]).mean())
         curve.rows.append(row)
 
-        if early_stopping_patience is not None and len(val_idx):
+        if early_stopping_patience is not None:
             if row.val_loss < best_loss:
                 best_loss, best, bad_epochs = row.val_loss, (_snapshot(model), curve.val_probs), 0
             else:

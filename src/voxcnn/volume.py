@@ -36,19 +36,16 @@ strided slice-add, so its products and summation order are those of a
 per-tap ``tensordot`` loop, and the tile budget does not change its bits.
 
 The temporaries (the zero-padded input, the window tile and the per-tap
-product) are views of one scratch buffer per thread.  A conv call therefore
-holds one tile of windows, whatever the batch; the padded input and the
-per-tap product still grow with it.  Inside a :func:`reusing_scratch`
-block, which wraps a training run or a batched prediction, the buffer is
-kept from call to call, so step after step maps no fresh pages; it then
-holds the largest set of temporaries its thread has needed, until the
-outermost block exits.  Outside any block each call's temporaries are fresh
-and freed at its return.
+product) are views of one scratch buffer.  A conv call therefore holds one
+tile of windows, whatever the batch; the padded input and the per-tap
+product still grow with it.  A thread keeps a buffer of at most
+``_KEEP_BYTES`` from call to call, with no scope to open, so small
+temporaries map no fresh pages step after step or request after request; a
+larger request gets a fresh buffer, freed at its return.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import threading
@@ -59,8 +56,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeError
 
-# Each thread's conv temporaries: one growable byte buffer (``scratch``), kept
-# while ``depth`` reusing_scratch blocks are open on the thread.
+# Each thread's kept conv temporaries: one growable byte buffer (``scratch``).
 _thread = threading.local()
 _ALIGN = 64  # bytes between the starts of arrays laid out in one buffer
 
@@ -69,6 +65,11 @@ _ALIGN = 64  # bytes between the starts of arrays laid out in one buffer
 # (the largest, their second conv's, is 0.75 MB), and a tile is small
 # enough to stay in a core's L2 cache while its product reads it.
 _TILE_BYTES = 1 << 20
+
+# The largest scratch buffer a thread keeps between calls.  Reuse pays only for
+# buffers this small, which glibc would otherwise map and trim call after call;
+# the mini fixtures' convs need under 1 MiB, and a ``pet`` cut's stem 2.5 MB at batch 8.
+_KEEP_BYTES = 4 * _TILE_BYTES
 
 # Axis orders of a tile's window view ``(planes, oy, oz, c, k, k, k)``.
 _CHANNEL_LAST = (0, 1, 2, 4, 5, 6, 3)  # (positions, taps x channels): tensordot's forward one
@@ -82,7 +83,6 @@ __all__ = [
     "correlate3d_vjp_batch",
     "maxpool3d_batch",
     "maxpool3d_vjp_batch",
-    "reusing_scratch",
 ]
 
 
@@ -131,33 +131,14 @@ def _conv_shape(batch: np.ndarray, kernel: Kernel, stride: int, padding: int) ->
     return extents + (c_out,)
 
 
-@contextlib.contextmanager
-def reusing_scratch():
-    """Keep this thread's scratch buffer from one kernel call to the next while the block runs.
-
-    A training run or a batched prediction makes the same conv calls batch
-    after batch; inside this block they gather into one buffer instead of
-    allocating their temporaries afresh.  Blocks nest, and the outermost one
-    drops the buffer on exit, so nothing is held between runs.  Also usable
-    as a function decorator.
-    """
-    depth = getattr(_thread, "depth", 0)
-    _thread.depth = depth + 1
-    try:
-        yield
-    finally:
-        _thread.depth = depth
-        if not depth:
-            _thread.scratch = None
-
-
 def _scratch(*layouts):
     """Arrays of the given ``(shape, dtype)`` layouts, end to end in one scratch buffer.
 
-    Inside a :func:`reusing_scratch` block the buffer is the thread's kept
-    one, grown when a request needs more, and every call hands out the same
-    memory again: an array is valid until its thread's next call, and no
-    kernel returns one.  Outside, the buffer is fresh.
+    A request of at most ``_KEEP_BYTES`` gets the thread's kept buffer, grown
+    when it needs more, and every such call hands out the same memory again:
+    an array is valid until its thread's next call, and no kernel returns
+    one.  A larger request gets a fresh buffer and leaves the kept one as it
+    was.
     """
     offsets, end = [], 0
     for shape, dtype in layouts:
@@ -166,7 +147,7 @@ def _scratch(*layouts):
     buf = getattr(_thread, "scratch", None)
     if buf is None or buf.size < end:
         buf = np.empty(end, dtype=np.uint8)
-        if getattr(_thread, "depth", 0):
+        if end <= _KEEP_BYTES:
             _thread.scratch = buf
     return [np.ndarray(shape, dtype, buffer=buf, offset=offset)
             for (shape, dtype), offset in zip(layouts, offsets)]

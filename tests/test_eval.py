@@ -90,6 +90,20 @@ def test_fold_plan_rejects_k_beyond_smallest_class():
         E.repeated_stratified_kfold(labels, k=1, reps=1, seed=0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: records.gen_synthetic(1, dims=(16, 16)),
+    lambda: records.gen_synthetic(1, dims=(16, 16, 16, 16)),
+    lambda: records.gen_synthetic(1, dims=16),
+    lambda: records.gen_synthetic(1, dims=(16.7, 16, 16)),
+    lambda: E.stratified_split(labels_with_counts(4, 4, 4), "0.25", seed=0),
+    lambda: E.repeated_stratified_kfold(labels_with_counts(4, 4, 4), k=2.5, reps=1, seed=0),
+    lambda: E.repeated_stratified_kfold(labels_with_counts(4, 4, 4), k=2, reps=2.5, seed=0),
+], ids=["dims-2", "dims-4", "dims-int", "dims-float", "test_frac-string", "k-float", "reps-float"])
+def test_study_helper_arguments_of_the_wrong_kind_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # Confusion matrices and metrics
 

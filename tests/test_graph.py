@@ -181,6 +181,17 @@ def test_glorot_bounds_for_conv_fans():
     assert all(np.all(p.values == 0) for p in biases)
 
 
+@pytest.mark.parametrize("dtype", [np.int32, bool, np.float16, np.float32, np.float64])
+def test_build_takes_only_a_float_dtype(dtype):
+    spec = load_fixture("pet_8_mini")
+    if np.dtype(dtype).kind != "f":
+        with pytest.raises(InputError, match="is not a float type"):
+            graph.build(spec, dtype=dtype)
+        return
+    model = graph.build(spec, dtype=dtype)
+    assert {getattr(holder, attr).dtype for holder, attr, _ in graph.arrays(model)} == {np.dtype(dtype)}
+
+
 @pytest.mark.parametrize("shape,dtype", [((3, 3, 3, 1, 8), np.float32),
                                          ((3, 3, 3, 64, 64), np.float32),
                                          ((70_003,), np.float64)])

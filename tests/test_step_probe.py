@@ -17,5 +17,6 @@ def test_step_probe_times_a_small_step_quickly():
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert (report["arch"], report["batch"]) == ("pet_8_mini", 2)
-    assert 0 < report["step_s"] < elapsed and report["maxrss_mb"] > 0
+    assert report["step_s"] > 0 and report["warm_step_s"] > 0 and report["maxrss_mb"] > 0
+    assert report["step_s"] + report["warm_step_s"] < elapsed
     assert elapsed < 10

@@ -328,6 +328,29 @@ def test_early_stopping_patience_that_is_not_a_count_raises_input_error(patience
                 early_stopping_patience=patience)
 
 
+@pytest.mark.parametrize("val_idx", [None, np.arange(0)], ids=["none", "empty"])
+def test_early_stopping_without_validation_rows_raises_before_any_epoch(val_idx, monkeypatch):
+    vols, labels = tiny_dataset(2)
+    model = graph.build(load_fixture("pet_8_mini"), seed=5)
+    monkeypatch.setattr(T, "loss_and_grads", lambda *a: pytest.fail("an epoch ran"))
+    with pytest.raises(InputError, match="early stopping needs validation rows"):
+        T.train(model, (vols, labels), val_idx, T.HyperParams(epochs=3), early_stopping_patience=3)
+
+
+@pytest.mark.parametrize("args,match", [
+    (lambda vols, labels: ((vols, labels, labels), None), r"\(volumes, labels\) pair"),
+    (lambda vols, labels: (vols, None), r"\(volumes, labels\) pair"),
+    (lambda vols, labels: (7, None), r"\(volumes, labels\) pair"),
+    (lambda vols, labels: ((vols, labels), {"epochs": 1}), "hyper must be a HyperParams"),
+], ids=["triple", "volumes-only", "not-a-sequence", "hyper-dict"])
+def test_train_arguments_of_the_wrong_kind_raise_input_error(args, match):
+    vols, labels = tiny_dataset(2)
+    data, hyper = args(vols, labels)
+    model = graph.build(load_fixture("pet_8_mini"), seed=5)
+    with pytest.raises(InputError, match=match):
+        T.train(model, data, hyper=hyper)
+
+
 def test_zero_epochs_returns_initialization():
     vols, labels = tiny_dataset(2)
     model = graph.build(load_fixture("pet_8_mini"), seed=5)

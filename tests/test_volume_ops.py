@@ -287,10 +287,9 @@ def test_threads_running_convs_at_once_equal_serial_calls_bitwise():
 
     def work(t):
         start.wait()
-        with V.reusing_scratch():
-            for j in range(3 * len(cases)):
-                i = (j + 5 * t) % len(cases)  # every thread visits the shapes in its own order
-                got[t][i] = _conv_step(cases[i])
+        for j in range(3 * len(cases)):
+            i = (j + 5 * t) % len(cases)  # every thread visits the shapes in its own order
+            got[t][i] = _conv_step(cases[i])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -319,55 +318,54 @@ def test_conv_results_never_share_the_kept_scratch_buffer():
         grad_out = rng.standard_normal((n, out, out, out, c_out)).astype(dtype)
         return batch, kernel, grad_out, stride, padding
 
-    with V.reusing_scratch():
-        first = _conv_step(case(2, 6, 3, 2, 3, 1, 1, np.float32))
-        kept = [a.copy() for a in first]
+    V._thread.scratch = None  # the first case sets the kept buffer's size
+    first = _conv_step(case(2, 6, 3, 2, 3, 1, 1, np.float32))
+    kept = [a.copy() for a in first]
+    buffer = V._thread.scratch
+    assert not any(np.shares_memory(a, buffer) for a in first)
+    later = [(case(4, 9, 2, 3, 3, 1, 1, np.float64), True),   # a larger window matrix
+             (case(1, 5, 1, 2, 2, 1, 0, np.float32), False),  # a smaller, tap-major one
+             (case(2, 7, 2, 2, 3, 2, 2, np.float32), False)]  # strided and padded
+    for conv, grows in later:
+        results = _conv_step(conv)
+        assert (V._thread.scratch is not buffer) == grows
         buffer = V._thread.scratch
-        assert not any(np.shares_memory(a, buffer) for a in first)
-        later = [(case(4, 9, 2, 3, 3, 1, 1, np.float64), True),   # a larger window matrix
-                 (case(1, 5, 1, 2, 2, 1, 0, np.float32), False),  # a smaller, tap-major one
-                 (case(2, 7, 2, 2, 3, 2, 2, np.float32), False)]  # strided and padded
-        for conv, grows in later:
-            results = _conv_step(conv)
-            assert (V._thread.scratch is not buffer) == grows
-            buffer = V._thread.scratch
-            assert not any(np.shares_memory(a, buffer) for a in (*first, *results))
-            assert [a.tobytes() for a in first] == [a.tobytes() for a in kept]
+        assert not any(np.shares_memory(a, buffer) for a in (*first, *results))
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in kept]
 
 
-def test_scratch_is_kept_until_the_outermost_block_exits():
-    rng = np.random.default_rng(12)
-    batch = rng.standard_normal((2, 6, 6, 6, 3))
-    kernel = V.Kernel(rng.standard_normal((3, 3, 3, 3, 2)), np.zeros(2))
-    V.correlate3d_batch(batch, kernel)
-    assert getattr(V._thread, "scratch", None) is None  # outside a block nothing is kept
-    with V.reusing_scratch():
-        V.correlate3d_batch(batch, kernel)
-        buffer = V._thread.scratch
-        with V.reusing_scratch():
-            V.correlate3d_batch(batch, kernel)
-        assert V._thread.scratch is buffer
-    assert V._thread.scratch is None
-
-
-def test_training_and_prediction_keep_the_scratch_buffer_until_done(monkeypatch):
-    depths = []
-    forward = V.correlate3d_batch
-
-    def recording(*args):
-        depths.append(getattr(V._thread, "depth", 0))
-        return forward(*args)
-
-    monkeypatch.setattr(V, "correlate3d_batch", recording)
+def test_a_thread_keeps_its_scratch_buffer_across_training_runs_and_served_forwards():
     model = graph.build(load_fixture("pet_8_mini"), seed=0)
     x = np.random.default_rng(2).standard_normal((4, 16, 16, 16, 1)).astype(np.float32)
-    train.train(model, (x, np.array([0, 1, 2, 0])), hyper=train.HyperParams(epochs=1, batch_size=2))
-    assert depths and all(depths)
-    assert getattr(V._thread, "scratch", None) is None
-    depths.clear()
+    V._thread.scratch = None
+    hyper = train.HyperParams(epochs=1, batch_size=2)
+    train.train(model, (x, np.array([0, 1, 2, 0])), hyper=hyper)
+    buffer = V._thread.scratch
+    assert buffer is not None and buffer.size <= V._KEEP_BYTES
+    train.train(model, (x, np.array([0, 1, 2, 0])), hyper=hyper)
+    assert V._thread.scratch is buffer
+    for request in (x[:1], x[1:3]):
+        model.forward(request, "inference")
+        assert V._thread.scratch is buffer
     train.predict(model, x, 2)
-    assert depths and all(depths)
-    assert getattr(V._thread, "scratch", None) is None
+    assert V._thread.scratch is buffer
+
+
+def test_a_scratch_request_above_the_keep_limit_is_fresh_and_kept_by_no_one():
+    rng = np.random.default_rng(12)
+    small = rng.standard_normal((2, 6, 6, 6, 3))
+    large = rng.standard_normal((5, 48, 48, 48, 1))
+    assert 5 * 50**3 * large.itemsize > V._KEEP_BYTES  # its padded input alone
+    kernel = V.Kernel(rng.standard_normal((3, 3, 3, small.shape[4], 2)), np.zeros(2))
+    wide = V.Kernel(rng.standard_normal((3, 3, 3, 1, 2)), np.zeros(2))
+    V._thread.scratch = None
+    V.correlate3d_batch(large, wide, padding=1)
+    assert V._thread.scratch is None  # nothing new is kept
+    V.correlate3d_batch(small, kernel, padding=1)
+    buffer = V._thread.scratch
+    size = buffer.size
+    V.correlate3d_vjp_batch(large, wide, V.correlate3d_batch(large, wide, padding=1), padding=1)
+    assert V._thread.scratch is buffer and buffer.size == size  # the kept buffer is as it was
 
 
 @pytest.mark.parametrize("k, stride, padding", [(1, 1, 0), (1, 1, 1), (1, 2, 0), (2, 1, 0),
@@ -418,14 +416,13 @@ def test_warm_conv_step_allocates_less_than_one_window_matrix():
         out = V.correlate3d_batch(x, kernel, conv.spec.stride, conv.spec.padding)
         return V.correlate3d_vjp_batch(x, kernel, out, conv.spec.stride, conv.spec.padding)
 
-    with V.reusing_scratch():
+    step()
+    tracemalloc.start()
+    try:
         step()
-        tracemalloc.start()
-        try:
-            step()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak < window_bytes
 
 
@@ -433,10 +430,11 @@ def test_warm_conv_step_allocates_less_than_one_window_matrix():
 def test_conv_step_temporaries_are_one_tile_and_the_input_gradient_buffer(n):
     """Whatever the batch, ``pet_8_mini``'s second conv gathers at most one tile at a time.
 
-    Outside a ``reusing_scratch`` block each call allocates its scratch
-    afresh, so ``tracemalloc`` sees it.  Beyond the arrays the step returns,
-    the weight gradient's pass holds one window tile and the input
-    gradient's pass one per-tap product buffer for the whole batch.
+    The thread's kept buffer is dropped before the traced step, so the step
+    allocates its scratch afresh and ``tracemalloc`` sees it.  Beyond the
+    arrays the step returns, the weight gradient's pass holds one window tile
+    and the input gradient's pass one per-tap product buffer for the whole
+    batch.
     """
     model = graph.build(load_fixture("pet_8_mini"), seed=0)
     conv = model.layers[1]
@@ -450,6 +448,7 @@ def test_conv_step_temporaries_are_one_tile_and_the_input_gradient_buffer(n):
         return (out, *V.correlate3d_vjp_batch(x, kernel, out, conv.spec.stride, conv.spec.padding))
 
     step()
+    V._thread.scratch = None
     tracemalloc.start()
     try:
         returned = sum(a.nbytes for a in step())
